@@ -59,7 +59,6 @@ def _workload_spec(args, scenario: str, bucket: int) -> workload.WorkloadSpec:
         min_checks_fraction=doc.get("min_checks_fraction", 0.2),
         overhead_fraction=doc.get("overhead_fraction", 0.1),
         overhead_preset=doc.get("overhead_preset", overhead_preset),
-        tasksets_per_bucket=args.tasksets_per_bucket,
         seed=args.seed,
     )
 

@@ -15,10 +15,13 @@ from . import game as game_mod
 from .model import Taskset, assignment_at
 from .planner import CheckPlan, Infeasible, TaskPlan, assign_check_budgets
 from .schedulability import is_schedulable
-from .simulator import AttackSpec, run_detection_experiment
+from .simulator import AttackSpec, acceptance_ratio, run_detection_experiment
 from .workload import NUM_BUCKETS, WorkloadSpec, draw_taskset, taskset_rng
 
 SCENARIOS = ("medium", "high")
+
+# fig 8 schemes, in CSV row order.
+ACCEPTANCE_METRICS = ("unsecured", "scate", "fine-grain")
 
 # Coverage-ratio bins for the tradeoff sweep: width 0.1 over [0.2, 1.0].
 CR_BIN_EDGES = [0.2 + 0.1 * i for i in range(9)]
@@ -83,17 +86,12 @@ def _coverage_cell(args) -> tuple[int, float]:
     return feasible, cr_sum
 
 
-def _acceptance_cell(args) -> tuple[int, int, int]:
+def _acceptance_cell(args) -> dict[str, float]:
     base, scenario_idx, bucket, count = args
     scenario = SCENARIOS[scenario_idx]
-    unsecured = fine_grain = selective = 0
-    for ts, _ in _cell_tasksets(base, 8, scenario_idx, bucket, count, scenario):
-        if ts is None:
-            continue  # fits on no partition: unschedulable under every scheme
-        unsecured += is_schedulable(ts, assignment_at(ts, "zero"))
-        fine_grain += is_schedulable(ts, assignment_at(ts, "full"))
-        selective += not isinstance(assign_check_budgets(ts), Infeasible)
-    return unsecured, fine_grain, selective
+    # None entries fit on no partition: unschedulable under every scheme.
+    batch = [ts for ts, _ in _cell_tasksets(base, 8, scenario_idx, bucket, count, scenario)]
+    return {scheme: acceptance_ratio(batch, scheme) for scheme in ACCEPTANCE_METRICS}
 
 
 def _tradeoff_cell(args) -> list[tuple[float, bool, float]]:
@@ -186,18 +184,14 @@ def sweep_acceptance(
     ]
     results = _run_cells(_acceptance_cell, cells, jobs)
     rows = []
-    for (_, si, bucket, _), (unsecured, fine_grain, selective) in zip(cells, results):
-        for metric, count in (
-            ("unsecured", unsecured),
-            ("scate", selective),
-            ("fine-grain", fine_grain),
-        ):
+    for (_, si, bucket, _), ratios in zip(cells, results):
+        for metric in ACCEPTANCE_METRICS:
             rows.append(
                 SweepRow(
                     bin=str(bucket),
                     scenario=SCENARIOS[si],
                     metric=metric,
-                    value=count / tasksets_per_bucket,
+                    value=ratios[metric],
                     samples=tasksets_per_bucket,
                     seed=base.seed,
                 )

@@ -16,7 +16,6 @@ feasibility classification.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,12 +77,6 @@ class LpSolution:
         return self.status == "optimal"
 
 
-def _dump(tag: str, tableau: np.ndarray, basis: list[int]) -> None:
-    print(f"-- {tag}: basis={basis}", file=sys.stderr)
-    with np.printoptions(precision=6, suppress=True, linewidth=200):
-        print(tableau, file=sys.stderr)
-
-
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
     factors = tableau[:, col].copy()
@@ -91,7 +84,7 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau -= np.outer(factors, tableau[row])
 
 
-def _simplex(tableau: np.ndarray, basis: list[int], verbose: bool = False) -> str:
+def _simplex(tableau: np.ndarray, basis: list[int]) -> str:
     """Run the simplex loop to optimality; z-row is the last tableau row."""
     m = tableau.shape[0] - 1
     max_iter = 200 * (tableau.shape[0] + tableau.shape[1]) + 10_000
@@ -118,8 +111,6 @@ def _simplex(tableau: np.ndarray, basis: list[int], verbose: bool = False) -> st
         if not candidates:
             return "unbounded"
         leave = max(candidates, key=lambda i: (tableau[i, enter], -basis[i]))
-        if verbose:
-            print(f"-- pivot: enter col {enter}, leave row {leave} (var {basis[leave]})", file=sys.stderr)
         _pivot(tableau, leave, enter)
         basis[leave] = enter
         # Absorb pivot-arithmetic drift in the perturbed column only, and
@@ -130,7 +121,7 @@ def _simplex(tableau: np.ndarray, basis: list[int], verbose: bool = False) -> st
     raise RuntimeError("simplex iteration limit exceeded")
 
 
-def solve_lp(problem: LinearProgram, verbose: bool = False) -> LpSolution:
+def solve_lp(problem: LinearProgram) -> LpSolution:
     """Solve a LinearProgram; classifies optimal / infeasible / unbounded."""
     problem.check()
     n = problem.num_vars
@@ -216,9 +207,7 @@ def solve_lp(problem: LinearProgram, verbose: bool = False) -> LpSolution:
         for i in range(m):
             if basis[i] >= art0:
                 tableau[-1] -= tableau[i]
-        if verbose:
-            _dump("phase-1 tableau", tableau, basis)
-        status = _simplex(tableau, basis, verbose)
+        status = _simplex(tableau, basis)
         if status != "optimal" or tableau[-1, _TRUE] < -FEAS_TOL:
             return LpSolution(status="infeasible")
         # Remove lingering artificials from the basis.
@@ -249,9 +238,7 @@ def solve_lp(problem: LinearProgram, verbose: bool = False) -> LpSolution:
     for i in range(m):
         if abs(cc[basis[i]]) > 0.0:
             tableau[-1] += cc[basis[i]] * tableau[i]
-    if verbose:
-        _dump("phase-2 tableau", tableau, basis)
-    status = _simplex(tableau, basis, verbose)
+    status = _simplex(tableau, basis)
     if status == "unbounded":
         return LpSolution(status="unbounded")
 

@@ -8,6 +8,8 @@ construction.
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -62,6 +64,14 @@ class Platform:
 
 @dataclass(frozen=True)
 class Taskset:
+    """Tasks plus their platform.
+
+    The per-core priority order and each task's higher- and lower-priority
+    neighbours are computed once, on first use, and cached: this assumes
+    platform.partition and platform.priority are not mutated after
+    construction.
+    """
+
     tasks: tuple[Task, ...]
     platform: Platform
 
@@ -69,35 +79,46 @@ class Taskset:
     def _by_id(self) -> dict[TaskId, Task]:
         return {t.id: t for t in self.tasks}
 
+    @cached_property
+    def _core_orders(self) -> dict[int, tuple[Task, ...]]:
+        partition, priority = self.platform.partition, self.platform.priority
+        placed = sorted((t for t in self.tasks if t.id in partition), key=lambda t: priority[t.id])
+        orders: dict[int, list[Task]] = {}
+        for t in placed:
+            orders.setdefault(partition[t.id], []).append(t)
+        return {core: tuple(members) for core, members in orders.items()}
+
+    @cached_property
+    def _neighbours(self) -> dict[TaskId, tuple[tuple[Task, ...], tuple[Task, ...]]]:
+        """task id -> (higher-, lower-priority tasks on its core), highest first."""
+        out = {}
+        for order in self._core_orders.values():
+            ranks = [self.platform.priority[t.id] for t in order]
+            for t, r in zip(order, ranks):
+                out[t.id] = (order[:bisect_left(ranks, r)], order[bisect_right(ranks, r):])
+        return out
+
     def task(self, task_id: TaskId) -> Task:
         return self._by_id[task_id]
 
     def core_of(self, task_id: TaskId) -> int:
         return self.platform.partition[task_id]
 
-    def tasks_on_core(self, core: int) -> list[Task]:
+    def tasks_on_core(self, core: int) -> tuple[Task, ...]:
         """Tasks on one core, highest priority first."""
-        members = [t for t in self.tasks if self.platform.partition.get(t.id) == core]
-        members.sort(key=lambda t: self.platform.priority[t.id])
-        return members
+        return self._core_orders.get(core, ())
 
-    def higher_priority(self, task_id: TaskId) -> list[Task]:
-        """Same-core tasks with higher priority than task_id."""
-        rank = self.platform.priority[task_id]
-        core = self.platform.partition[task_id]
-        return [t for t in self.tasks_on_core(core) if self.platform.priority[t.id] < rank]
+    def higher_priority(self, task_id: TaskId) -> tuple[Task, ...]:
+        """Same-core tasks with higher priority than task_id, highest first."""
+        return self._neighbours[task_id][0]
 
-    def lower_priority(self, task_id: TaskId) -> list[Task]:
-        rank = self.platform.priority[task_id]
-        core = self.platform.partition[task_id]
-        return [t for t in self.tasks_on_core(core) if self.platform.priority[t.id] > rank]
+    def lower_priority(self, task_id: TaskId) -> tuple[Task, ...]:
+        """Same-core tasks with lower priority than task_id, highest first."""
+        return self._neighbours[task_id][1]
 
-    def priority_ordered(self) -> list[Task]:
+    def priority_ordered(self) -> tuple[Task, ...]:
         """All tasks, grouped by core index, highest priority first per core."""
-        out: list[Task] = []
-        for core in range(self.platform.num_cores):
-            out.extend(self.tasks_on_core(core))
-        return out
+        return tuple(t for core in range(self.platform.num_cores) for t in self.tasks_on_core(core))
 
 
 # CheckAssignment: commands checked per job, keyed by task id.
@@ -126,6 +147,14 @@ class Violation:
         return f"{where}: {self.field}: {self.message}"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _validate_task(task: Task) -> list[Violation]:
     v: list[Violation] = []
 
@@ -133,24 +162,27 @@ def _validate_task(task: Task) -> list[Violation]:
         v.append(Violation(task.id, fieldname, message))
 
     for name in ("wcet", "period", "deadline", "check_overhead"):
-        value = getattr(task, name)
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_int(getattr(task, name)):
             bad(name, "time fields must be integers")
-    if isinstance(task.wcet, int) and task.wcet <= 0:
+    if _is_int(task.wcet) and task.wcet <= 0:
         bad("wcet", "wcet must be positive")
-    if isinstance(task.wcet, int) and isinstance(task.deadline, int) and task.wcet > task.deadline:
+    if _is_int(task.wcet) and _is_int(task.deadline) and task.wcet > task.deadline:
         bad("deadline", "wcet > deadline")
-    if isinstance(task.deadline, int) and isinstance(task.period, int) and task.deadline > task.period:
+    if _is_int(task.deadline) and _is_int(task.period) and task.deadline > task.period:
         bad("deadline", "deadline > period")
-    if task.num_commands < 0:
-        bad("num_commands", "num_commands must be >= 0")
-    if not 0 <= task.min_checks <= task.num_commands:
-        bad("min_checks", "min_checks outside [0, num_commands]")
-    if len(task.weights) != task.num_commands:
-        bad("weights", "weight-vector length mismatch")
-    if any(w <= 0 for w in task.weights):
-        bad("weights", "weights must be positive")
-    if isinstance(task.check_overhead, int) and task.check_overhead < 0:
+    for name in ("num_commands", "min_checks"):
+        if not _is_int(getattr(task, name)):
+            bad(name, "command counts must be integers")
+    if _is_int(task.num_commands):
+        if task.num_commands < 0:
+            bad("num_commands", "num_commands must be >= 0")
+        if _is_int(task.min_checks) and not 0 <= task.min_checks <= task.num_commands:
+            bad("min_checks", "min_checks outside [0, num_commands]")
+        if len(task.weights) != task.num_commands:
+            bad("weights", "weight-vector length mismatch")
+    if not all(_is_number(w) and math.isfinite(w) and w > 0 for w in task.weights):
+        bad("weights", "weights must be positive finite numbers")
+    if _is_int(task.check_overhead) and task.check_overhead < 0:
         bad("check_overhead", "check_overhead must be >= 0")
     return v
 

@@ -4,21 +4,33 @@ The system-wide pass first verifies the taskset carries its minimum
 checking load (every task at min_checks); if not, the taskset is
 infeasible.  It then walks each core from highest to lowest priority and
 fixes each task's budget K* at the largest value that keeps the task
-itself and everything below it on the same core schedulable, using binary
-search over [min_checks, num_commands] (the response-time bound is
-monotone in k).  Tasks with K* < N get a solved game distribution; tasks
-checking all commands need none.
+itself and everything below it on the same core schedulable.  With every
+other budget fixed, each of those tasks' bounds is linear in the task's
+k, so its deadline slack at min_checks caps k in closed form; K* is the
+smallest cap, clipped to [min_checks, num_commands].  The candidate is
+then confirmed with the schedulability evaluator at K* and K* + 1, and
+moved one check at a time should rounding disagree, so every decision is
+exactly the floating-point deadline test.  Tasks with K* < N get a solved
+game distribution; tasks checking all commands need none.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import game as game_mod
-from .model import CheckAssignment, Platform, Task, TaskId, Taskset
-from .schedulability import TIME_TOL, response_time_bound
+from .model import CheckAssignment, Platform, Task, TaskId, Taskset, assignment_at
+from .schedulability import (
+    TIME_TOL,
+    bound_from_wcets,
+    checked_wcets,
+    is_schedulable,
+    meets_deadlines,
+    tee_wcet,
+)
 
 INFEASIBLE_MESSAGE = "minimum QoS requirements cannot be met"
 
@@ -54,14 +66,6 @@ class CheckPlan:
         return [(e.k_star, e.num_commands) for e in self.tasks.values() if e.num_commands > 0]
 
 
-def _meets_deadlines(task: Task, taskset: Taskset, assignment: CheckAssignment) -> bool:
-    """task and every lower-priority task on its core meet their deadlines."""
-    for t in [task, *taskset.lower_priority(task.id)]:
-        if response_time_bound(t, taskset, assignment) > t.deadline + TIME_TOL:
-            return False
-    return True
-
-
 def max_feasible_k(task: Task, taskset: Taskset, fixed: CheckAssignment) -> int:
     """Largest k in [min_checks, num_commands] keeping this task's core schedulable.
 
@@ -70,29 +74,39 @@ def max_feasible_k(task: Task, taskset: Taskset, fixed: CheckAssignment) -> int:
     system-wide pass guarantees before calling.
     """
     lo, hi = task.min_checks, task.num_commands
-    assignment = dict(fixed)
-    assignment[task.id] = lo
-    if not _meets_deadlines(task, taskset, assignment):
+    affected = (task, *taskset.lower_priority(task.id))
+    wcets = checked_wcets(
+        (t for t in taskset.tasks_on_core(taskset.core_of(task.id)) if t.id != task.id), fixed
+    )
+    wcets[task.id] = tee_wcet(task, lo)
+    if not meets_deadlines(affected, taskset, wcets):
         raise ValueError(f"task {task.id}: infeasible even at min_checks={lo}")
-    best = lo
-    lo += 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        assignment[task.id] = mid
-        if _meets_deadlines(task, taskset, assignment):
-            best = mid
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return best
+
+    # Each affected task i's bound grows by a_i * C^o per extra check, where
+    # a_i = 1 for the task itself and 1 + D_i / T for a lower-priority task.
+    k = hi
+    if task.check_overhead:
+        for i in affected:
+            a = 1.0 if i is task else 1.0 + i.deadline / task.period
+            slack = i.deadline + TIME_TOL - bound_from_wcets(i, taskset, wcets)
+            k = min(k, lo + math.floor(slack / (a * task.check_overhead)))
+
+    def meets(checks: int) -> bool:
+        wcets[task.id] = tee_wcet(task, checks)
+        return meets_deadlines(affected, taskset, wcets)
+
+    while k > lo and not meets(k):
+        k -= 1
+    while k < hi and meets(k + 1):
+        k += 1
+    return k
 
 
 def assign_check_budgets(taskset: Taskset) -> dict[TaskId, int] | Infeasible:
     """Per-task K* without game solutions; Infeasible when min_checks already overloads."""
-    assignment = {t.id: t.min_checks for t in taskset.tasks}
-    for t in taskset.tasks:
-        if response_time_bound(t, taskset, assignment) > t.deadline + TIME_TOL:
-            return Infeasible()
+    assignment = assignment_at(taskset, "min")
+    if not is_schedulable(taskset, assignment):
+        return Infeasible()
     for t in taskset.priority_ordered():
         assignment[t.id] = max_feasible_k(t, taskset, assignment)
     return assignment

@@ -5,18 +5,24 @@ The bound is the closed linear form
     R_i = C_i^chk + sum_{h in hp(i)} (1 + D_i / T_h) * C_h^chk
 
 with C^chk = C + k * C^o for the assigned number of checks k.  It is an
-upper bound, not the iterative fixed-point recurrence, and it is monotone
-non-decreasing in every task's k; the planner's binary search relies on
-that monotonicity.  D_i / T_h is evaluated in double precision and all
-deadline comparisons use an absolute tolerance.
+upper bound, not the iterative fixed-point recurrence.  One evaluator,
+`bound_from_wcets`, sums it (own term first, then hp(i) from highest to
+lowest priority) for every caller: single bounds, `is_schedulable`,
+`analyze` and the planner's K* selection.  The bound is linear in each
+task's k, which gives the planner its closed form for K*; rounding keeps
+it monotone non-decreasing in every k, which lets the planner confirm
+that candidate by stepping one check at a time.  D_i / T_h is evaluated
+in double precision and all deadline comparisons use an absolute
+tolerance.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from typing import Iterable
 
-from .model import CheckAssignment, Task, Taskset, assignment_at
+from .model import CheckAssignment, Task, TaskId, Taskset, assignment_at
 
 # Absolute tolerance for comparing the (non-integral) bound to deadlines.
 TIME_TOL = 1e-9
@@ -29,6 +35,25 @@ def tee_wcet(task: Task, k: int) -> int:
     return task.wcet + k * task.check_overhead
 
 
+def checked_wcets(tasks: Iterable[Task], assignment: CheckAssignment) -> dict[TaskId, int]:
+    """C + k * C^o for each task under the assignment, keyed by task id."""
+    return {t.id: tee_wcet(t, assignment[t.id]) for t in tasks}
+
+
+def bound_from_wcets(task: Task, taskset: Taskset, wcets: dict[TaskId, int]) -> float:
+    """The bound of `task` given every same-core task's execution time in `wcets`."""
+    r = float(wcets[task.id])
+    deadline = task.deadline
+    for h in taskset.higher_priority(task.id):
+        r += (1.0 + deadline / h.period) * wcets[h.id]
+    return r
+
+
+def meets_deadlines(tasks: Iterable[Task], taskset: Taskset, wcets: dict[TaskId, int]) -> bool:
+    """True iff each of `tasks` meets its deadline given the execution times `wcets`."""
+    return all(bound_from_wcets(t, taskset, wcets) <= t.deadline + TIME_TOL for t in tasks)
+
+
 def response_time_bound(task: Task, taskset: Taskset, assignment: CheckAssignment) -> float:
     """Upper bound on the worst-case response time of `task` under `assignment`.
 
@@ -37,10 +62,8 @@ def response_time_bound(task: Task, taskset: Taskset, assignment: CheckAssignmen
     """
     if task.id not in taskset.platform.partition:
         raise ValueError(f"task {task.id} not in partition")
-    r = float(tee_wcet(task, assignment[task.id]))
-    for h in taskset.higher_priority(task.id):
-        r += (1.0 + task.deadline / h.period) * tee_wcet(h, assignment[h.id])
-    return r
+    wcets = checked_wcets((task, *taskset.higher_priority(task.id)), assignment)
+    return bound_from_wcets(task, taskset, wcets)
 
 
 def vanilla_response_time(task: Task, taskset: Taskset) -> float:
@@ -80,19 +103,24 @@ class ResponseTimeReport:
         raise KeyError(task_id)
 
 
-def analyze(taskset: Taskset, assignment: CheckAssignment) -> ResponseTimeReport:
-    """Per-task response times and deadline flags for a complete assignment."""
+def _complete_wcets(taskset: Taskset, assignment: CheckAssignment) -> dict[TaskId, int]:
     for t in taskset.tasks:
         if t.id not in assignment:
             raise ValueError(f"assignment missing task {t.id}")
+    return checked_wcets(taskset.tasks, assignment)
+
+
+def analyze(taskset: Taskset, assignment: CheckAssignment) -> ResponseTimeReport:
+    """Per-task response times and deadline flags for a complete assignment."""
+    checked = _complete_wcets(taskset, assignment)
+    vanilla = {t.id: t.wcet for t in taskset.tasks}
     entries = []
     for t in taskset.priority_ordered():
-        r_checked = response_time_bound(t, taskset, assignment)
-        r_vanilla = vanilla_response_time(t, taskset)
+        r_checked = bound_from_wcets(t, taskset, checked)
         entries.append(
             TaskTiming(
                 task_id=t.id,
-                response_time=r_vanilla,
+                response_time=bound_from_wcets(t, taskset, vanilla),
                 response_time_checked=r_checked,
                 overhead=checking_overhead(t, taskset, assignment),
                 deadline=t.deadline,
@@ -106,13 +134,7 @@ def analyze(taskset: Taskset, assignment: CheckAssignment) -> ResponseTimeReport
 
 def is_schedulable(taskset: Taskset, assignment: CheckAssignment) -> bool:
     """True iff every task's checked response-time bound meets its deadline."""
-    for t in taskset.tasks:
-        if t.id not in assignment:
-            raise ValueError(f"assignment missing task {t.id}")
-    for t in taskset.tasks:
-        if response_time_bound(t, taskset, assignment) > t.deadline + TIME_TOL:
-            return False
-    return True
+    return meets_deadlines(taskset.tasks, taskset, _complete_wcets(taskset, assignment))
 
 
 def report_csv(report: ResponseTimeReport) -> str:

@@ -16,12 +16,14 @@ from typing import Sequence
 import numpy as np
 
 from .model import TaskId, Taskset, assignment_at
-from .planner import CheckPlan, Infeasible, TaskPlan, assign_check_budgets
+from .planner import CheckPlan, TaskPlan
 from .schedulability import is_schedulable
 
 PROBABILITY_TOL = 1e-6
 
-SCHEMES = ("unsecured", "fine-grain", "scate")
+# The uniform check level each scheme must fit at.  scate needs only
+# min_checks: the planner finds a K* for every taskset schedulable there.
+SCHEME_LEVELS = {"unsecured": "zero", "fine-grain": "full", "scate": "min"}
 
 
 @dataclass(frozen=True)
@@ -195,18 +197,10 @@ def acceptance_ratio(tasksets: Sequence[Taskset | None], scheme: str) -> float:
     None entries stand for generated workloads that fit on no partition;
     they count as unschedulable under every scheme.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    if scheme not in SCHEME_LEVELS:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {tuple(SCHEME_LEVELS)}")
     if not tasksets:
         raise ValueError("empty batch")
-    ok = 0
-    for ts in tasksets:
-        if ts is None:
-            continue
-        if scheme == "unsecured":
-            ok += is_schedulable(ts, assignment_at(ts, "zero"))
-        elif scheme == "fine-grain":
-            ok += is_schedulable(ts, assignment_at(ts, "full"))
-        else:
-            ok += not isinstance(assign_check_budgets(ts), Infeasible)
+    level = SCHEME_LEVELS[scheme]
+    ok = sum(is_schedulable(ts, assignment_at(ts, level)) for ts in tasksets if ts is not None)
     return ok / len(tasksets)

@@ -46,7 +46,6 @@ class WorkloadSpec:
     min_checks_fraction: float = 0.2
     overhead_fraction: float = 0.1
     overhead_preset: str | None = None   # key into OVERHEAD_PRESETS_US
-    tasksets_per_bucket: int = 500
     seed: int = 0
 
     def check(self) -> None:

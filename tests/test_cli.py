@@ -217,3 +217,26 @@ def test_sweep_fig8_preserves_scheme_ordering(tmp_path):
         s = table[(b, scenario, "scate")]
         f = table[(b, scenario, "fine-grain")]
         assert u >= s >= f
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("weights", [1.0, float("nan"), 1.0, 1.0]),
+        ("weights", [1.0, float("inf"), 1.0, 1.0]),
+        ("weights", [1.0, "heavy", 1.0, 1.0]),
+        ("min_checks", True),
+        ("num_commands", True),
+    ],
+)
+def test_plan_rejects_malformed_counts_and_weights(tmp_path, field, value):
+    ts = tmp_path / "ts.json"
+    write_taskset(ts)
+    doc = json.loads(ts.read_text())
+    doc["tasks"][0][field] = value
+    ts.write_text(json.dumps(doc))
+    res = run_cli("plan", "--taskset", str(ts), "--out", str(tmp_path / "p.json"))
+    assert res.returncode == 1
+    assert f"invalid taskset: task ctrl: {field}:" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "p.json").exists()

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import math
+
 import pytest
 
 from conftest import make_task, make_taskset
@@ -17,8 +21,8 @@ from selcheck.planner import (
     rate_monotonic_priorities,
     save_plan,
 )
-from selcheck.schedulability import is_schedulable
-from selcheck.workload import WorkloadSpec, gen_taskset, taskset_rng
+from selcheck.schedulability import TIME_TOL, is_schedulable, response_time_bound
+from selcheck.workload import NUM_BUCKETS, WorkloadSpec, draw_taskset, gen_taskset, taskset_rng
 
 
 def test_max_feasible_k_upper_boundary():
@@ -39,9 +43,7 @@ def test_max_feasible_k_requires_feasible_floor():
 
 
 def _linear_scan(task, taskset, fixed):
-    """Brute-force reference for the binary search: try every k in order."""
-    from selcheck.schedulability import TIME_TOL, response_time_bound
-
+    """Brute-force reference for max_feasible_k: try every k in order."""
     best = None
     assignment = dict(fixed)
     for k in range(task.min_checks, task.num_commands + 1):
@@ -67,6 +69,106 @@ def test_max_feasible_k_equals_linear_scan_on_generated_tasksets():
             fixed[task.id] = got
             checked += 1
     assert checked > 50
+
+
+def _two_task_core(hi_wcet, hi_period, hi_overhead, n, lo_wcet, lo_deadline):
+    """hi (k to choose, D = T) above lo (no commands, D = T)."""
+    hi = make_task(tid="hi", wcet=hi_wcet, period=hi_period, n=n, n_min=0, overhead=hi_overhead)
+    lo = make_task(tid="lo", wcet=lo_wcet, period=lo_deadline, n=0, n_min=0, overhead=0)
+    return make_taskset([hi, lo], cores={"hi": 0, "lo": 0}, priorities={"hi": 0, "lo": 1})
+
+
+@pytest.mark.parametrize(
+    "taskset, expected",
+    [
+        # Own slack exactly 6 * C^o: R = 10 + 5k = 40 at k = 6.
+        (make_taskset([make_task(wcet=10, period=40, n=7, n_min=1, overhead=5)]), 6),
+        # Own slack 1 us short of 6 * C^o.
+        (make_taskset([make_task(wcet=10, period=40, deadline=39, n=7, n_min=1, overhead=5)]), 5),
+        # Lower-priority slack exactly 6 * a * C^o with a = 1 + 100/50 = 3.
+        (_two_task_core(2, 50, 1, 10, 76, 100), 6),
+        (_two_task_core(2, 50, 1, 10, 77, 100), 5),
+        # a = 1 + 100/30 is not a dyadic fraction; R_lo = 22 + 13 (1 + k) = 100 at k = 5.
+        (_two_task_core(3, 30, 3, 8, 22, 100), 5),
+        (_two_task_core(3, 30, 3, 8, 23, 100), 4),
+        # No check overhead: every command is checked.
+        (make_taskset([make_task(wcet=10, period=40, n=7, n_min=1, overhead=0)]), 7),
+    ],
+)
+def test_max_feasible_k_closed_form_boundaries(taskset, expected):
+    task = taskset.task("hi") if len(taskset.tasks) > 1 else taskset.tasks[0]
+    fixed = assignment_at(taskset, "min")
+    assert max_feasible_k(task, taskset, fixed) == _linear_scan(task, taskset, fixed) == expected
+
+
+@pytest.mark.parametrize(
+    "taskset, expected",
+    [
+        # At time scales near 100 s the float bound is not linear in k to
+        # within TIME_TOL; lo's deadline is met exactly at k = 8 (closed form
+        # alone: 7) and missed by roundoff at k = 4 (closed form alone: 4).
+        (_two_task_core(10467, 130482, 1410, 8, 56870548, 68270754), 8),
+        (_two_task_core(175405, 359183, 29618, 5, 73379287, 405202402), 3),
+    ],
+)
+def test_max_feasible_k_confirm_step_corrects_roundoff(taskset, expected):
+    hi, lo = taskset.task("hi"), taskset.task("lo")
+    fixed = assignment_at(taskset, "min")
+    slack = lo.deadline + TIME_TOL - response_time_bound(lo, taskset, fixed)
+    closed_form = math.floor(slack / ((1.0 + lo.deadline / hi.period) * hi.check_overhead))
+    assert closed_form != expected  # the case exercises the confirm step
+    assert max_feasible_k(hi, taskset, fixed) == _linear_scan(hi, taskset, fixed) == expected
+
+
+@pytest.mark.parametrize("scenario", ["medium", "high"])
+def test_budgets_infeasible_exactly_when_min_checks_unschedulable(scenario):
+    outcomes = set()
+    for bucket in range(NUM_BUCKETS):
+        spec = WorkloadSpec(num_cores=4, utilization_bucket=bucket, scenario=scenario, seed=17)
+        for index in range(6):
+            ts = draw_taskset(spec, taskset_rng(17, 2, bucket, index))
+            if ts is None:
+                continue
+            at_min = is_schedulable(ts, assignment_at(ts, "min"))
+            budgets = assign_check_budgets(ts)
+            assert isinstance(budgets, Infeasible) == (not at_min), (bucket, index)
+            outcomes.add(at_min)
+            if not at_min:
+                continue
+            assert is_schedulable(ts, budgets)
+            for t in ts.tasks:
+                if budgets[t.id] < t.num_commands:
+                    assert not is_schedulable(ts, {**budgets, t.id: budgets[t.id] + 1})
+    assert outcomes == {True, False}
+
+
+# sha256 of small sweep and plan outputs, so that any change to the bound's
+# arithmetic, the K* decisions or the acceptance counts shows here.
+GOLDEN_SHA256 = {
+    "fig6_coverage.csv": "7203de4f9e018c902c15cd52800c39f5398c5ff03496c8a41bf0d3becca51822",
+    "fig8_acceptance.csv": "f468c6753d1d10f559c1d69791e07c5a26b2df4601e6a4ea150792c733621090",
+    "plan.json": "6530d5c3d59a8719355f1048186fe053c8e7bf27d893d8032027201338211630",
+    "report.csv": "2e47766b4676ac6db5fa89b394a8a0ea0ba31a4e6c8370222f65ff1e04be60fe",
+}
+
+
+def test_golden_sweep_and_plan_bytes(tmp_path):
+    from selcheck.cli import main
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"scenario": "medium", "num_cores": 4, "buckets": [5]}))
+    for fig in ("6", "8"):
+        assert main(["sweep", "--fig", fig, "--seed", "3", "--tasksets-per-bucket", "4",
+                     "--out", str(tmp_path)]) == 0
+    assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "batch"), "--seed", "11",
+                 "--tasksets-per-bucket", "1"]) == 0
+    assert main(["plan", "--taskset", str(tmp_path / "batch" / "taskset_medium_b5_0000.json"),
+                 "--out", str(tmp_path / "plan.json"),
+                 "--report-csv", str(tmp_path / "report.csv")]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256
+    }
+    assert digests == GOLDEN_SHA256
 
 
 def test_plan_all_full_when_underloaded():

@@ -41,7 +41,6 @@ from .planner import (
     Infeasible,
     TaskPlan,
     assign_check_budgets,
-    first_fit_partition,
     load_plan,
     max_feasible_k,
     plan,
@@ -54,7 +53,7 @@ from .simulator import (
     SimResult,
     acceptance_ratio,
     coverage_ratio,
-    roulette_select,
+    detection_probability,
     run_detection_experiment,
 )
 from .experiments import SweepResult, sweep_acceptance, sweep_coverage, sweep_detection_tradeoff

@@ -29,6 +29,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -148,10 +154,11 @@ def cmd_simulate(args) -> int:
         detection_accuracy=args.accuracy,
     )
     _emit(simulator.result_csv(result), args.out)
-    _info(
-        f"victim {victim}: {args.trials} trials, mean delay {result.mean_delay:.3f} jobs, "
-        f"p99 {result.p99_delay}, undetected {result.undetected}"
-    )
+    detected = args.trials - result.undetected
+    summary = f"victim {victim}: {detected} of {args.trials} trials detected"
+    if detected:
+        summary += f", mean delay {result.mean_delay:.3f} jobs, p99 {result.p99_delay}"
+    _info(summary)
     return EXIT_OK
 
 
@@ -188,7 +195,7 @@ def build_parser() -> _Parser:
     p_gen.add_argument("--spec", help="workload spec JSON (cores, scenario, buckets, ...)")
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--tasksets-per-bucket", type=int, default=50)
+    p_gen.add_argument("--tasksets-per-bucket", type=_positive_int, default=50)
     p_gen.add_argument("--preset", choices=["linux-optee", "freertos", "custom"], default="custom",
                        help="per-command overhead: platform constant, or 'custom' for 10%% of wcet")
     p_gen.set_defaults(func=cmd_gen)
@@ -208,8 +215,8 @@ def build_parser() -> _Parser:
                        help="compromised commands, e.g. '1,3', or 'random' (default)")
     p_sim.add_argument("--mode", choices=["persistent", "one-shot"], default="persistent")
     p_sim.add_argument("--trigger", default="random", help="0-based trigger job index or 'random'")
-    p_sim.add_argument("--trials", type=int, default=1000)
-    p_sim.add_argument("--max-jobs", type=int, default=100_000)
+    p_sim.add_argument("--trials", type=_positive_int, default=1000)
+    p_sim.add_argument("--max-jobs", type=_positive_int, default=100_000)
     p_sim.add_argument("--accuracy", type=float, default=1.0,
                        help="per-command detection probability (default 1.0)")
     p_sim.add_argument("--seed", type=int, default=0)
@@ -223,8 +230,8 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--out", help="output directory (default .)")
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--jobs", type=int, default=1)
-    p_sweep.add_argument("--trials", type=int, default=1000)
-    p_sweep.add_argument("--tasksets-per-bucket", type=int, default=50)
+    p_sweep.add_argument("--trials", type=_positive_int, default=1000)
+    p_sweep.add_argument("--tasksets-per-bucket", type=_positive_int, default=50)
     p_sweep.add_argument("--big-m", type=float, default=game.DEFAULT_BIG_M)
     p_sweep.add_argument("--epsilon", type=float, default=game.DEFAULT_EPSILON)
     p_sweep.add_argument("--preset", choices=["linux-optee", "freertos", "custom"], default="custom")

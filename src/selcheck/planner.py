@@ -164,28 +164,6 @@ def rate_monotonic_priorities(tasks: list[Task]) -> list[TaskId]:
     return [t.id for t in sorted(tasks, key=lambda t: (t.period, t.id))]
 
 
-def first_fit_partition(tasks: list[Task], num_cores: int) -> Platform:
-    """Place tasks on cores first-fit in priority order, capping each core at sum(U) <= 1."""
-    if num_cores < 1:
-        raise ValueError("need at least one core")
-    order = rate_monotonic_priorities(tasks)
-    by_id = {t.id: t for t in tasks}
-    load = [0.0] * num_cores
-    partition: dict[TaskId, int] = {}
-    priority: dict[TaskId, int] = {}
-    for rank, tid in enumerate(order):
-        u = by_id[tid].utilization
-        for core in range(num_cores):
-            if load[core] + u <= 1.0 + 1e-12:
-                load[core] += u
-                partition[tid] = core
-                break
-        else:
-            raise PartitionError(f"task {tid} (U={u:.3f}) fits on no core")
-        priority[tid] = rank
-    return Platform(num_cores=num_cores, partition=partition, priority=priority)
-
-
 def balanced_partition_by_response_bound(tasks: list[Task], num_cores: int) -> Platform:
     """Load-balancing placement with the vanilla response bound as admission test.
 

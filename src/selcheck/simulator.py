@@ -1,17 +1,17 @@
-"""Per-job Monte-Carlo execution of a check plan under attack injection.
+"""Attack-injection trials against a check plan, drawn from the exact delay law.
 
-Each job of the victim task draws one checked subset by roulette-wheel
-selection over the plan's distribution; an attack is caught at the first
-job whose checked subset hits a compromised command.  Detection delay
-counts jobs inclusively from the first attacked job, so a plan that
-checks everything reads a delay of one job.
+Each job of the victim task checks a subset drawn independently from the
+plan's distribution, so an attack on a compromised set S is caught in
+every job with one fixed probability p_S and the first catching job is
+Geometric(p_S).  Detection delay counts jobs inclusively from the first
+attacked job, so a plan that checks everything reads a delay of one job.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,9 +32,9 @@ class AttackSpec:
 
     commands is a fixed non-empty subset of the victim's command indices,
     or "random" for one uniformly drawn command per trial.  trigger is the
-    0-based job index of the first attacked job, or "random".  persistent
-    mode re-injects on every job from the trigger; one-shot touches only
-    the trigger job.
+    0-based job index of the first attacked job, or "random"; jobs are
+    i.i.d., so it does not affect the delay.  persistent mode re-injects on
+    every job from the trigger; one-shot touches only the trigger job.
     """
 
     victim: TaskId
@@ -62,7 +62,7 @@ class AttackSpec:
 @dataclass(frozen=True)
 class SimResult:
     """Per-trial delays in job counts; undetected trials are censored at the
-    last simulated job and excluded from the summary statistics."""
+    attack's horizon and excluded from the summary statistics."""
 
     delays: tuple[int, ...]
     detected: tuple[bool, ...]
@@ -90,30 +90,31 @@ class SimResult:
         return hits[rank]
 
 
-def roulette_select(x: Sequence[float], rng: np.random.Generator) -> int:
-    """Index j with probability x[j], by cumulative-sum inversion of one draw."""
-    if len(x) == 0:
-        raise ValueError("empty probability vector")
-    total = 0.0
-    for v in x:
-        if v < 0.0:
-            raise ValueError("negative probability")
-        total += v
-    if abs(total - 1.0) > PROBABILITY_TOL:
-        raise ValueError(f"probabilities sum to {total}, not 1")
-    u = rng.random()
-    acc = 0.0
-    for j, v in enumerate(x):
-        acc += v
-        if u < acc:
-            return j
-    return len(x) - 1
+def detection_probability(entry: TaskPlan, compromised: Iterable[int], accuracy: float) -> float:
+    """Chance that one job of the task catches an attack on `compromised`.
 
-
-def _checked_subset(entry: TaskPlan, rng: np.random.Generator) -> tuple[int, ...]:
+    p_S = sum_j x_j (1 - (1 - a)^|X_j & S|) / sum_j x_j over the checked
+    subsets X_j and their probabilities x_j (a deterministic entry checks
+    every command with x = 1); a is the detection accuracy.  Dividing by
+    sum_j x_j keeps p_S exactly 1.0 when every subset catches the attack.
+    Plan files come from outside, so the vector is checked first:
+    ValueError unless it is non-negative, sums to 1 and matches the
+    strategies in length.
+    """
     if entry.deterministic:
-        return tuple(range(1, entry.num_commands + 1))
-    return entry.strategies[roulette_select(entry.probabilities, rng)]
+        strategies, x = (tuple(range(1, entry.num_commands + 1)),), (1.0,)
+    else:
+        strategies, x = entry.strategies, entry.probabilities
+        if len(x) != len(strategies):
+            raise ValueError(f"{len(x)} probabilities for {len(strategies)} strategies")
+        if any(v < 0.0 for v in x):
+            raise ValueError("negative probability")
+        if abs(sum(x) - 1.0) > PROBABILITY_TOL:
+            raise ValueError(f"probabilities sum to {sum(x)}, not 1")
+    attacked = frozenset(compromised)
+    miss = 1.0 - accuracy
+    caught = sum(v * (1.0 - miss ** len(attacked.intersection(s))) for s, v in zip(strategies, x))
+    return caught / sum(x)
 
 
 def run_detection_experiment(
@@ -124,11 +125,15 @@ def run_detection_experiment(
     seed: int = 0,
     detection_accuracy: float = 1.0,
 ) -> SimResult:
-    """Inject the attack `trials` times and measure per-trial detection delay.
+    """Inject the attack `trials` times; each trial's delay is one exact draw.
 
-    detection_accuracy < 1 turns each checked compromised command into an
-    independent Bernoulli detection.  Per-trial generators derive from
-    (seed, trial), so results do not depend on execution order.
+    Jobs draw their checked subsets i.i.d., so an attack on a compromised
+    set S is caught in each job with probability p_S
+    (`detection_probability`) and its delay is Geometric(p_S), censored at
+    the horizon: `max_jobs` when persistent, 1 when one-shot.  A censored
+    trial (every trial when p_S = 0) is undetected and records the horizon.
+    commands="random" first draws each trial's command uniformly; all
+    draws come from one generator seeded by `seed`.
     """
     if attack.victim not in plan.tasks:
         raise KeyError(f"victim {attack.victim!r} not in plan")
@@ -140,46 +145,37 @@ def run_detection_experiment(
         raise ValueError("detection accuracy must be within [0, 1]")
     if trials < 1:
         raise ValueError("need at least one trial")
+    if max_jobs < 1:
+        raise ValueError("need a horizon of at least one job")
 
-    delays: list[int] = []
-    detected: list[bool] = []
-    for trial in range(trials):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, trial))))
-        if attack.trigger == "random":
-            rng.integers(0, max_jobs)  # position in the job stream; delay is unaffected
-        if attack.commands == "random":
-            compromised = frozenset([int(rng.integers(1, entry.num_commands + 1))])
-        else:
-            compromised = frozenset(attack.commands)
-
-        horizon = 1 if attack.mode == "one-shot" else max_jobs
-        hit_at = 0
-        for job in range(1, horizon + 1):
-            checked = compromised & frozenset(_checked_subset(entry, rng))
-            if detection_accuracy >= 1.0:
-                caught = bool(checked)
-            else:
-                flips = [rng.random() < detection_accuracy for _ in sorted(checked)]
-                caught = any(flips)
-            if caught:
-                hit_at = job
-                break
-        if hit_at:
-            delays.append(hit_at)
-            detected.append(True)
-        else:
-            delays.append(horizon)
-            detected.append(False)
-    return SimResult(delays=tuple(delays), detected=tuple(detected))
+    rng = np.random.default_rng(seed)
+    if attack.commands == "random":
+        table = np.array(
+            [detection_probability(entry, (c,), detection_accuracy)
+             for c in range(1, entry.num_commands + 1)]
+        )
+        p = table[rng.integers(0, entry.num_commands, size=trials)]
+    else:
+        p = np.full(trials, detection_probability(entry, attack.commands, detection_accuracy))
+    horizon = 1 if attack.mode == "one-shot" else max_jobs
+    # numpy's geometric rejects p = 0; such trials are undetected whatever the draw.
+    first = rng.geometric(np.where(p > 0.0, p, 1.0))
+    detected = (p > 0.0) & (first <= horizon)
+    delays = np.where(detected, first, horizon)
+    return SimResult(delays=tuple(delays.tolist()), detected=tuple(detected.tolist()))
 
 
 def result_csv(result: SimResult) -> str:
-    """Trial rows plus one trailing summary row carrying mean and p99."""
+    """Trial rows plus one trailing summary row carrying mean and p99 of the
+    detected trials; both fields are empty when no trial was detected."""
     out = io.StringIO()
     out.write("trial,delay_jobs,detected\n")
     for i, (delay, ok) in enumerate(zip(result.delays, result.detected)):
         out.write(f"{i},{delay},{int(ok)}\n")
-    out.write(f"summary,{result.mean_delay!r},{result.p99_delay}\n")
+    if any(result.detected):
+        out.write(f"summary,{result.mean_delay!r},{result.p99_delay}\n")
+    else:
+        out.write("summary,,\n")
     return out.getvalue()
 
 

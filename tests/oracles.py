@@ -1,12 +1,14 @@
 """Independent reference implementations used by the test suite only.
 
 These deliberately avoid the package's own code paths: scores are redone
-with exact Fraction arithmetic straight from the case rules, and LP optima
-are recomputed by enumerating polytope vertices instead of pivoting.
+with exact Fraction arithmetic straight from the case rules, LP optima
+are recomputed by enumerating polytope vertices instead of pivoting, and
+per-job catch probabilities are summed over every checked subset and
+detection outcome.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -68,3 +70,24 @@ def game_lp_vertex_optimum(game, l, epsilon):
     return lp_max_by_vertex_enumeration(
         game.reward[:, l].tolist(), ineqs, [1.0] * num_x, 1.0
     )
+
+
+def catch_probability_by_enumeration(strategies, probabilities, compromised, accuracy):
+    """Exact chance that one job catches an attack on `compromised`.
+
+    Enumerates each checked subset and, within it, every flagged/missed
+    outcome of the checks on compromised commands; a job catches the
+    attack when at least one check flags.  Probabilities are normalised by
+    their exact sum.
+    """
+    a = Fraction(accuracy)
+    total = Fraction(0)
+    for subset, x in zip(strategies, probabilities):
+        hit = set(subset) & set(compromised)
+        for flags in product((True, False), repeat=len(hit)):
+            if any(flags):
+                chance = Fraction(1)
+                for flagged in flags:
+                    chance *= a if flagged else 1 - a
+                total += Fraction(x) * chance
+    return total / sum(Fraction(x) for x in probabilities)

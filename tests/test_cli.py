@@ -170,6 +170,49 @@ def test_simulate_defaults_to_first_randomized_task(tmp_path):
     assert "victim ctrl" in res.stderr
 
 
+def test_simulate_nothing_detected_writes_empty_summary(tmp_path):
+    ts = tmp_path / "ts.json"
+    write_taskset(ts)
+    plan_file = tmp_path / "plan.json"
+    run_cli("plan", "--taskset", str(ts), "--out", str(plan_file))
+    out = tmp_path / "s.csv"
+    res = run_cli("simulate", "--plan", str(plan_file), "--accuracy", "0",
+                  "--trials", "5", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert "0 of 5 trials detected" in res.stderr
+    lines = out.read_text().strip().splitlines()
+    assert len(lines) == 7
+    assert lines[1:-1] == [f"{i},100000,0" for i in range(5)]
+    assert lines[-1] == "summary,,"
+
+
+@pytest.mark.parametrize(
+    "argv, out_name",
+    [
+        (["sweep", "--fig", "6", "--tasksets-per-bucket", "0"], "fig6_coverage.csv"),
+        (["sweep", "--fig", "7", "--trials", "-3"], "fig7_tradeoff.csv"),
+        (["gen", "--tasksets-per-bucket", "0"], "manifest.json"),
+    ],
+)
+def test_non_positive_counts_are_usage_errors(tmp_path, argv, out_name):
+    res = run_cli(*argv, "--out", str(tmp_path / "out"))
+    assert res.returncode == 1
+    assert "expected a positive integer" in res.stderr
+    assert not (tmp_path / "out" / out_name).exists()
+
+
+def test_simulate_rejects_zero_max_jobs(tmp_path):
+    ts = tmp_path / "ts.json"
+    write_taskset(ts)
+    plan_file = tmp_path / "plan.json"
+    run_cli("plan", "--taskset", str(ts), "--out", str(plan_file))
+    out = tmp_path / "s.csv"
+    res = run_cli("simulate", "--plan", str(plan_file), "--max-jobs", "0", "--out", str(out))
+    assert res.returncode == 1
+    assert "expected a positive integer" in res.stderr
+    assert not out.exists()
+
+
 def test_gen_with_platform_overhead_preset(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"scenario": "medium", "buckets": [0]}))

@@ -12,7 +12,7 @@ from selcheck.planner import (
     Infeasible,
     PartitionError,
     assign_check_budgets,
-    first_fit_partition,
+    balanced_partition_by_response_bound,
     load_plan,
     max_feasible_k,
     plan,
@@ -300,25 +300,6 @@ def test_rate_monotonic_priorities():
     assert rate_monotonic_priorities([make_task(tid="only")]) == ["only"]
 
 
-def test_first_fit_partition_packs_by_capacity():
-    tasks = [make_task(tid=f"t{i}", wcet=5, period=10) for i in range(4)]
-    platform = first_fit_partition(tasks, 2)
-    assert platform.partition == {"t0": 0, "t1": 0, "t2": 1, "t3": 1}
-    # per-core utilization never exceeds one
-    for core in range(2):
-        u = sum(t.wcet / t.period for t in tasks if platform.partition[t.id] == core)
-        assert u <= 1.0 + 1e-12
-
-
-def test_first_fit_partition_rejects_oversized_task():
+def test_balanced_partition_rejects_oversized_task():
     with pytest.raises(PartitionError):
-        first_fit_partition([make_task(wcet=12, period=10, deadline=10)], 4)
-
-
-def test_first_fit_respects_priority_order():
-    tasks = [
-        make_task(tid="slow", wcet=40, period=100),
-        make_task(tid="fast", wcet=5, period=10),
-    ]
-    platform = first_fit_partition(tasks, 1)
-    assert platform.priority["fast"] < platform.priority["slow"]
+        balanced_partition_by_response_bound([make_task(wcet=12, period=10, deadline=10)], 4)

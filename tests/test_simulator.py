@@ -1,7 +1,7 @@
-import numpy as np
 import pytest
 
 from conftest import make_task, make_taskset
+from oracles import catch_probability_by_enumeration
 
 from selcheck.game import build_game_from_weights, marginal_check_probability, solve_game
 from selcheck.planner import CheckPlan, TaskPlan
@@ -9,15 +9,15 @@ from selcheck.simulator import (
     AttackSpec,
     acceptance_ratio,
     coverage_ratio,
+    detection_probability,
     result_csv,
-    roulette_select,
     run_detection_experiment,
 )
 
 
-def randomized_plan(n=4, k=2):
+def randomized_plan(n=4, k=2, weights=None):
     """CheckPlan for one task with a solved k-of-n game distribution."""
-    game = build_game_from_weights((1.0,) * n, k)
+    game = build_game_from_weights(weights or (1.0,) * n, k)
     sol = solve_game(game)
     entry = TaskPlan(
         task_id="victim",
@@ -32,31 +32,6 @@ def randomized_plan(n=4, k=2):
 def full_plan(n=3):
     entry = TaskPlan(task_id="victim", num_commands=n, k_star=n)
     return CheckPlan(feasible=True, tasks={"victim": entry})
-
-
-def test_roulette_degenerate_vectors(rng):
-    assert roulette_select([1.0], rng) == 0
-    for _ in range(20):
-        assert roulette_select([0.0, 1.0], rng) == 1
-
-
-def test_roulette_rejects_malformed(rng):
-    with pytest.raises(ValueError):
-        roulette_select([], rng)
-    with pytest.raises(ValueError):
-        roulette_select([0.5, 0.4], rng)  # sums to 0.9
-    with pytest.raises(ValueError):
-        roulette_select([1.5, -0.5], rng)
-
-
-def test_roulette_empirical_frequencies(rng):
-    x = [0.25, 0.25, 0.5]
-    counts = np.zeros(3)
-    draws = 100_000
-    for _ in range(draws):
-        counts[roulette_select(x, rng)] += 1
-    freq = counts / draws
-    assert np.abs(freq - x).max() < 0.01
 
 
 def test_full_checking_always_detects_in_one_job():
@@ -144,19 +119,83 @@ def test_attack_spec_validation():
         run_detection_experiment(plan_, AttackSpec(victim="ghost"), trials=10)
 
 
-def test_long_run_check_frequency_converges_to_marginals(rng):
+@pytest.mark.parametrize("accuracy", [1.0, 0.5, 0.01, 0.0])
+def test_single_command_catch_probability_is_accuracy_times_marginal(accuracy):
     plan_, game, sol = randomized_plan(4, 2)
     entry = plan_.tasks["victim"]
-    marginals = np.array(marginal_check_probability(game, sol))
-    counts = np.zeros(4)
-    jobs = 100_000
-    for _ in range(jobs):
-        subset = entry.strategies[roulette_select(entry.probabilities, rng)]
-        for c in subset:
-            counts[c - 1] += 1
-    freq = counts / jobs
-    assert np.abs(freq - marginals).max() < 0.01
-    assert marginals.min() > 0  # positivity floor keeps every command reachable
+    marginals = marginal_check_probability(game, sol)
+    for c, marginal in enumerate(marginals, start=1):
+        p = detection_probability(entry, (c,), accuracy)
+        assert p == pytest.approx(accuracy * marginal, abs=1e-12)
+    assert min(marginals) > 0  # positivity floor keeps every command reachable
+
+
+@pytest.mark.parametrize(
+    "weights, k, compromised",
+    [
+        ((1.0,) * 4, 2, (1, 3)),
+        ((1.0,) * 5, 2, (2, 4, 5)),
+        ((1.0, 2.0, 0.5, 1.5), 2, (1, 4)),  # weighted game: unequal marginals
+        ((1.0, 2.0, 0.5, 1.5), 1, (2, 3, 4)),
+    ],
+)
+@pytest.mark.parametrize("accuracy", [1.0, 0.7, 0.01])
+def test_detection_probability_matches_enumeration(weights, k, compromised, accuracy):
+    plan_, _, _ = randomized_plan(len(weights), k, weights)
+    entry = plan_.tasks["victim"]
+    exact = catch_probability_by_enumeration(
+        entry.strategies, entry.probabilities, compromised, accuracy
+    )
+    assert detection_probability(entry, compromised, accuracy) == pytest.approx(
+        float(exact), abs=1e-12
+    )
+
+
+@pytest.mark.parametrize("accuracy", [1.0, 0.3])
+def test_deterministic_entry_catch_probability(accuracy):
+    entry = full_plan(3).tasks["victim"]
+    for compromised in [(2,), (1, 3), (1, 2, 3)]:
+        exact = catch_probability_by_enumeration(((1, 2, 3),), (1.0,), compromised, accuracy)
+        assert detection_probability(entry, compromised, accuracy) == pytest.approx(
+            float(exact), abs=1e-12
+        )
+    assert detection_probability(entry, (1, 2), 1.0) == 1.0
+
+
+@pytest.mark.parametrize(
+    "strategies, probabilities",
+    [
+        (((1,), (2,)), (0.5, 0.4)),  # sums to 0.9
+        (((1,), (2,)), (1.5, -0.5)),
+        (((1,), (2,), (3,)), (0.5, 0.5)),  # one probability short
+    ],
+    ids=["sum-0.9", "negative", "length-mismatch"],
+)
+def test_malformed_plan_distribution_rejected(strategies, probabilities):
+    entry = TaskPlan(task_id="victim", num_commands=3, k_star=1,
+                     strategies=strategies, probabilities=probabilities)
+    plan_ = CheckPlan(feasible=True, tasks={"victim": entry})
+    with pytest.raises(ValueError):
+        run_detection_experiment(
+            plan_, AttackSpec(victim="victim", commands=(1,), trigger=0), trials=10
+        )
+
+
+def test_never_checked_command_is_never_detected():
+    entry = TaskPlan(task_id="victim", num_commands=3, k_star=1,
+                     strategies=((2,), (3,)), probabilities=(0.5, 0.5))
+    plan_ = CheckPlan(feasible=True, tasks={"victim": entry})
+    result = run_detection_experiment(
+        plan_, AttackSpec(victim="victim", commands=(1,), trigger=0), trials=20, max_jobs=50
+    )
+    assert result.detected == (False,) * 20
+    assert result.delays == (50,) * 20
+    with pytest.raises(ValueError):
+        result.mean_delay
+    with pytest.raises(ValueError):
+        run_detection_experiment(
+            plan_, AttackSpec(victim="victim", commands=(2,), trigger=0), trials=5, max_jobs=0
+        )
 
 
 def test_result_csv_layout():

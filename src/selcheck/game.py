@@ -17,6 +17,7 @@ feasible l with the highest objective (lowest index on ties).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -108,8 +109,8 @@ def build_game_from_weights(
         raise ValueError("need at least one command")
     if not 1 <= k < n:
         raise ValueError(f"k={k} must satisfy 1 <= k < {n} (k = n needs no game)")
-    if big_m <= 0:
-        raise ValueError("big_m must be positive")
+    if not (math.isfinite(big_m) and big_m > 0):
+        raise ValueError(f"big_m must be finite and positive, got {big_m!r}")
     designer = enumerate_designer_strategies(n, k)
     attacker = enumerate_attacker_strategies(n)
     reward = np.empty((len(designer), len(attacker)))
@@ -151,11 +152,10 @@ def lp_for_attacker_strategy(game: GameInstance, l: int, epsilon: float = DEFAUL
     if epsilon <= 0:
         raise ValueError("epsilon must be strictly positive")
     num_x = len(game.designer_strategies)
-    constraints: list[tuple[list[float], str, float]] = []
-    for lp in range(num_q):
-        if lp == l:
-            continue
-        constraints.append(((game.cost[:, l] - game.cost[:, lp]).tolist(), ">=", 0.0))
+    # Row l' is cost[:, l] - cost[:, l'].  The broadcast comes out column-major, and
+    # a strided row's dot product would round differently in solve_lp's rhs shift.
+    block = np.ascontiguousarray(game.cost[:, l] - game.cost.T)
+    constraints = [(block[lp], ">=", 0.0) for lp in range(num_q) if lp != l]
     constraints.append(([1.0] * num_x, "=", 1.0))
     return LinearProgram(
         objective=game.reward[:, l].tolist(),

@@ -1,21 +1,25 @@
 """Dense two-phase simplex for small maximization problems.
 
-Game instances produce many small dense LPs (tens to a few hundred
-variables) where determinism matters more than speed, so this is a plain
-tableau implementation.  The game LPs are massively degenerate (hundreds
-of best-response rows through one vertex), which in floating point defeats
-index-based anti-cycling rules: Bland's lowest-index entering walks the
-degenerate plateau for tens of thousands of pivots, amplifying roundoff
-until the basis cycles.  The solver instead enters on the most negative
-reduced cost and runs the ratio test against a deterministically perturbed
-copy of the rhs (making pivots strictly improving), while reading answers
-from the exact rhs; constraint rows are equilibrated to unit max-norm so
-tableau growth stays bounded.  Tolerances: 1e-9 for pivots, 1e-6 for
-feasibility classification.
+Game instances produce many small, dense and massively degenerate LPs
+(hundreds of best-response rows through one vertex).  In floating point
+that defeats index-based anti-cycling: Bland's lowest-index entering walks
+the degenerate plateau for tens of thousands of pivots until roundoff
+cycles the basis.  The solver instead enters on the most negative reduced
+cost and runs the ratio test against a deterministically perturbed copy of
+the rhs (making pivots strictly improving), while reading answers from the
+exact rhs; rows are equilibrated to unit max-norm so tableau growth stays
+bounded.  Tolerances: 1e-9 for pivots, 1e-6 for feasibility classification.
+
+Set-up is array code (one C-contiguous row matrix, then masks and fancy
+indexing), and so is the choice of ratio-test rows.  A degenerate game
+LP's vertex can turn on the last bit of its rhs, so the lower-bound shift
+stays one dot product per contiguous row (a matrix-vector product or a
+strided row rounds differently) and objective rows are summed in row order.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,13 +39,23 @@ _TRUE = -2
 _PERT = -1
 
 
+@functools.lru_cache(maxsize=1)
+def _draws(m: int) -> np.ndarray:
+    """The first m PCG64(12345) draws on [0.5, 1.5), read-only.  They are prefix-stable,
+    so LPs of up to 1024 rows slice _draws(1024), drawn on first use: drawing it
+    at import would load numpy.random into every CLI start."""
+    u = np.random.Generator(np.random.PCG64(12345)).uniform(0.5, 1.5, size=m)
+    u.flags.writeable = False
+    return u
+
+
 @dataclass
 class LinearProgram:
     """maximize objective @ x subject to linear constraints and variable bounds.
 
-    constraints are (coefficients, relation, rhs) triples with relation one
-    of '<=', '>=', '='.  lower_bounds default to 0 and must be finite;
-    upper_bounds entries may be None (unbounded above).
+    constraints are (coefficients, relation, rhs) triples: a list or 1-D
+    array, then '<=', '>=' or '='.  lower_bounds default to 0 and must be
+    finite; upper_bounds entries may be None (unbounded above).
     """
 
     objective: list[float]
@@ -81,7 +95,12 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
+    tableau -= factors[:, None] * tableau[row]
+
+
+def _subtract_rows(first: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """first - rows[0] - rows[1] - ... in row order (np.add.reduce may pair sums up)."""
+    return np.subtract.reduce(np.vstack([first[None], rows]), axis=0)
 
 
 def _simplex(tableau: np.ndarray, basis: list[int]) -> str:
@@ -93,24 +112,24 @@ def _simplex(tableau: np.ndarray, basis: list[int]) -> str:
         enter = int(np.argmin(zrow))
         if zrow[enter] >= -PIVOT_TOL:
             return "optimal"
+        column = tableau[:m, enter]
+        eligible = np.flatnonzero(column > PIVOT_TOL)
+        if not eligible.size:
+            return "unbounded"
+        ratios = np.maximum(tableau[eligible, _PERT], 0.0) / column[eligible]
         # Ratio test on the perturbed rhs; ties are effectively impossible
         # there, so degenerate stalling cannot cycle.  Among tolerance-level
         # ties prefer the largest pivot element for numerical stability.
         best_ratio = None
         candidates: list[int] = []
-        for i in range(m):
-            a = tableau[i, enter]
-            if a > PIVOT_TOL:
-                ratio = max(tableau[i, _PERT], 0.0) / a
-                if best_ratio is None or ratio < best_ratio - PIVOT_TOL:
-                    best_ratio = ratio
-                    candidates = [i]
-                elif ratio <= best_ratio + PIVOT_TOL:
-                    best_ratio = min(best_ratio, ratio)
-                    candidates.append(i)
-        if not candidates:
-            return "unbounded"
-        leave = max(candidates, key=lambda i: (tableau[i, enter], -basis[i]))
+        for i, ratio in zip(eligible.tolist(), ratios.tolist()):
+            if best_ratio is None or ratio < best_ratio - PIVOT_TOL:
+                best_ratio = ratio
+                candidates = [i]
+            elif ratio <= best_ratio + PIVOT_TOL:
+                best_ratio = min(best_ratio, ratio)
+                candidates.append(i)
+        leave = max(candidates, key=lambda i: (column[i], -basis[i]))
         _pivot(tableau, leave, enter)
         basis[leave] = enter
         # Absorb pivot-arithmetic drift in the perturbed column only, and
@@ -130,120 +149,77 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     if not np.all(np.isfinite(lb)):
         raise ValueError("lower bounds must be finite")
 
-    # Shift to y = x - lb >= 0; fold upper bounds in as extra rows.
-    rows: list[np.ndarray] = []
-    rels: list[str] = []
-    rhs: list[float] = []
-    for coeffs, rel, b in problem.constraints:
-        a = np.asarray(coeffs, dtype=float)
-        rows.append(a)
-        rels.append(rel)
-        rhs.append(float(b) - float(a @ lb))
-    if problem.upper_bounds is not None:
-        for j, ub in enumerate(problem.upper_bounds):
-            if ub is None:
-                continue
-            a = np.zeros(n)
-            a[j] = 1.0
-            rows.append(a)
-            rels.append("<=")
-            rhs.append(float(ub) - lb[j])
-
-    m = len(rows)
-    A = np.vstack(rows) if m else np.zeros((0, n))
-    b = np.asarray(rhs, dtype=float)
+    # Shift to y = x - lb >= 0; fold finite upper bounds in as <= rows.
+    rows = problem.constraints
+    bounded = [j for j, ub in enumerate(problem.upper_bounds or ()) if ub is not None]
+    m = len(rows) + len(bounded)
+    A = np.array([np.asarray(a, dtype=float) for a, _, _ in rows] + list(np.eye(n)[bounded])).reshape(m, n)
+    b = np.array([float(rhs) - float(A[i] @ lb) for i, (_, _, rhs) in enumerate(rows)]
+                 + [float(problem.upper_bounds[j]) - lb[j] for j in bounded])
+    ge = np.array([rel == ">=" for _, rel, _ in rows] + [False] * len(bounded), dtype=bool)
+    eq = np.array([rel == "=" for _, rel, _ in rows] + [False] * len(bounded), dtype=bool)
 
     # Equilibrate rows to unit max-norm: the game matrices mix big-M cells
     # with epsilon-scale ones, and unscaled rows let pivot growth swamp
     # both tolerances and the anti-degeneracy perturbation.
-    for i in range(m):
-        scale = np.max(np.abs(A[i]))
-        if scale > 0.0:
-            A[i] /= scale
-            b[i] /= scale
+    scale = np.abs(A).max(axis=1)
+    scaled = scale > 0.0
+    A[scaled] /= scale[scaled, None]
+    b[scaled] /= scale[scaled]
 
     # Orient every row to b >= 0 so artificials start feasible; >= rows with
     # zero rhs become <= rows so they take a slack basis, not an artificial.
-    flip = {"<=": ">=", ">=": "<=", "=": "="}
-    for i in range(m):
-        if b[i] < 0 or (b[i] == 0 and rels[i] == ">="):
-            A[i] = -A[i]
-            b[i] = -b[i]
-            rels[i] = flip[rels[i]]
+    flip = (b < 0) | ((b == 0) & ge)
+    A[flip] = -A[flip]
+    b[flip] = -b[flip]
+    ge ^= flip & ~eq
+    le = ~(ge | eq)
+    num_le, num_ge = int(le.sum()), int(ge.sum())
+    art0 = n + num_le + num_ge
+    total = art0 + m - num_le
 
-    num_slack = sum(1 for r in rels if r == "<=")
-    num_surplus = sum(1 for r in rels if r == ">=")
-    num_art = sum(1 for r in rels if r in (">=", "="))
-    total = n + num_slack + num_surplus + num_art
-    slack0, surplus0, art0 = n, n + num_slack, n + num_slack + num_surplus
-
-    pert = b + PERTURB_SCALE * np.random.Generator(np.random.PCG64(12345)).uniform(0.5, 1.5, size=m)
-
+    # Columns: variables, slacks, surpluses, artificials, exact and perturbed rhs.
     tableau = np.zeros((m + 1, total + 2))
-    basis: list[int] = []
-    si = ti = ai = 0
-    for i in range(m):
-        tableau[i, :n] = A[i]
-        tableau[i, _TRUE] = b[i]
-        tableau[i, _PERT] = pert[i]
-        if rels[i] == "<=":
-            tableau[i, slack0 + si] = 1.0
-            basis.append(slack0 + si)
-            si += 1
-        elif rels[i] == ">=":
-            tableau[i, surplus0 + ti] = -1.0
-            tableau[i, art0 + ai] = 1.0
-            basis.append(art0 + ai)
-            ti += 1
-            ai += 1
-        else:
-            tableau[i, art0 + ai] = 1.0
-            basis.append(art0 + ai)
-            ai += 1
+    tableau[:m, :n] = A
+    tableau[:m, _TRUE] = b
+    tableau[:m, _PERT] = b + PERTURB_SCALE * _draws(max(m, 1024))[:m]
+    # A <= row starts on its slack, any other row on its artificial, in row order.
+    basis_cols = np.where(le, n + np.cumsum(le) - 1, art0 + np.cumsum(~le) - 1)
+    tableau[np.arange(m), basis_cols] = 1.0
+    tableau[np.flatnonzero(ge), art0 - num_ge + np.arange(num_ge)] = -1.0
+    basis = basis_cols.tolist()
 
     # Phase 1: maximize -(sum of artificials); price out basic artificials.
-    if num_art:
-        tableau[-1, art0:art0 + num_art] = 1.0
-        for i in range(m):
-            if basis[i] >= art0:
-                tableau[-1] -= tableau[i]
+    if total > art0:
+        tableau[-1, art0:total] = 1.0
+        tableau[-1] = _subtract_rows(tableau[-1], tableau[:m][~le])
         status = _simplex(tableau, basis)
         if status != "optimal" or tableau[-1, _TRUE] < -FEAS_TOL:
             return LpSolution(status="infeasible")
         # Remove lingering artificials from the basis.
         for i in range(m):
             if basis[i] >= art0:
-                piv = -1
-                for j in range(art0):
-                    if abs(tableau[i, j]) > PIVOT_TOL:
-                        piv = j
-                        break
-                if piv >= 0:
-                    _pivot(tableau, i, piv)
-                    basis[i] = piv
-        keep_rows = [i for i in range(m) if basis[i] < art0]
-        kept = tableau[keep_rows] if keep_rows else np.zeros((0, tableau.shape[1]))
-        tableau = np.hstack([kept[:, :art0], kept[:, _TRUE:]])
-        basis = [basis[i] for i in keep_rows]
-        zrow = np.zeros((1, tableau.shape[1]))
-        tableau = np.vstack([tableau, zrow])
-        m = len(basis)
-        total = art0
+                nonzero = np.flatnonzero(np.abs(tableau[i, :art0]) > PIVOT_TOL)
+                if nonzero.size:
+                    _pivot(tableau, i, int(nonzero[0]))
+                    basis[i] = int(nonzero[0])
+        keep = [i for i in range(m) if basis[i] < art0]
+        basis = [basis[i] for i in keep]
+        m, total = len(basis), art0
+        tableau = np.vstack([tableau[keep][:, np.r_[:art0, _TRUE:0]], np.zeros(art0 + 2)])
 
-    # Phase 2: restore the real objective row.
-    cc = np.zeros(total)
-    cc[:n] = c
-    tableau[-1, :] = 0.0
-    tableau[-1, :total] = -cc
-    for i in range(m):
-        if abs(cc[basis[i]]) > 0.0:
-            tableau[-1] += cc[basis[i]] * tableau[i]
+    # Phase 2: restore the real objective row, adding the priced rows in
+    # row order (a - (-p) is exactly a + p).
+    cc = np.concatenate([c, np.zeros(total - n)])
+    tableau[-1, :total] = -cc  # the z-row is all zeros here
+    coef = cc[basis]
+    priced = np.flatnonzero(np.abs(coef) > 0.0)
+    tableau[-1] = _subtract_rows(tableau[-1], -coef[priced, None] * tableau[priced])
     status = _simplex(tableau, basis)
     if status == "unbounded":
         return LpSolution(status="unbounded")
 
     y = np.zeros(total)
-    for i in range(m):
-        y[basis[i]] = max(tableau[i, _TRUE], 0.0)
+    y[basis] = np.where(tableau[:m, _TRUE] < 0.0, 0.0, tableau[:m, _TRUE])  # max(v, 0.0), keeping -0.0
     x = y[:n] + lb
     return LpSolution(status="optimal", x=tuple(x.tolist()), objective=float(c @ x))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import game as game_mod
-from .model import CheckAssignment, Platform, Task, TaskId, Taskset, assignment_at
+from .model import CheckAssignment, Platform, Task, TaskId, Taskset, _is_int, _is_number, assignment_at
 from .schedulability import (
     TIME_TOL,
     bound_from_wcets,
@@ -221,18 +221,40 @@ def plan_to_dict(check_plan: CheckPlan) -> dict:
     return {"feasible": check_plan.feasible, "tasks": tasks}
 
 
+def _entry_from_dict(entry) -> TaskPlan:
+    """One plan-file task entry; ValueError when malformed (the simulator checks x's sign and sum)."""
+    tid = entry.get("id") if isinstance(entry, dict) else None
+    if not ((_is_int(tid) or isinstance(tid, str)) and isinstance(entry.get("strategies"), list)
+            and isinstance(entry.get("probabilities"), list)):
+        raise ValueError(f"plan task entry {entry!r} needs an id, strategies and probabilities")
+    n, k, strategies, x = (entry[f] for f in ("num_commands", "k_star", "strategies", "probabilities"))
+    if not (_is_int(n) and _is_int(k) and 0 <= k <= n):
+        raise ValueError(f"task {tid!r}: need integers 0 <= k_star <= num_commands, got {k!r} and {n!r}")
+    for s in strategies:
+        commands = isinstance(s, list) and all(_is_int(c) and 1 <= c <= n for c in s)
+        if not (commands and len(set(s)) == len(s) == k):
+            raise ValueError(f"task {tid!r}: strategy {s!r} is not {k} distinct commands in 1..{n}")
+    if len(x) != len(strategies) or not all(_is_number(p) and math.isfinite(p) for p in x):
+        raise ValueError(f"task {tid!r}: need {len(strategies)} finite probabilities, got {x!r}")
+    return TaskPlan(
+        task_id=tid,
+        num_commands=n,
+        k_star=k,
+        strategies=tuple(tuple(s) for s in strategies),
+        probabilities=tuple(x),
+        attacker_strategy=entry.get("attacker_strategy"),
+        objective=entry.get("objective"),
+    )
+
+
 def plan_from_dict(doc: dict) -> CheckPlan:
+    if not (isinstance(doc, dict) and isinstance(doc.get("tasks"), list)):
+        raise ValueError("a plan must be an object with a 'tasks' list")
     entries: dict[TaskId, TaskPlan] = {}
-    for entry in doc["tasks"]:
-        entries[entry["id"]] = TaskPlan(
-            task_id=entry["id"],
-            num_commands=entry["num_commands"],
-            k_star=entry["k_star"],
-            strategies=tuple(tuple(s) for s in entry["strategies"]),
-            probabilities=tuple(entry["probabilities"]),
-            attacker_strategy=entry.get("attacker_strategy"),
-            objective=entry.get("objective"),
-        )
+    for entry in map(_entry_from_dict, doc["tasks"]):
+        if entry.task_id in entries:
+            raise ValueError(f"duplicate task id {entry.task_id!r} in plan")
+        entries[entry.task_id] = entry
     return CheckPlan(feasible=doc["feasible"], tasks=entries)
 
 

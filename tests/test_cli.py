@@ -283,3 +283,86 @@ def test_plan_rejects_malformed_counts_and_weights(tmp_path, field, value):
     assert f"invalid taskset: task ctrl: {field}:" in res.stderr
     assert "Traceback" not in res.stderr
     assert not (tmp_path / "p.json").exists()
+
+
+@pytest.mark.parametrize("big_m", ["nan", "inf"])
+def test_plan_rejects_non_finite_big_m(tmp_path, big_m):
+    ts = tmp_path / "ts.json"
+    write_taskset(ts)  # K* = 2 of 4, so a game is built
+    res = run_cli("plan", "--taskset", str(ts), "--big-m", big_m, "--out", str(tmp_path / "p.json"))
+    assert res.returncode == 1
+    assert "error: big_m must be finite and positive" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "p.json").exists()
+
+
+def test_sweep_fig7_rejects_non_finite_big_m(tmp_path):
+    res = run_cli("sweep", "--fig", "7", "--big-m", "nan", "--tasksets-per-bucket", "1",
+                  "--trials", "1", "--out", str(tmp_path))
+    assert res.returncode == 1
+    assert "error: big_m must be finite and positive" in res.stderr
+    assert not (tmp_path / "fig7_tradeoff.csv").exists()
+
+
+def _plan_doc():
+    return {
+        "feasible": True,
+        "tasks": [{
+            "id": "ctrl", "num_commands": 6, "k_star": 2,
+            "strategies": [[1, 2], [3, 4], [5, 6]],
+            "probabilities": [0.5, 0.25, 0.25],
+            "attacker_strategy": 1, "objective": -1.0,
+        }],
+    }
+
+
+def _with_task(**changes):
+    doc = _plan_doc()
+    doc["tasks"][0].update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param({"feasible": True, "tasks": 5}, id="tasks-int"),
+        pytest.param({"feasible": True, "tasks": {"ctrl": {}}}, id="tasks-object"),
+        pytest.param({"feasible": True, "tasks": _plan_doc()["tasks"] * 2}, id="duplicate-id"),
+        pytest.param(_with_task(id=["ctrl"]), id="id-list"),
+        pytest.param(_with_task(probabilities=[0.5, "0.25", 0.25]), id="probability-string"),
+        pytest.param(_with_task(probabilities=[0.5, float("nan"), 0.25]), id="probability-nan"),
+        pytest.param(_with_task(probabilities=[0.5, True, 0.25]), id="probability-bool"),
+        pytest.param(_with_task(probabilities=[0.5, 0.5]), id="length-mismatch"),
+        pytest.param(_with_task(probabilities="0.5"), id="probabilities-string"),
+        pytest.param(_with_task(strategies=[[1, 2], [3, 4], [1, 99]]), id="command-out-of-range"),
+        pytest.param(_with_task(strategies=[[1, 2], [3, 3], [5, 6]]), id="command-repeated"),
+        pytest.param(_with_task(strategies=[[1, 2], [3, 4], [5]]), id="strategy-size"),
+        pytest.param(_with_task(strategies=[[1, 2], [3, 4], [5, True]]), id="command-bool"),
+        pytest.param(_with_task(strategies=[[1, 2], [3, 4], [5, 6.0]]), id="command-float"),
+        pytest.param(_with_task(strategies=[[1, 2], [3, 4], 5]), id="strategy-int"),
+        pytest.param(_with_task(k_star=True), id="k-star-bool"),
+        pytest.param(_with_task(k_star=7), id="k-star-above-n"),
+        pytest.param(_with_task(k_star=-1), id="k-star-negative"),
+        pytest.param(_with_task(k_star=2.0), id="k-star-float"),
+        pytest.param(_with_task(num_commands="6"), id="n-string"),
+        pytest.param(_with_task(num_commands=False), id="n-bool"),
+    ],
+)
+def test_simulate_rejects_malformed_plan(tmp_path, doc):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(doc))
+    out = tmp_path / "sim.csv"
+    res = run_cli("simulate", "--plan", str(plan_file), "--trials", "5", "--out", str(out))
+    assert res.returncode == 1
+    assert "error:" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
+def test_simulate_accepts_well_formed_hand_written_plan(tmp_path):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(_plan_doc()))
+    out = tmp_path / "sim.csv"
+    res = run_cli("simulate", "--plan", str(plan_file), "--trials", "5", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert out.read_text().splitlines()[-1].startswith("summary,")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from selcheck.game import (
     reward_cost,
     solve_game,
 )
-from selcheck.lp import solve_lp
+from selcheck.lp import LinearProgram, solve_lp
 
 
 def test_designer_strategies_lexicographic():
@@ -91,6 +93,13 @@ def test_build_game_rejects_full_and_out_of_range_k():
         build_game(task, 1)  # below min_checks
     with pytest.raises(ValueError):
         build_game(make_task(n=0, n_min=0, weights=()), 1)
+
+
+@pytest.mark.parametrize("big_m", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+def test_build_game_rejects_non_finite_or_non_positive_big_m(big_m):
+    # a NaN or infinite big_m used to send the simplex to its iteration limit
+    with pytest.raises(ValueError, match="big_m"):
+        build_game_from_weights((1.0, 1.0, 1.0), 2, big_m=big_m)
 
 
 def test_lp_for_attacker_strategy_shape():
@@ -252,3 +261,54 @@ def test_all_infeasible_raises():
     # epsilon so large the simplex constraint cannot hold
     with pytest.raises(GameInfeasibleError):
         solve_game(g, epsilon=0.9)
+
+
+# sha256 over repr((attacker_strategy, probabilities, objective, statuses))
+# of solve_game for every (N, K) with 2 <= N <= 6 and 1 <= K < N, using the
+# first N weights of each family.  The LPs are massively degenerate, so a
+# change in float rounding anywhere in the game or LP set-up can move a
+# solution to another optimal vertex; these pin the exact bytes of plans.
+GOLDEN_GAME_WEIGHTS = {
+    "equal": (1.0,) * 6,
+    "distinct-a": (0.5, 1.25, 2.0, 0.75, 3.5, 1.75),
+    "distinct-b": (2.9, 0.3, 1.7, 4.1, 0.9, 2.3),
+}
+GOLDEN_GAME_SHA256 = {
+    "equal": "64bed46de616ad95fe015a8c113a1b7a84b2b5608ac467f674be4c3210848508",
+    "distinct-a": "69e626fe96494036cbc886a56238ed50db67248f3026c0cdf71a9d70da6e3b64",
+    "distinct-b": "769124969c78d42bff660e64c9d827d05ea1d892af5a6831b56a550dafe4ffe8",
+}
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_GAME_WEIGHTS))
+def test_golden_solve_game_bytes(family):
+    weights = GOLDEN_GAME_WEIGHTS[family]
+    results = []
+    for n in range(2, 7):
+        for k in range(1, n):
+            sol = solve_game(build_game_from_weights(weights[:n], k))
+            results.append((sol.attacker_strategy, sol.probabilities, sol.objective, sol.statuses))
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == GOLDEN_GAME_SHA256[family]
+
+
+def test_solve_lp_same_answer_for_lists_arrays_and_row_views():
+    """Row container must not matter: lists, fresh arrays and views of one block."""
+    for weights, k in (((1.0,) * 5, 2), ((0.5, 1.25, 2.0, 0.75, 3.5), 3)):
+        g = build_game_from_weights(weights, k)
+        for l in range(len(g.attacker_strategies)):
+            prob = lp_for_attacker_strategy(g, l)
+            block = np.array([np.asarray(coeffs, dtype=float) for coeffs, _, _ in prob.constraints])
+            assert block.flags.c_contiguous
+
+            def variant(row_of):
+                return LinearProgram(
+                    objective=list(prob.objective),
+                    constraints=[(row_of(i), rel, b) for i, (_, rel, b) in enumerate(prob.constraints)],
+                    lower_bounds=list(prob.lower_bounds),
+                )
+
+            as_lists = solve_lp(variant(lambda i: block[i].tolist()))
+            as_arrays = solve_lp(variant(lambda i: np.array(block[i])))
+            as_views = solve_lp(variant(lambda i: block[i]))
+            assert as_lists == as_arrays == as_views, l
+            assert as_lists == solve_lp(prob), l

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,6 +34,14 @@ def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
+
+
+def _check_game_options(args) -> None:
+    """--big-m and --epsilon must be usable even when no task needs a game."""
+    for name in ("big_m", "epsilon"):
+        value = getattr(args, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _info(msg: str) -> None:
@@ -95,6 +104,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    _check_game_options(args)
     taskset = load_taskset(args.taskset)
     violations = validate(taskset)
     if violations:
@@ -163,6 +173,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_game_options(args)
     base = _workload_spec(args, "medium", 0)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -244,7 +255,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError,
+    except (OSError, OverflowError, ValueError, KeyError, json.JSONDecodeError,
             workload.GenerationError, game.GameInfeasibleError) as exc:
         _info(f"error: {exc}")
         return EXIT_ERROR

@@ -140,6 +140,12 @@ def _simplex(tableau: np.ndarray, basis: list[int]) -> str:
     raise RuntimeError("simplex iteration limit exceeded")
 
 
+def _require_finite(name: str, values: np.ndarray) -> None:
+    # NaN or inf input would pivot until the iteration limit.
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
+
+
 def solve_lp(problem: LinearProgram) -> LpSolution:
     """Solve a LinearProgram; classifies optimal / infeasible / unbounded."""
     problem.check()
@@ -154,8 +160,11 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     bounded = [j for j, ub in enumerate(problem.upper_bounds or ()) if ub is not None]
     m = len(rows) + len(bounded)
     A = np.array([np.asarray(a, dtype=float) for a, _, _ in rows] + list(np.eye(n)[bounded])).reshape(m, n)
+    _require_finite("objective", c)
+    _require_finite("constraint coefficients", A)
     b = np.array([float(rhs) - float(A[i] @ lb) for i, (_, _, rhs) in enumerate(rows)]
                  + [float(problem.upper_bounds[j]) - lb[j] for j in bounded])
+    _require_finite("rhs and upper bounds", b)
     ge = np.array([rel == ">=" for _, rel, _ in rows] + [False] * len(bounded), dtype=bool)
     eq = np.array([rel == "=" for _, rel, _ in rows] + [False] * len(bounded), dtype=bool)
 

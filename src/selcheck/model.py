@@ -8,7 +8,7 @@ construction.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -118,7 +118,7 @@ class Taskset:
 
     def priority_ordered(self) -> tuple[Task, ...]:
         """All tasks, grouped by core index, highest priority first per core."""
-        return tuple(t for core in range(self.platform.num_cores) for t in self.tasks_on_core(core))
+        return tuple(t for core in sorted(self._core_orders) for t in self._core_orders[core])
 
 
 # CheckAssignment: commands checked per job, keyed by task id.
@@ -180,7 +180,8 @@ def _validate_task(task: Task) -> list[Violation]:
             bad("min_checks", "min_checks outside [0, num_commands]")
         if len(task.weights) != task.num_commands:
             bad("weights", "weight-vector length mismatch")
-    if not all(_is_number(w) and math.isfinite(w) and w > 0 for w in task.weights):
+    # Compared, not converted: an integer too large for a float must not raise here.
+    if not all(_is_number(w) and 0 < w <= sys.float_info.max for w in task.weights):
         bad("weights", "weights must be positive finite numbers")
     if _is_int(task.check_overhead) and task.check_overhead < 0:
         bad("check_overhead", "check_overhead must be >= 0")
@@ -251,15 +252,43 @@ def taskset_to_dict(taskset: Taskset) -> dict:
     return {"time_unit": TIME_UNIT, "cores": taskset.platform.num_cores, "tasks": tasks}
 
 
+_TASK_FIELDS = ("id", "wcet", "period", "deadline", "num_commands", "min_checks", "weights",
+                "check_overhead", "core", "priority")
+
+
 def taskset_from_dict(doc: dict) -> Taskset:
+    """The taskset a file document describes.
+
+    ValueError when the document's shape is wrong (a field of the wrong JSON
+    type, a missing field); the values themselves are left to validate().
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"a taskset must be a JSON object, got {type(doc).__name__}")
     if doc.get("time_unit") != TIME_UNIT:
         raise ValueError(f"unsupported time_unit {doc.get('time_unit')!r}; expected {TIME_UNIT!r}")
+    cores = doc.get("cores")
+    if not (_is_int(cores) and cores >= 1):
+        raise ValueError(f"cores must be an integer >= 1, got {cores!r}")
+    if not isinstance(doc.get("tasks"), list):
+        raise ValueError("a taskset needs a 'tasks' list")
     tasks = []
     partition: dict[TaskId, int] = {}
     priority: dict[TaskId, int] = {}
     for entry in doc["tasks"]:
+        if not isinstance(entry, dict):
+            raise ValueError(f"task entry {entry!r} is not an object")
+        missing = [name for name in _TASK_FIELDS if name not in entry]
+        if missing:
+            raise ValueError(f"task entry {entry!r} lacks {', '.join(missing)}")
+        tid = entry["id"]
+        if not (_is_int(tid) or isinstance(tid, str)):
+            raise ValueError(f"task id {tid!r} is not a string or an integer")
+        if not isinstance(entry["weights"], list):
+            raise ValueError(f"task {tid!r}: weights must be a list")
+        if not (_is_int(entry["core"]) and _is_int(entry["priority"])):
+            raise ValueError(f"task {tid!r}: core and priority must be integers")
         task = Task(
-            id=entry["id"],
+            id=tid,
             wcet=entry["wcet"],
             period=entry["period"],
             deadline=entry["deadline"],
@@ -271,7 +300,7 @@ def taskset_from_dict(doc: dict) -> Taskset:
         tasks.append(task)
         partition[task.id] = entry["core"]
         priority[task.id] = entry["priority"]
-    platform = Platform(num_cores=doc["cores"], partition=partition, priority=priority)
+    platform = Platform(num_cores=cores, partition=partition, priority=priority)
     return Taskset(tasks=tuple(tasks), platform=platform)
 
 

@@ -10,6 +10,12 @@ priorities.  Tasks are placed on the least-loaded core whose response
 bound admits them, so generated tasksets are always schedulable before any
 checking overhead; packing cores to capacity instead would leave the
 loaded cores no headroom for checks at all.
+
+Every `gen` and `sweep` taskset takes one fixed-sum sample.  That draw runs
+in Python floats over only the table columns its walk can reach (k + 1 of
+them, k = floor(total utilization) <= core count), instead of numpy calls
+on n-element rows, and is byte-identical to the batched numpy sampler,
+which stays the path for many samples at once and the reference in tests.
 """
 
 from __future__ import annotations
@@ -123,6 +129,54 @@ def _stafford(n: int, s: float, m: int, rng: np.random.Generator) -> np.ndarray:
     return np.take_along_axis(x, perm, axis=0).T
 
 
+def _stafford_one(n: int, s: float, rng: np.random.Generator) -> np.ndarray:
+    """_stafford(n, s, 1, rng)[0] bit for bit, in Python floats.
+
+    The walk starts in column k and only moves left, so only columns 0..k
+    of t (0..k+1 of w) are built.  Byte identity with the numpy path rests
+    on three rules:
+    - every table entry is computed in numpy's order, (w * s1) / i;
+    - s2 > s1 picks the branch, as np.where did;
+    - the root step stays one one-element array power per level (Python
+      `**` rounds differently on most draws, and one vector power over all
+      levels on some).
+    """
+    k = int(max(min(math.floor(s), n - 1), 0))
+    s = max(min(s, k + 1.0), float(k))
+    tiny = np.finfo(float).tiny
+    s1 = [s - (k - j) for j in range(k + 1)]
+
+    w = [0.0] * (k + 2)
+    w[1] = np.finfo(float).max
+    t = []
+    for i in range(2, n + 1):
+        row_w, row_t = [0.0] * (k + 2), [0.0] * (k + 1)
+        for j in range(min(i, k + 1)):
+            s2 = (k + i - j) - s
+            tmp1 = w[j + 1] * s1[j] / i
+            tmp2 = w[j] * s2 / i
+            row_w[j + 1] = tmp1 + tmp2
+            tmp3 = row_w[j + 1] + tiny
+            row_t[j] = tmp2 / tmp3 if s2 > s1[j] else 1.0 - tmp1 / tmp3
+        w = row_w
+        t.append(row_t)
+
+    draws = rng.random(3 * n - 2)  # the transitions, positions and permutation keys
+    rt, rs = draws[: n - 1].tolist(), draws[n - 1 : 2 * n - 2]
+    x = []
+    sv, j, sm, pr = s, k, 0.0, 1.0
+    for i in range(n - 1, 0, -1):
+        e = 1.0 if rt[n - i - 1] < t[i - 1][j] else 0.0
+        sx = (rs[n - i - 1 : n - i] ** (1.0 / i)).item()
+        sm = sm + (1.0 - sx) * pr * sv / (i + 1)
+        pr = sx * pr
+        x.append(sm + pr * e)
+        sv = sv - e
+        j = max(j - int(e), 0)
+    x.append(sm + pr * sv)
+    return np.array(x)[np.argsort(draws[2 * n - 2 :])]
+
+
 def randfixedsum(
     n: int,
     total: float,
@@ -147,6 +201,8 @@ def randfixedsum(
         x01 = np.full((m, n), 0.0)
     elif n == 1:
         x01 = np.full((m, 1), (total - lo) / span)
+    elif size is None:
+        x01 = _stafford_one(n, (total - n * lo) / span, rng)[np.newaxis]
     else:
         x01 = _stafford(n, (total - n * lo) / span, m, rng)
     out = x01 * span + lo
@@ -157,7 +213,7 @@ def gen_periods(n: int, lo: int, hi: int, rng: np.random.Generator) -> list[int]
     """n log-uniform periods in [lo, hi], rounded to integer time units."""
     if not 0 < lo <= hi:
         raise ValueError("bad period range")
-    raw = np.exp(rng.uniform(math.log(lo), math.log(hi), size=n))
+    raw = np.exp(rng.uniform(math.log(lo), math.log(hi), size=n)).tolist()
     return [int(min(max(round(v), lo), hi)) for v in raw]
 
 
@@ -166,19 +222,20 @@ def _draw_taskset(spec: WorkloadSpec, rng: np.random.Generator) -> Taskset:
     m = int(rng.integers(tmin, tmax + 1))
     u_lo, u_hi = spec.utilization_range()
     total_u = float(rng.uniform(u_lo, u_hi))
-    utils = randfixedsum(m, total_u, 0.0, 1.0, rng)
+    utils = randfixedsum(m, total_u, 0.0, 1.0, rng).tolist()
     periods = gen_periods(m, spec.period_min_us, spec.period_max_us, rng)
+    if spec.n_fixed is not None:
+        counts = [spec.n_fixed] * m
+    else:
+        # One batched draw gives the values and the generator state of m
+        # scalar draws: PCG64 serves both from the same buffered 32-bit stream.
+        n_lo, n_hi = SCENARIO_COMMANDS[spec.scenario]
+        counts = rng.integers(n_lo, n_hi + 1, size=m).tolist()
 
     width = len(str(m - 1))
     tasks = []
-    for idx in range(m):
-        period = periods[idx]
-        wcet = max(1, round(float(utils[idx]) * period))
-        if spec.n_fixed is not None:
-            n_cmd = spec.n_fixed
-        else:
-            n_lo, n_hi = SCENARIO_COMMANDS[spec.scenario]
-            n_cmd = int(rng.integers(n_lo, n_hi + 1))
+    for idx, (u, period, n_cmd) in enumerate(zip(utils, periods, counts)):
+        wcet = max(1, round(u * period))
         if spec.overhead_preset is not None:
             overhead = OVERHEAD_PRESETS_US[spec.overhead_preset]
         else:

@@ -296,6 +296,58 @@ def test_plan_rejects_non_finite_big_m(tmp_path, big_m):
     assert not (tmp_path / "p.json").exists()
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("--epsilon", "nan"), ("--epsilon", "inf"), ("--epsilon", "0"), ("--epsilon", "-1"),
+     ("--big-m", "nan")],
+)
+def test_plan_rejects_unusable_game_options_without_a_game(tmp_path, option, value):
+    ts = tmp_path / "ts.json"
+    write_taskset(ts, overhead=1_000)  # K* = N: no game is built
+    out = tmp_path / "p.json"
+    assert run_cli("plan", "--taskset", str(ts), "--out", str(out)).returncode == 0
+    out.unlink()
+    res = run_cli("plan", "--taskset", str(ts), f"{option}={value}", "--out", str(out))
+    assert res.returncode == 1
+    assert f"error: {option[2:].replace('-', '_')} must be finite and positive" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fig", ["6", "8"])
+def test_sweep_rejects_unusable_epsilon(tmp_path, fig):
+    res = run_cli("sweep", "--fig", fig, "--epsilon=-1", "--tasksets-per-bucket", "1",
+                  "--out", str(tmp_path / "out"))
+    assert res.returncode == 1
+    assert "error: epsilon must be finite and positive" in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param([], id="list"),
+        pytest.param(1, id="number"),
+        pytest.param({"time_unit": "us", "cores": 1, "tasks": 5}, id="tasks-int"),
+        pytest.param({"time_unit": "us", "cores": 1, "tasks": [7]}, id="entry-int"),
+        pytest.param({"time_unit": "us", "cores": "x", "tasks": []}, id="cores-string"),
+        pytest.param({"time_unit": "us", "cores": 1, "tasks": [{
+            "id": "a", "wcet": 10**400, "period": 10**401, "deadline": 10**401,
+            "num_commands": 2, "min_checks": 1, "weights": [1.0, 1.0],
+            "check_overhead": 10**399, "core": 0, "priority": 0}]}, id="times-beyond-float"),
+    ],
+)
+def test_plan_rejects_malformed_taskset_file(tmp_path, doc):
+    ts = tmp_path / "ts.json"
+    ts.write_text(json.dumps(doc))
+    out = tmp_path / "p.json"
+    res = run_cli("plan", "--taskset", str(ts), "--out", str(out))
+    assert res.returncode == 1
+    assert "error:" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
 def test_sweep_fig7_rejects_non_finite_big_m(tmp_path):
     res = run_cli("sweep", "--fig", "7", "--big-m", "nan", "--tasksets-per-bucket", "1",
                   "--trials", "1", "--out", str(tmp_path))

@@ -52,6 +52,28 @@ def test_dimension_mismatch_rejected():
         solve_lp(LinearProgram(objective=[1.0], constraints=[([1.0], "<<", 1.0)]))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "problem, message",
+    [
+        pytest.param(dict(objective=[NAN, 1.0]), "objective", id="objective-nan"),
+        pytest.param(dict(objective=[1.0, -INF]), "objective", id="objective-inf"),
+        pytest.param(dict(constraints=[([1.0, NAN], "<=", 3.0)]), "coefficients", id="coefficient-nan"),
+        pytest.param(dict(constraints=[([INF, 1.0], ">=", 1.0)]), "coefficients", id="coefficient-inf"),
+        pytest.param(dict(constraints=[([1.0, 1.0], "=", NAN)]), "rhs", id="rhs-nan"),
+        pytest.param(dict(constraints=[([1.0, 1.0], "<=", INF)]), "rhs", id="rhs-inf"),
+        pytest.param(dict(upper_bounds=[None, NAN]), "upper bounds", id="upper-nan"),
+        pytest.param(dict(upper_bounds=[INF, None]), "upper bounds", id="upper-inf"),
+    ],
+)
+def test_non_finite_input_rejected_up_front(problem, message):
+    base = dict(objective=[1.0, 1.0], constraints=[([1.0, 1.0], "<=", 3.0)])
+    with pytest.raises(ValueError, match=message):
+        solve_lp(LinearProgram(**{**base, **problem}))
+
+
 def test_deterministic_across_runs():
     prob = LinearProgram(
         objective=[3.0, 2.0, 1.0],

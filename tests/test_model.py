@@ -1,3 +1,4 @@
+import pytest
 from conftest import make_task, make_taskset
 
 from selcheck.model import (
@@ -98,6 +99,55 @@ def test_unknown_time_unit_rejected():
         assert "time_unit" in str(exc)
     else:
         raise AssertionError("expected ValueError")
+
+
+def _entry(**changes):
+    return {**taskset_to_dict(make_taskset([make_task(tid="a")]))["tasks"][0], **changes}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        pytest.param([], "JSON object", id="list"),
+        pytest.param(1, "JSON object", id="number"),
+        pytest.param({"time_unit": "us", "cores": 1, "tasks": 5}, "'tasks' list", id="tasks-int"),
+        pytest.param({"time_unit": "us", "cores": 1}, "'tasks' list", id="tasks-missing"),
+        pytest.param({"time_unit": "us", "cores": 1, "tasks": [7]}, "not an object", id="entry-int"),
+        pytest.param({"time_unit": "us", "cores": "x", "tasks": []}, "cores", id="cores-string"),
+        pytest.param({"time_unit": "us", "cores": True, "tasks": []}, "cores", id="cores-bool"),
+        pytest.param({"time_unit": "us", "cores": 1.0, "tasks": []}, "cores", id="cores-float"),
+        pytest.param({"time_unit": "us", "cores": 0, "tasks": []}, "cores", id="cores-zero"),
+        pytest.param({"time_unit": "us", "cores": 1, "tasks": [_entry(id=["a"])]}, "task id",
+                     id="id-list"),
+        pytest.param({"time_unit": "us", "cores": 1, "tasks": [_entry(id=None)]}, "task id",
+                     id="id-null"),
+        pytest.param({"time_unit": "us", "cores": 1, "tasks": [_entry(id=True)]}, "task id",
+                     id="id-bool"),
+        pytest.param({"time_unit": "us", "cores": 1, "tasks": [_entry(weights=3)]}, "weights",
+                     id="weights-int"),
+        pytest.param({"time_unit": "us", "cores": 1, "tasks": [_entry(core="0")]}, "core",
+                     id="core-string"),
+        pytest.param({"time_unit": "us", "cores": 1, "tasks": [_entry(priority=[0])]}, "priority",
+                     id="priority-list"),
+        pytest.param({"time_unit": "us", "cores": 1,
+                      "tasks": [{k: v for k, v in _entry().items() if k != "wcet"}]}, "wcet",
+                     id="field-missing"),
+    ],
+)
+def test_malformed_taskset_document_raises_value_error(doc, message):
+    with pytest.raises(ValueError, match=message):
+        taskset_from_dict(doc)
+
+
+def test_weight_too_large_for_a_float_is_a_violation():
+    ts = make_taskset([make_task(n=2, weights=(1.0, 10**400))])
+    assert [v.field for v in validate(ts)] == ["weights"]
+
+
+def test_priority_order_skips_empty_cores_without_walking_them():
+    a, b = make_task(tid="a"), make_task(tid="b")
+    ts = make_taskset([a, b], num_cores=10**18, cores={"a": 3, "b": 0})
+    assert ts.priority_ordered() == (b, a)
 
 
 def test_overhead_presets():

@@ -1,7 +1,11 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from selcheck.model import assignment_at, validate
@@ -10,6 +14,7 @@ from selcheck.workload import (
     SCENARIO_COMMANDS,
     GenerationError,
     WorkloadSpec,
+    _stafford,
     draw_taskset,
     gen_periods,
     gen_taskset,
@@ -138,3 +143,56 @@ def test_n_fixed_overrides_scenario():
     spec = WorkloadSpec(utilization_bucket=1, scenario="medium", n_fixed=5, seed=2)
     ts = gen_taskset(spec, taskset_rng(2, 2, 1, 0))
     assert all(t.num_commands == 5 for t in ts.tasks)
+
+
+# sha256 over the (file name, bytes) of every file of a `gen` batch, seed 11,
+# 4 tasksets per bucket: the single-core N = 6 spec is the benchmark's plan
+# input, the "high" spec draws per-task command counts on 4 cores (bucket 9
+# is left out: its draws almost never fit on 4 cores, so gen gives up there).
+GOLDEN_GEN_SHA256 = {
+    "plan-input": "71a972d29ad12117a9a392b239eb53092d687266cbf3b2da839d65bd0ce40749",
+    "high": "8f211f25e2aede8b368a5a875df8262156d348a5fab13834c96ac8c46f182b60",
+}
+GEN_SPECS = {
+    "plan-input": {"num_cores": 1, "n_fixed": 6, "buckets": [5]},
+    "high": {"scenario": "high", "buckets": list(range(9))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEN_SPECS))
+def test_golden_gen_bytes(tmp_path, name):
+    from selcheck.cli import main
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(GEN_SPECS[name]))
+    out = tmp_path / "batch"
+    assert main(["gen", "--spec", str(spec), "--out", str(out), "--seed", "11",
+                 "--tasksets-per-bucket", "4"]) == 0
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == GOLDEN_GEN_SHA256[name]
+
+
+@st.composite
+def stafford_cases(draw):
+    n = draw(st.integers(2, 60))
+    s = draw(st.one_of(
+        st.floats(0.0, float(n)),
+        st.integers(0, n).map(float),
+        st.just(float(n)),
+    ))
+    return n, s, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(case=stafford_cases())
+def test_one_sample_draw_matches_batched_stafford(case):
+    """The size=None path returns the bytes of _stafford's first sample and
+    leaves the generator where _stafford leaves it."""
+    n, s, seed = case
+    one, many = np.random.default_rng(seed), np.random.default_rng(seed)
+    x = randfixedsum(n, s, 0.0, 1.0, one)
+    ref = _stafford(n, s, 1, many)[0]
+    assert x.tobytes() == ref.tobytes()
+    assert one.random() == many.random()

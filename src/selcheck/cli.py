@@ -87,18 +87,35 @@ def cmd_gen(args) -> int:
     scenario_idx = {"medium": 0, "high": 1}.get(scenario, 2)
 
     manifest = {"seed": args.seed, "scenario": scenario, "tasksets": []}
+    unfilled = []
     for bucket in buckets:
         spec = _workload_spec(args, scenario, bucket)
+        missed = []
         for index in range(args.tasksets_per_bucket):
             path = (args.seed, 0, scenario_idx, bucket, index)
             rng = workload.taskset_rng(*path)
-            taskset = workload.gen_taskset(spec, rng)
+            try:
+                taskset = workload.gen_taskset(spec, rng)
+            except workload.GenerationError as exc:
+                # A bucket near full utilization may never fit the partitioner.
+                missed.append(index)
+                reason = exc
+                continue
             name = f"taskset_{scenario}_b{bucket}_{index:04d}.json"
             save_taskset(taskset, out_dir / name)
             manifest["tasksets"].append(
                 {"file": name, "bucket": bucket, "index": index, "seed_path": list(path)}
             )
+        if missed:
+            unfilled += [{"bucket": bucket, "index": index} for index in missed]
+            _info(f"warning: bucket {bucket}: {len(missed)} of {args.tasksets_per_bucket} "
+                  f"tasksets unfilled: {reason}")
+    if unfilled:
+        manifest["unfilled"] = unfilled
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    if not manifest["tasksets"]:
+        _info(f"error: no taskset written to {out_dir}")
+        return EXIT_ERROR
     _info(f"wrote {len(manifest['tasksets'])} tasksets to {out_dir}")
     return EXIT_OK
 

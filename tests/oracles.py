@@ -4,13 +4,18 @@ These deliberately avoid the package's own code paths: scores are redone
 with exact Fraction arithmetic straight from the case rules, LP optima
 are recomputed by enumerating polytope vertices instead of pivoting, and
 per-job catch probabilities are summed over every checked subset and
-detection outcome.
+detection outcome.  solve_game_all_rows is the one exception: it is the
+multiple-LPs loop as it stood before solve_game screened for infeasible
+LPs, a full LP for every attacker strategy.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
+
+from selcheck.game import OBJECTIVE_TIE_TOL, GameSolution, lp_for_attacker_strategy
+from selcheck.lp import solve_lp
 
 
 def reward_cost_by_cases(designer, attacker, weights, big_m):
@@ -70,6 +75,27 @@ def game_lp_vertex_optimum(game, l, epsilon):
     return lp_max_by_vertex_enumeration(
         game.reward[:, l].tolist(), ineqs, [1.0] * num_x, 1.0
     )
+
+
+def solve_game_all_rows(game, epsilon, treat_infeasible=frozenset()):
+    """solve_game with every best-response row of every LP and no screen.
+
+    Strategies in treat_infeasible get status "infeasible" without a solve.
+    Returns the GameSolution, or None when no LP is optimal.
+    """
+    best_l, best, statuses = -1, None, []
+    for l in range(len(game.attacker_strategies)):
+        if l in treat_infeasible:
+            statuses.append("infeasible")
+            continue
+        sol = solve_lp(lp_for_attacker_strategy(game, l, epsilon))
+        statuses.append(sol.status)
+        if sol.optimal and (best is None or sol.objective > best.objective + OBJECTIVE_TIE_TOL):
+            best, best_l = sol, l
+    if best is None:
+        return None
+    return GameSolution(attacker_strategy=best_l, probabilities=best.x,
+                        objective=best.objective, statuses=tuple(statuses))
 
 
 def catch_probability_by_enumeration(strategies, probabilities, compromised, accuracy):

@@ -54,6 +54,29 @@ def test_gen_deterministic(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_gen_default_spec_lists_unfilled_bucket_and_succeeds(tmp_path):
+    """Bucket 9 (utilization near 4 on 4 cores) almost never fits the partitioner."""
+    out = tmp_path / "batch"
+    res = run_cli("gen", "--out", str(out), "--seed", "11", "--tasksets-per-bucket", "2")
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.splitlines()[0].startswith("warning: bucket 9: 2 of 2 tasksets unfilled")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["unfilled"] == [{"bucket": 9, "index": 0}, {"bucket": 9, "index": 1}]
+    assert [(e["bucket"], e["index"]) for e in manifest["tasksets"]] == [(b, i) for b in range(9) for i in range(2)]
+    assert len(list(out.glob("taskset_*.json"))) == 18
+
+
+def test_gen_without_any_taskset_exits_1_with_manifest(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"buckets": [9]}))
+    out = tmp_path / "batch"
+    res = run_cli("gen", "--spec", str(spec), "--out", str(out), "--seed", "11", "--tasksets-per-bucket", "1")
+    assert res.returncode == 1
+    assert res.stderr.splitlines()[-1].startswith("error: no taskset written")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["tasksets"] == [] and manifest["unfilled"] == [{"bucket": 9, "index": 0}]
+
+
 def test_gen_bad_bucket_errors(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"buckets": [12]}))

@@ -2,15 +2,18 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_task
-from oracles import game_lp_vertex_optimum, reward_cost_by_cases
+from oracles import game_lp_vertex_optimum, reward_cost_by_cases, solve_game_all_rows
 
 from selcheck.game import (
     GameInfeasibleError,
     GameInstance,
     GameSolution,
     apply_detection_accuracy,
+    best_response_block,
     build_game,
     build_game_from_weights,
     enumerate_attacker_strategies,
@@ -312,3 +315,84 @@ def test_solve_lp_same_answer_for_lists_arrays_and_row_views():
             as_views = solve_lp(variant(lambda i: block[i]))
             assert as_lists == as_arrays == as_views, l
             assert as_lists == solve_lp(prob), l
+
+
+@pytest.mark.parametrize("weights", [
+    (1.0,) * 7,
+    (0.5, 1.25, 2.0, 0.75, 3.5, 1.75, 0.3),
+    (2.9, 0.3, 1.7, 4.1, 0.9, 2.3, 1.1),
+])
+def test_score_matrices_equal_scalar_cells_bit_for_bit(weights):
+    """The mask-sum build gives reward_cost's bytes for every N <= 7 and K."""
+    for n in range(2, len(weights) + 1):
+        for k in range(1, n):
+            game = build_game_from_weights(weights[:n], k)
+            for j, xj in enumerate(game.designer_strategies):
+                for l, ql in enumerate(game.attacker_strategies):
+                    assert (game.reward[j, l], game.cost[j, l]) == reward_cost(xj, ql, weights[:n]), (n, k, j, l)
+
+
+def test_equal_weight_score_matrices_exact_beyond_seven_commands():
+    game = build_game_from_weights((0.7,) * 9, 4, big_m=50.0)
+    for j in range(0, len(game.designer_strategies), 7):
+        for l, ql in enumerate(game.attacker_strategies):
+            cell = reward_cost(game.designer_strategies[j], ql, (0.7,) * 9, 50.0)
+            assert (game.reward[j, l], game.cost[j, l]) == cell
+
+
+def test_row_subset_lp_is_a_zero_objective_relaxation():
+    g = build_game_from_weights((0.5, 1.25, 2.0, 0.75), 2)
+    block = best_response_block(g, 5)
+    full = lp_for_attacker_strategy(g, 5)
+    sub = lp_for_attacker_strategy(g, 5, rows=[9, 3], block=block)
+    assert sub.objective == [0.0] * 6
+    # The full LP holds every row but row 5, so row 9 is its ninth.
+    assert [list(a) for a, _, _ in sub.constraints[:2]] == [list(block[9]), list(block[3])]
+    assert list(full.constraints[8][0]) == list(block[9])
+    assert sub.constraints[2] == full.constraints[-1]
+    assert sub.lower_bounds == full.lower_bounds
+
+
+def _violation(game, l, x):
+    """Largest miss of the probability sum or of a best-response row at x."""
+    x = np.asarray(x)
+    return max(abs(x.sum() - 1.0), -float((best_response_block(game, l) @ x).min()))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(weights=st.integers(2, 5).flatmap(
+    lambda n: st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+def test_screen_keeps_every_answer_of_the_full_lps(weights):
+    """solve_game equals the all-rows loop, except where the full LP's "optimal"
+    answer misses its own constraints and the screen calls that LP infeasible."""
+    eps = 1e-6
+    for k in range(1, len(weights)):
+        game = build_game_from_weights(tuple(weights), k)
+        reference = solve_game_all_rows(game, eps)
+        try:
+            screened = solve_game(game, eps)
+        except GameInfeasibleError:
+            screened = None
+        differing = set()
+        if screened is not None and reference is not None:
+            differing = {l for l, (a, b) in enumerate(zip(reference.statuses, screened.statuses)) if a != b}
+        for l in differing:
+            assert (reference.statuses[l], screened.statuses[l]) == ("optimal", "infeasible")
+            assert _violation(game, l, solve_lp(lp_for_attacker_strategy(game, l, eps)).x) > 1e-6
+        if differing:
+            reference = solve_game_all_rows(game, eps, treat_infeasible=differing)
+        assert screened == reference
+
+
+def test_screen_rejects_the_infeasible_lp_the_full_solve_called_optimal():
+    """A distinct-weight N = 6, K = 2 game whose full LP for attacker strategy 26
+    is infeasible but came back "optimal" with probabilities summing to 62.7.
+    The reference optimum (HiGHS) is strategy 32 at -66.245966."""
+    game = build_game_from_weights((0.803948, 0.629946, 1.967363, 0.765502, 1.844505, 1.970306), 2)
+    sol = solve_game(game, 1e-6)
+    assert sol.attacker_strategy == 32
+    assert sol.objective == pytest.approx(-66.245966, abs=1e-6)
+    assert sol.statuses[26] == "infeasible"
+    x = np.array(sol.probabilities)
+    assert abs(x.sum() - 1.0) <= 1e-9
+    assert (best_response_block(game, 32) @ x).min() >= -1e-9

@@ -21,13 +21,11 @@ from .schedulability import (
     is_schedulable,
     response_time_bound,
     tee_wcet,
-    vanilla_response_time,
 )
 from .lp import LinearProgram, LpSolution, solve_lp
 from .game import (
     GameInstance,
     GameSolution,
-    apply_detection_accuracy,
     build_game,
     enumerate_attacker_strategies,
     enumerate_designer_strategies,
@@ -45,7 +43,6 @@ from .planner import (
     max_feasible_k,
     plan,
     rate_monotonic_priorities,
-    save_plan,
 )
 from .workload import WorkloadSpec, draw_taskset, gen_periods, gen_taskset, randfixedsum
 from .simulator import (
@@ -54,6 +51,7 @@ from .simulator import (
     acceptance_ratio,
     coverage_ratio,
     detection_probability,
+    mean_detected_delay,
     run_detection_experiment,
 )
 from .experiments import SweepResult, sweep_acceptance, sweep_coverage, sweep_detection_tradeoff

@@ -15,11 +15,15 @@ import sys
 from pathlib import Path
 
 from . import experiments, game, planner, simulator, workload
-from .model import load_taskset, save_taskset, validate
+from .model import _is_int, load_taskset, save_taskset, validate
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
+
+# WorkloadSpec fields a --spec document may set; the rest come from options.
+SPEC_FIELDS = ("num_cores", "n_fixed", "tasks_min", "tasks_max", "period_min_us", "period_max_us",
+               "min_checks_fraction", "overhead_fraction", "overhead_preset")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,41 +59,43 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _workload_spec(args, scenario: str, bucket: int) -> workload.WorkloadSpec:
-    doc = {}
-    if getattr(args, "spec", None):
-        doc = json.loads(Path(args.spec).read_text())
-    overhead_preset = None
-    if getattr(args, "preset", None) and args.preset != "custom":
-        overhead_preset = args.preset
-    return workload.WorkloadSpec(
-        num_cores=doc.get("num_cores", 4),
-        utilization_bucket=bucket,
-        scenario=scenario,
-        n_fixed=doc.get("n_fixed"),
-        tasks_min=doc.get("tasks_min"),
-        tasks_max=doc.get("tasks_max"),
-        period_min_us=doc.get("period_min_us", 10_000),
-        period_max_us=doc.get("period_max_us", 1_000_000),
-        min_checks_fraction=doc.get("min_checks_fraction", 0.2),
-        overhead_fraction=doc.get("overhead_fraction", 0.1),
-        overhead_preset=doc.get("overhead_preset", overhead_preset),
-        seed=args.seed,
+def _read_spec(args) -> dict:
+    """The --spec document ({} without one): an object whose `scenario` is a
+    string and `buckets` a list of integers; WorkloadSpec.check checks the rest."""
+    doc = json.loads(Path(args.spec).read_text()) if args.spec else {}
+    if not isinstance(doc, dict):
+        raise ValueError(f"a workload spec must be a JSON object, got {type(doc).__name__}")
+    if not isinstance(doc.get("scenario", ""), str):
+        raise ValueError(f"spec scenario must be a string, got {doc['scenario']!r}")
+    buckets = doc.get("buckets", [])
+    if not (isinstance(buckets, list) and all(_is_int(b) for b in buckets)):
+        raise ValueError(f"spec buckets must be a list of integers, got {buckets!r}")
+    return doc
+
+
+def _workload_spec(args, doc: dict, scenario: str, bucket: int) -> workload.WorkloadSpec:
+    """The spec for one bucket: `doc`'s fields over the defaults, checked."""
+    fields = {name: doc[name] for name in SPEC_FIELDS if name in doc}
+    fields.setdefault("overhead_preset", None if args.preset == "custom" else args.preset)
+    spec = workload.WorkloadSpec(
+        utilization_bucket=bucket, scenario=scenario, seed=args.seed, **fields
     )
+    spec.check()
+    return spec
 
 
 def cmd_gen(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    doc = json.loads(Path(args.spec).read_text()) if args.spec else {}
+    doc = _read_spec(args)
     scenario = doc.get("scenario", "medium")
     buckets = doc.get("buckets", list(range(workload.NUM_BUCKETS)))
+    specs = [_workload_spec(args, doc, scenario, bucket) for bucket in buckets]
     scenario_idx = {"medium": 0, "high": 1}.get(scenario, 2)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     manifest = {"seed": args.seed, "scenario": scenario, "tasksets": []}
     unfilled = []
-    for bucket in buckets:
-        spec = _workload_spec(args, scenario, bucket)
+    for bucket, spec in zip(buckets, specs):
         missed = []
         for index in range(args.tasksets_per_bucket):
             path = (args.seed, 0, scenario_idx, bucket, index)
@@ -138,7 +144,8 @@ def cmd_plan(args) -> int:
 
         assignment = {e.task_id: e.k_star for e in result.tasks.values()}
         Path(args.report_csv).write_text(report_csv(analyze(taskset, assignment)))
-    covered = simulator.coverage_ratio(result) if result.coverage_pairs() else 1.0
+    pairs = result.coverage_pairs()
+    covered = simulator.coverage_ratio(pairs) if pairs else 1.0
     _info(f"feasible plan for {len(result.tasks)} tasks; coverage ratio {covered:.4f}")
     return EXIT_OK
 
@@ -191,7 +198,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     _check_game_options(args)
-    base = _workload_spec(args, "medium", 0)
+    base = _workload_spec(args, _read_spec(args), "medium", 0)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.fig == 6:
@@ -201,7 +208,6 @@ def cmd_sweep(args) -> int:
         result = experiments.sweep_detection_tradeoff(
             base,
             tasksets_per_bucket=args.tasksets_per_bucket,
-            trials=args.trials,
             jobs=args.jobs,
             big_m=args.big_m,
             epsilon=args.epsilon,
@@ -244,7 +250,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--mode", choices=["persistent", "one-shot"], default="persistent")
     p_sim.add_argument("--trigger", default="random", help="0-based trigger job index or 'random'")
     p_sim.add_argument("--trials", type=_positive_int, default=1000)
-    p_sim.add_argument("--max-jobs", type=_positive_int, default=100_000)
+    p_sim.add_argument("--max-jobs", type=_positive_int, default=simulator.DEFAULT_MAX_JOBS)
     p_sim.add_argument("--accuracy", type=float, default=1.0,
                        help="per-command detection probability (default 1.0)")
     p_sim.add_argument("--seed", type=int, default=0)
@@ -257,8 +263,8 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--spec", help="workload spec JSON overriding defaults")
     p_sweep.add_argument("--out", help="output directory (default .)")
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--jobs", type=int, default=1)
-    p_sweep.add_argument("--trials", type=_positive_int, default=1000)
+    p_sweep.add_argument("--jobs", type=_positive_int, default=1,
+                         help="worker processes, one per bucket cell at most")
     p_sweep.add_argument("--tasksets-per-bucket", type=_positive_int, default=50)
     p_sweep.add_argument("--big-m", type=float, default=game.DEFAULT_BIG_M)
     p_sweep.add_argument("--epsilon", type=float, default=game.DEFAULT_EPSILON)

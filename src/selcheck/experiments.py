@@ -3,6 +3,10 @@
 Every sweep is deterministic end to end: the taskset at (figure, scenario,
 bucket, index) derives its generator from the sweep seed through that path,
 so reruns and parallel runs produce byte-identical CSV.
+
+The tradeoff sweep (fig 7) simulates nothing: jobs check i.i.d. subsets,
+so a victim's mean detection delay has a closed form,
+`simulator.mean_detected_delay`.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ from dataclasses import dataclass, replace
 
 from . import game as game_mod
 from .model import Taskset, assignment_at
-from .planner import CheckPlan, Infeasible, TaskPlan, assign_check_budgets
+from .planner import Infeasible, assign_check_budgets
 from .schedulability import is_schedulable
-from .simulator import AttackSpec, acceptance_ratio, run_detection_experiment
+from .simulator import DEFAULT_MAX_JOBS, acceptance_ratio, coverage_ratio, mean_detected_delay
 from .workload import NUM_BUCKETS, WorkloadSpec, draw_taskset, taskset_rng
 
 SCENARIOS = ("medium", "high")
@@ -58,164 +62,124 @@ class SweepResult:
 def _cell_tasksets(
     base: WorkloadSpec, fig: int, scenario_idx: int, bucket: int, count: int, scenario: str,
     n_fixed: int | None = None,
-) -> list[tuple[Taskset | None, int]]:
-    """Generate one bucket's batch; each entry carries a seed for follow-on simulation."""
+) -> list[Taskset | None]:
+    """Generate one bucket's batch; None marks a draw that fits on no partition."""
     spec = replace(base, scenario=scenario, utilization_bucket=bucket, n_fixed=n_fixed)
-    out = []
-    for index in range(count):
-        rng = taskset_rng(base.seed, fig, scenario_idx, bucket, index)
-        ts = draw_taskset(spec, rng)
-        out.append((ts, int(rng.integers(0, 2**62))))
-    return out
+    return [
+        draw_taskset(spec, taskset_rng(base.seed, fig, scenario_idx, bucket, index))
+        for index in range(count)
+    ]
 
 
-def _coverage_cell(args) -> tuple[int, float]:
+def _budgeted(batch: list[Taskset | None]):
+    """(taskset, K* per task) for each placed taskset feasible at min_checks."""
+    for ts in batch:
+        if ts is not None and not isinstance(budgets := assign_check_budgets(ts), Infeasible):
+            yield ts, budgets
+
+
+def _coverage_cell(args) -> list[tuple[str, float, int]]:
     base, scenario_idx, bucket, count = args
     scenario = SCENARIOS[scenario_idx]
     feasible = 0
     cr_sum = 0.0
-    for ts, _ in _cell_tasksets(base, 6, scenario_idx, bucket, count, scenario):
-        if ts is None:
-            continue
-        budgets = assign_check_budgets(ts)
-        if isinstance(budgets, Infeasible):
-            continue
+    for ts, budgets in _budgeted(_cell_tasksets(base, 6, scenario_idx, bucket, count, scenario)):
         pairs = [(budgets[t.id], t.num_commands) for t in ts.tasks if t.num_commands > 0]
         feasible += 1
-        cr_sum += sum(k / n for k, n in pairs) / len(pairs)
-    return feasible, cr_sum
+        cr_sum += coverage_ratio(pairs)
+    return [("coverage_ratio", cr_sum / feasible if feasible else 0.0, feasible)]
 
 
-def _acceptance_cell(args) -> dict[str, float]:
+def _acceptance_cell(args) -> list[tuple[str, float, int]]:
     base, scenario_idx, bucket, count = args
     scenario = SCENARIOS[scenario_idx]
     # None entries fit on no partition: unschedulable under every scheme.
-    batch = [ts for ts, _ in _cell_tasksets(base, 8, scenario_idx, bucket, count, scenario)]
-    return {scheme: acceptance_ratio(batch, scheme) for scheme in ACCEPTANCE_METRICS}
+    batch = _cell_tasksets(base, 8, scenario_idx, bucket, count, scenario)
+    return [(scheme, acceptance_ratio(batch, scheme), count) for scheme in ACCEPTANCE_METRICS]
 
 
-def _tradeoff_cell(args) -> list[tuple[float, bool, float]]:
-    base, bucket, count, trials, n_fixed, big_m, epsilon = args
+def _tradeoff_cell(args) -> list[tuple[float, bool, float | None]]:
+    base, bucket, count, n_fixed, big_m, epsilon = args
     records = []
     # Generated workloads share weights, so distinct (weights, k) games are
-    # few; cache their solved distributions across the whole cell.
-    games: dict[tuple, tuple] = {}
-    for ts, sim_seed in _cell_tasksets(base, 7, 2, bucket, count, "medium", n_fixed=n_fixed):
-        if ts is None:
-            continue
-        budgets = assign_check_budgets(ts)
-        if isinstance(budgets, Infeasible):
-            continue
+    # few; cache each one's exact mean delay across the whole cell.
+    game_delays: dict[tuple, float] = {}
+    for ts, budgets in _budgeted(_cell_tasksets(base, 7, 2, bucket, count, "medium", n_fixed)):
         victims = [t for t in ts.tasks if t.num_commands > 0]
-        cr = sum(budgets[t.id] / t.num_commands for t in victims) / len(victims)
+        cr = coverage_ratio([(budgets[t.id], t.num_commands) for t in victims])
         fine_grain = is_schedulable(ts, assignment_at(ts, "full"))
 
         # Every task takes a turn as the victim; the taskset's delay is the
-        # mean over victims of their simulated mean detection delay.
-        per_victim = max(1, trials // len(victims))
+        # mean over victims of their mean detection delay.  A K* = 0 victim
+        # detects nothing and is left out.
         delays = []
-        for i, victim in enumerate(victims):
+        for victim in victims:
             k = budgets[victim.id]
+            if k == 0:
+                continue
             if k == victim.num_commands:
                 delays.append(1.0)
                 continue
             key = (victim.weights, k)
-            if key not in games:
+            if key not in game_delays:
                 instance = game_mod.build_game(victim, k, big_m)
                 solution = game_mod.solve_game(instance, epsilon)
-                games[key] = (instance.designer_strategies, solution.probabilities)
-            strategies, probabilities = games[key]
-            entry = TaskPlan(
-                task_id=victim.id,
-                num_commands=victim.num_commands,
-                k_star=k,
-                strategies=strategies,
-                probabilities=probabilities,
-            )
-            plan = CheckPlan(feasible=True, tasks={victim.id: entry})
-            attack = AttackSpec(victim=victim.id, commands="random", trigger=0, mode="persistent")
-            result = run_detection_experiment(plan, attack, trials=per_victim, seed=sim_seed + i)
-            delays.append(result.mean_delay)
-        records.append((cr, fine_grain, sum(delays) / len(delays)))
+                catch = game_mod.marginal_check_probability(instance, solution)
+                game_delays[key] = mean_detected_delay(catch, DEFAULT_MAX_JOBS)
+            delays.append(game_delays[key])
+        records.append((cr, fine_grain, sum(delays) / len(delays) if delays else None))
     return records
 
 
 def _run_cells(worker, cells, jobs: int):
     if jobs <= 1:
         return [worker(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
         return list(pool.map(worker, cells))
+
+
+def _scenario_sweep(worker, base: WorkloadSpec, count: int, jobs: int) -> SweepResult:
+    """One cell per (scenario, bucket); each yields (metric, value, samples) rows."""
+    cells = [
+        (base, si, bucket, count) for si in range(len(SCENARIOS)) for bucket in range(NUM_BUCKETS)
+    ]
+    rows = []
+    for (_, si, bucket, _), metrics in zip(cells, _run_cells(worker, cells, jobs)):
+        rows += [SweepRow(str(bucket), SCENARIOS[si], *metric, base.seed) for metric in metrics]
+    return SweepResult(rows=tuple(rows))
 
 
 def sweep_coverage(
     base: WorkloadSpec, tasksets_per_bucket: int = 50, jobs: int = 1
 ) -> SweepResult:
     """Mean coverage ratio of feasible tasksets per bucket and scenario."""
-    cells = [
-        (base, si, bucket, tasksets_per_bucket)
-        for si in range(len(SCENARIOS))
-        for bucket in range(NUM_BUCKETS)
-    ]
-    results = _run_cells(_coverage_cell, cells, jobs)
-    rows = []
-    for (_, si, bucket, _), (feasible, cr_sum) in zip(cells, results):
-        value = cr_sum / feasible if feasible else 0.0
-        rows.append(
-            SweepRow(
-                bin=str(bucket),
-                scenario=SCENARIOS[si],
-                metric="coverage_ratio",
-                value=value,
-                samples=feasible,
-                seed=base.seed,
-            )
-        )
-    return SweepResult(rows=tuple(rows))
+    return _scenario_sweep(_coverage_cell, base, tasksets_per_bucket, jobs)
 
 
 def sweep_acceptance(
     base: WorkloadSpec, tasksets_per_bucket: int = 50, jobs: int = 1
 ) -> SweepResult:
     """Acceptance ratio per bucket for the unsecured, fine-grain and scate schemes."""
-    cells = [
-        (base, si, bucket, tasksets_per_bucket)
-        for si in range(len(SCENARIOS))
-        for bucket in range(NUM_BUCKETS)
-    ]
-    results = _run_cells(_acceptance_cell, cells, jobs)
-    rows = []
-    for (_, si, bucket, _), ratios in zip(cells, results):
-        for metric in ACCEPTANCE_METRICS:
-            rows.append(
-                SweepRow(
-                    bin=str(bucket),
-                    scenario=SCENARIOS[si],
-                    metric=metric,
-                    value=ratios[metric],
-                    samples=tasksets_per_bucket,
-                    seed=base.seed,
-                )
-            )
-    return SweepResult(rows=tuple(rows))
+    return _scenario_sweep(_acceptance_cell, base, tasksets_per_bucket, jobs)
 
 
 def sweep_detection_tradeoff(
     base: WorkloadSpec,
     n_fixed: int = 5,
     tasksets_per_bucket: int = 50,
-    trials: int = 1000,
     jobs: int = 1,
     big_m: float = game_mod.DEFAULT_BIG_M,
     epsilon: float = game_mod.DEFAULT_EPSILON,
 ) -> SweepResult:
-    """Schedulability gain over fine-grain and mean detection delay, binned by
-    achieved coverage ratio.  Only bins that received samples are reported."""
+    """Schedulability gain over fine-grain and exact mean detection delay,
+    binned by achieved coverage ratio.  Only bins that received samples are
+    reported; a bin's delay row counts only tasksets with a delay."""
     cells = [
-        (base, bucket, tasksets_per_bucket, trials, n_fixed, big_m, epsilon)
+        (base, bucket, tasksets_per_bucket, n_fixed, big_m, epsilon)
         for bucket in range(NUM_BUCKETS)
     ]
     results = _run_cells(_tradeoff_cell, cells, jobs)
-    bins: dict[int, list[tuple[float, bool, float]]] = {}
+    bins: dict[int, list[tuple[float, bool, float | None]]] = {}
     for records in results:
         for cr, fine_grain, mean_delay in records:
             b = min(int((cr - CR_BIN_EDGES[0]) / 0.1), len(CR_BIN_EDGES) - 2)
@@ -226,8 +190,10 @@ def sweep_detection_tradeoff(
     for b in sorted(bins):
         records = bins[b]
         gain = sum(1 for _, fg, _ in records if not fg) / len(records)
-        delay = sum(d for _, _, d in records) / len(records)
+        delays = [d for _, _, d in records if d is not None]
         label = f"{CR_BIN_EDGES[b]:.1f}"
         rows.append(SweepRow(label, scenario, "sched_gain", gain, len(records), base.seed))
-        rows.append(SweepRow(label, scenario, "mean_delay_jobs", delay, len(records), base.seed))
+        if delays:
+            delay = sum(delays) / len(delays)
+            rows.append(SweepRow(label, scenario, "mean_delay_jobs", delay, len(delays), base.seed))
     return SweepResult(rows=tuple(rows))

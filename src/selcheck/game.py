@@ -34,7 +34,7 @@ that break their own rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -269,14 +269,6 @@ def solve_game(game: GameInstance, epsilon: float = DEFAULT_EPSILON) -> GameSolu
         objective=best.objective,
         statuses=tuple(statuses),
     )
-
-
-def apply_detection_accuracy(game: GameInstance, p: float) -> GameInstance:
-    """Rescale scores for a checker that only flags a caught attack with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("detection accuracy must be within [0, 1]")
-    miss = 1.0 - p
-    return replace(game, reward=game.reward * (1.0 - miss), cost=game.cost * (1.0 + miss))
 
 
 def marginal_check_probability(game: GameInstance, solution: GameSolution) -> tuple[float, ...]:

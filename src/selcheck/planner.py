@@ -258,9 +258,5 @@ def plan_from_dict(doc: dict) -> CheckPlan:
     return CheckPlan(feasible=doc["feasible"], tasks=entries)
 
 
-def save_plan(check_plan: CheckPlan, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(plan_to_dict(check_plan), indent=2) + "\n")
-
-
 def load_plan(path: str | Path) -> CheckPlan:
     return plan_from_dict(json.loads(Path(path).read_text()))

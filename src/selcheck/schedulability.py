@@ -22,7 +22,7 @@ import io
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import CheckAssignment, Task, TaskId, Taskset, assignment_at
+from .model import CheckAssignment, Task, TaskId, Taskset
 
 # Absolute tolerance for comparing the (non-integral) bound to deadlines.
 TIME_TOL = 1e-9
@@ -64,11 +64,6 @@ def response_time_bound(task: Task, taskset: Taskset, assignment: CheckAssignmen
         raise ValueError(f"task {task.id} not in partition")
     wcets = checked_wcets((task, *taskset.higher_priority(task.id)), assignment)
     return bound_from_wcets(task, taskset, wcets)
-
-
-def vanilla_response_time(task: Task, taskset: Taskset) -> float:
-    """Response-time bound with no checking at all (every k = 0)."""
-    return response_time_bound(task, taskset, assignment_at(taskset, "zero"))
 
 
 def checking_overhead(task: Task, taskset: Taskset, assignment: CheckAssignment) -> float:

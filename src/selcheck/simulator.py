@@ -10,6 +10,7 @@ attacked job, so a plan that checks everything reads a delay of one job.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -20,6 +21,9 @@ from .planner import CheckPlan, TaskPlan
 from .schedulability import is_schedulable
 
 PROBABILITY_TOL = 1e-6
+
+# Jobs a persistent attack runs before it counts as undetected.
+DEFAULT_MAX_JOBS = 100_000
 
 # The uniform check level each scheme must fit at.  scate needs only
 # min_checks: the planner finds a K* for every taskset schedulable there.
@@ -121,7 +125,7 @@ def run_detection_experiment(
     plan: CheckPlan,
     attack: AttackSpec,
     trials: int,
-    max_jobs: int = 100_000,
+    max_jobs: int = DEFAULT_MAX_JOBS,
     seed: int = 0,
     detection_accuracy: float = 1.0,
 ) -> SimResult:
@@ -179,9 +183,29 @@ def result_csv(result: SimResult) -> str:
     return out.getvalue()
 
 
-def coverage_ratio(plan: CheckPlan) -> float:
-    """Mean of K/N over the plan's command-issuing tasks; 1 means full checking."""
-    pairs = plan.coverage_pairs()
+def mean_detected_delay(catch: Sequence[float], horizon: int) -> float:
+    """Exact mean delay of a detected attack on one uniformly drawn command.
+
+    Command c is caught in each job with probability p_c, so its delay D_c
+    is Geometric(p_c) censored at `horizon` H; the mean that
+    `run_detection_experiment` converges to (commands="random", persistent)
+    is sum_c E[D_c; D_c <= H] / sum_c P(D_c <= H), where P(D <= H) =
+    1 - (1-p)^H and E[D; D <= H] = (1 - (1-p)^H (1 + H p)) / p, both via
+    expm1/log1p.  A p_c = 0 term adds nothing; ValueError if all are 0.
+    """
+    expected = detected = 0.0
+    for p in catch:
+        if p > 0.0:
+            log_miss_all = horizon * math.log1p(-p) if p < 1.0 else -math.inf
+            detected -= math.expm1(log_miss_all)
+            expected -= math.expm1(log_miss_all + math.log1p(horizon * p)) / p
+    if detected == 0.0:
+        raise ValueError("no command can be caught")
+    return expected / detected
+
+
+def coverage_ratio(pairs: Sequence[tuple[int, int]]) -> float:
+    """Mean of K/N over (k_star, num_commands) pairs; 1 means full checking."""
     if not pairs:
         raise ValueError("no tasks issue commands")
     return sum(k / n for k, n in pairs) / len(pairs)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import OVERHEAD_PRESETS_US, Task, Taskset
+from .model import OVERHEAD_PRESETS_US, Task, Taskset, _is_int, _is_number
 from .planner import PartitionError, balanced_partition_by_response_bound
 
 SCENARIO_COMMANDS = {"medium": (3, 5), "high": (8, 10)}
@@ -55,18 +55,27 @@ class WorkloadSpec:
     seed: int = 0
 
     def check(self) -> None:
-        if self.num_cores < 1:
-            raise ValueError("num_cores must be >= 1")
-        if not 0 <= self.utilization_bucket < NUM_BUCKETS:
+        """ValueError unless every field has its type and range; specs come from files."""
+        if not (_is_int(self.num_cores) and self.num_cores >= 1):
+            raise ValueError(f"num_cores must be an integer >= 1, got {self.num_cores!r}")
+        if not (_is_int(self.utilization_bucket) and 0 <= self.utilization_bucket < NUM_BUCKETS):
             raise ValueError(f"utilization_bucket outside 0..{NUM_BUCKETS - 1}")
-        if self.n_fixed is None and self.scenario not in SCENARIO_COMMANDS:
+        if not isinstance(self.scenario, str) or (
+                self.n_fixed is None and self.scenario not in SCENARIO_COMMANDS):
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.n_fixed is not None and self.n_fixed < 1:
-            raise ValueError("n_fixed must be >= 1")
-        if not 0 < self.period_min_us <= self.period_max_us:
-            raise ValueError("bad period range")
-        if self.overhead_preset is not None and self.overhead_preset not in OVERHEAD_PRESETS_US:
-            raise ValueError(f"unknown overhead preset {self.overhead_preset!r}")
+        if not (self.n_fixed is None or _is_int(self.n_fixed) and self.n_fixed >= 1):
+            raise ValueError(f"n_fixed must be null or an integer >= 1, got {self.n_fixed!r}")
+        if not all(v is None or _is_int(v) for v in (self.tasks_min, self.tasks_max)):
+            raise ValueError("tasks_min and tasks_max must be null or integers")
+        periods = (self.period_min_us, self.period_max_us)
+        if not (all(map(_is_int, periods)) and 0 < periods[0] <= periods[1]):
+            raise ValueError(f"bad period range {periods!r}")
+        for name in ("min_checks_fraction", "overhead_fraction"):
+            if not (_is_number(getattr(self, name)) and 0 <= getattr(self, name) <= 1):
+                raise ValueError(f"{name} must be a number in [0, 1], got {getattr(self, name)!r}")
+        preset = self.overhead_preset
+        if not (preset is None or isinstance(preset, str) and preset in OVERHEAD_PRESETS_US):
+            raise ValueError(f"unknown overhead preset {preset!r}")
 
     def utilization_range(self) -> tuple[float, float]:
         i = self.utilization_bucket

@@ -291,8 +291,8 @@ def test_criterion_11_sweep_determinism():
          sweep_coverage(spec, tasksets_per_bucket=25).to_csv()),
         (sweep_acceptance(spec, tasksets_per_bucket=25).to_csv(),
          sweep_acceptance(spec, tasksets_per_bucket=25).to_csv()),
-        (sweep_detection_tradeoff(spec, tasksets_per_bucket=10, trials=200).to_csv(),
-         sweep_detection_tradeoff(spec, tasksets_per_bucket=10, trials=200).to_csv()),
+        (sweep_detection_tradeoff(spec, tasksets_per_bucket=10).to_csv(),
+         sweep_detection_tradeoff(spec, tasksets_per_bucket=10).to_csv()),
     ]
     for a, b in pairs:
         assert a.encode() == b.encode()

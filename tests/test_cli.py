@@ -1,9 +1,12 @@
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from selcheck.cli import build_parser, main
 
 BASE = [sys.executable, "-m", "selcheck.cli"]
 
@@ -83,6 +86,45 @@ def test_gen_bad_bucket_errors(tmp_path):
     res = run_cli("gen", "--spec", str(spec), "--out", str(tmp_path / "x"))
     assert res.returncode == 1
     assert "error" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [],
+        {"num_cores": "4"},
+        {"num_cores": 4.0},
+        {"buckets": "5"},
+        {"buckets": [1.5]},
+        {"buckets": [True]},
+        {"min_checks_fraction": "x"},
+        {"min_checks_fraction": 2},
+        {"overhead_fraction": -0.1},
+        {"scenario": ["medium"]},
+        {"overhead_preset": ["freertos"]},
+        {"n_fixed": 2.5},
+        {"tasks_max": "40"},
+        {"period_min_us": "10000"},
+    ],
+    ids=lambda doc: json.dumps(doc),
+)
+@pytest.mark.parametrize("verb", [["gen"], ["sweep", "--fig", "8"]])
+def test_malformed_spec_is_an_error_line(tmp_path, capsys, doc, verb):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([*verb, "--spec", str(spec), "--out", str(out), "--tasksets-per-bucket", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("selcheck ")]
+    assert len(lines) >= 4
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
 
 
 def test_plan_rover_shape(tmp_path):
@@ -213,7 +255,7 @@ def test_simulate_nothing_detected_writes_empty_summary(tmp_path):
     "argv, out_name",
     [
         (["sweep", "--fig", "6", "--tasksets-per-bucket", "0"], "fig6_coverage.csv"),
-        (["sweep", "--fig", "7", "--trials", "-3"], "fig7_tradeoff.csv"),
+        (["sweep", "--fig", "7", "--jobs", "0"], "fig7_tradeoff.csv"),
         (["gen", "--tasksets-per-bucket", "0"], "manifest.json"),
     ],
 )
@@ -373,7 +415,7 @@ def test_plan_rejects_malformed_taskset_file(tmp_path, doc):
 
 def test_sweep_fig7_rejects_non_finite_big_m(tmp_path):
     res = run_cli("sweep", "--fig", "7", "--big-m", "nan", "--tasksets-per-bucket", "1",
-                  "--trials", "1", "--out", str(tmp_path))
+                  "--out", str(tmp_path))
     assert res.returncode == 1
     assert "error: big_m must be finite and positive" in res.stderr
     assert not (tmp_path / "fig7_tradeoff.csv").exists()

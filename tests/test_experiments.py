@@ -1,5 +1,8 @@
 import pytest
 
+from conftest import make_task, make_taskset
+
+from selcheck import experiments
 from selcheck.experiments import (
     sweep_acceptance,
     sweep_coverage,
@@ -22,9 +25,7 @@ def acceptance():
 
 @pytest.fixture(scope="module")
 def tradeoff():
-    return sweep_detection_tradeoff(
-        WorkloadSpec(seed=5), tasksets_per_bucket=SMALL, trials=200
-    )
+    return sweep_detection_tradeoff(WorkloadSpec(seed=5), tasksets_per_bucket=SMALL)
 
 
 def test_coverage_row_grid(coverage):
@@ -95,16 +96,70 @@ def test_sweeps_are_deterministic():
     c = sweep_acceptance(spec, tasksets_per_bucket=4).to_csv()
     d = sweep_acceptance(spec, tasksets_per_bucket=4).to_csv()
     assert c == d
-    e = sweep_detection_tradeoff(spec, tasksets_per_bucket=3, trials=50).to_csv()
-    f = sweep_detection_tradeoff(spec, tasksets_per_bucket=3, trials=50).to_csv()
+    e = sweep_detection_tradeoff(spec, tasksets_per_bucket=3).to_csv()
+    f = sweep_detection_tradeoff(spec, tasksets_per_bucket=3).to_csv()
     assert e == f
 
 
 def test_parallel_jobs_match_sequential():
     spec = WorkloadSpec(seed=3)
-    seq = sweep_acceptance(spec, tasksets_per_bucket=4, jobs=1).to_csv()
-    par = sweep_acceptance(spec, tasksets_per_bucket=4, jobs=2).to_csv()
-    assert seq == par
+    for sweep in (sweep_acceptance, sweep_detection_tradeoff):
+        seq = sweep(spec, tasksets_per_bucket=4, jobs=1).to_csv()
+        par = sweep(spec, tasksets_per_bucket=4, jobs=2).to_csv()
+        assert seq == par
+
+
+def test_pool_gets_at_most_one_worker_per_cell(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Runs the cells in process and records the requested pool size."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    spec = WorkloadSpec(seed=3)
+    assert sweep_acceptance(spec, tasksets_per_bucket=1, jobs=10**6) == sweep_acceptance(
+        spec, tasksets_per_bucket=1
+    )
+    sweep_detection_tradeoff(spec, tasksets_per_bucket=1, jobs=3)
+    assert sizes == [20, 3]  # 2 scenarios x 10 buckets, then 3 of fig 7's 10 cells
+
+
+def test_tradeoff_leaves_out_victims_that_check_nothing():
+    # min_checks = 0 lets K* reach 0 in the loaded buckets; such a victim
+    # detects nothing, needs no game and adds no delay.
+    result = sweep_detection_tradeoff(WorkloadSpec(seed=0, min_checks_fraction=0.0),
+                                      tasksets_per_bucket=10)
+    assert result.rows
+    for r in result.rows:
+        if r.metric == "mean_delay_jobs":
+            assert r.value >= 1.0
+            assert r.samples <= result.row(r.bin, r.scenario, "sched_gain").samples
+
+
+def test_tradeoff_taskset_without_a_checking_victim_has_no_delay(monkeypatch):
+    # One check already misses the deadline, so K* = 0 (coverage 0, bin 0.2);
+    # the underloaded taskset checks everything (coverage 1, bin 0.9).
+    blind = make_taskset([make_task(wcet=10, period=15, n=3, n_min=0, overhead=10)])
+    full = make_taskset([make_task(wcet=1, period=1000, n=3, n_min=1, overhead=1)])
+    monkeypatch.setattr(experiments, "_cell_tasksets", lambda *args, **kwargs: [blind, full])
+    result = sweep_detection_tradeoff(WorkloadSpec(seed=0), tasksets_per_bucket=1)
+    assert [(r.bin, r.metric, r.value, r.samples) for r in result.rows] == [
+        ("0.2", "sched_gain", 1.0, 10),
+        ("0.9", "sched_gain", 0.0, 10),
+        ("0.9", "mean_delay_jobs", 1.0, 10),
+    ]
 
 
 def test_csv_header_and_shape(coverage):

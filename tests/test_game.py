@@ -12,7 +12,6 @@ from selcheck.game import (
     GameInfeasibleError,
     GameInstance,
     GameSolution,
-    apply_detection_accuracy,
     best_response_block,
     build_game,
     build_game_from_weights,
@@ -209,24 +208,6 @@ def test_partial_cells_share_denominator_and_stay_in_unit_interval():
                 continue
             assert 0.0 < lam <= 1.0
             assert 0.0 <= zeta <= 1.0
-
-
-def test_apply_detection_accuracy():
-    g = build_game_from_weights((1.0, 1.0, 1.0), 2)
-    same = apply_detection_accuracy(g, 1.0)
-    assert np.array_equal(same.reward, g.reward)
-    assert np.array_equal(same.cost, g.cost)
-    scaled = apply_detection_accuracy(g, 0.95)
-    assert np.allclose(scaled.reward, g.reward * 0.95)
-    assert np.allclose(scaled.cost, g.cost * 1.05)
-    # 0.6 -> 0.57 and 0.63 per the stated arithmetic
-    assert 0.6 * 0.95 == pytest.approx(0.57)
-    assert 0.6 * 1.05 == pytest.approx(0.63)
-    zero = apply_detection_accuracy(g, 0.0)
-    assert np.allclose(zero.reward, 0.0)
-    assert np.allclose(zero.cost, g.cost * 2.0)
-    with pytest.raises(ValueError):
-        apply_detection_accuracy(g, 1.5)
 
 
 def test_marginal_check_probability_mappings():

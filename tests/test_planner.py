@@ -19,7 +19,6 @@ from selcheck.planner import (
     plan_from_dict,
     plan_to_dict,
     rate_monotonic_priorities,
-    save_plan,
 )
 from selcheck.schedulability import TIME_TOL, is_schedulable, response_time_bound
 from selcheck.workload import NUM_BUCKETS, WorkloadSpec, draw_taskset, gen_taskset, taskset_rng
@@ -146,6 +145,7 @@ def test_budgets_infeasible_exactly_when_min_checks_unschedulable(scenario):
 # arithmetic, the K* decisions or the acceptance counts shows here.
 GOLDEN_SHA256 = {
     "fig6_coverage.csv": "7203de4f9e018c902c15cd52800c39f5398c5ff03496c8a41bf0d3becca51822",
+    "fig7_tradeoff.csv": "4258ca872622ae10c7e884eef33f86feb4132dc66b1e7fbe0580741caab2422a",
     "fig8_acceptance.csv": "f468c6753d1d10f559c1d69791e07c5a26b2df4601e6a4ea150792c733621090",
     "plan.json": "6530d5c3d59a8719355f1048186fe053c8e7bf27d893d8032027201338211630",
     "report.csv": "2e47766b4676ac6db5fa89b394a8a0ea0ba31a4e6c8370222f65ff1e04be60fe",
@@ -157,7 +157,7 @@ def test_golden_sweep_and_plan_bytes(tmp_path):
 
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"scenario": "medium", "num_cores": 4, "buckets": [5]}))
-    for fig in ("6", "8"):
+    for fig in ("6", "7", "8"):
         assert main(["sweep", "--fig", fig, "--seed", "3", "--tasksets-per-bucket", "4",
                      "--out", str(tmp_path)]) == 0
     assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "batch"), "--seed", "11",
@@ -257,7 +257,7 @@ def test_plan_round_trip(tmp_path):
     ts = make_taskset([make_task(wcet=10, period=25, n=4, n_min=1, overhead=5)])
     result = plan(ts)
     path = tmp_path / "plan.json"
-    save_plan(result, path)
+    path.write_text(json.dumps(plan_to_dict(result), indent=2) + "\n")
     again = load_plan(path)
     assert again == result
     assert plan_from_dict(plan_to_dict(result)) == result
@@ -284,7 +284,7 @@ def test_full_plan_on_generated_multicore_taskset(tmp_path):
     assignment = {e.task_id: e.k_star for e in result.tasks.values()}
     assert is_schedulable(ts, assignment)
     path = tmp_path / "plan.json"
-    save_plan(result, path)
+    path.write_text(json.dumps(plan_to_dict(result), indent=2) + "\n")
     assert load_plan(path) == result
 
 

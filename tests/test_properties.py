@@ -4,7 +4,8 @@ Whatever the taskset and whatever --big-m / --epsilon (including NaN,
 infinities, zero and negative values), `plan` exits 0, 1 or 2 without an
 exception escaping, and every distribution it writes is a probability
 vector that respects the epsilon floor.  On a taskset file holding any
-JSON value, `plan` reports the problem and exits 1.
+JSON value, `plan` reports the problem and exits 1, and so does `gen` on
+a spec file holding any JSON value but an object.
 """
 
 import contextlib
@@ -119,3 +120,17 @@ def test_plan_exits_cleanly_on_taskset_shaped_documents(doc):
     assert rc in (0, 1, 2)
     if rc == 1:
         assert stderr.startswith(("error: ", "invalid taskset: "))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(doc=JSON_VALUES.filter(lambda doc: not isinstance(doc, dict)))
+def test_gen_reports_any_non_object_spec_as_an_error(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, out = Path(tmp) / "spec.json", Path(tmp) / "out"
+        spec.write_text(json.dumps(doc))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            rc = cli.main(["gen", "--spec", str(spec), "--out", str(out)])
+        assert rc == 1
+        assert stderr.getvalue().startswith("error: ")
+        assert not out.exists()

@@ -2,6 +2,7 @@ import pytest
 
 from conftest import make_task, make_taskset
 
+from selcheck.model import assignment_at
 from selcheck.schedulability import (
     analyze,
     checking_overhead,
@@ -9,7 +10,6 @@ from selcheck.schedulability import (
     report_csv,
     response_time_bound,
     tee_wcet,
-    vanilla_response_time,
 )
 
 
@@ -48,10 +48,10 @@ def test_two_task_bound_matches_hand_evaluation():
 
 def test_zero_checks_reduce_to_vanilla():
     ts = two_task_core()
-    lo = ts.task("lo")
-    assert response_time_bound(lo, ts, {"hi": 0, "lo": 0}) == vanilla_response_time(lo, ts)
-    assert vanilla_response_time(lo, ts) == pytest.approx(5.5)
-    assert vanilla_response_time(ts.task("hi"), ts) == pytest.approx(1.0)
+    zero = assignment_at(ts, "zero")
+    assert zero == {"hi": 0, "lo": 0}
+    assert response_time_bound(ts.task("lo"), ts, zero) == pytest.approx(5.5)
+    assert response_time_bound(ts.task("hi"), ts, zero) == pytest.approx(1.0)
 
 
 def test_overhead_identity_and_miss_condition():
@@ -62,7 +62,8 @@ def test_overhead_identity_and_miss_condition():
     assert o == pytest.approx(11.0 - 5.5)
     assert checking_overhead(lo, ts, {"hi": 0, "lo": 0}) == 0.0
     # deadline missed iff O > D - R
-    assert (o > lo.deadline - vanilla_response_time(lo, ts)) == (
+    vanilla = response_time_bound(lo, ts, assignment_at(ts, "zero"))
+    assert (o > lo.deadline - vanilla) == (
         response_time_bound(lo, ts, assignment) > lo.deadline
     )
 
@@ -88,7 +89,7 @@ def test_overhead_identity_on_random_inputs(rng):
         assignment = {t.id: int(rng.integers(0, t.num_commands + 1)) for t in tasks}
         for t in tasks:
             r_tee = response_time_bound(t, ts, assignment)
-            r = vanilla_response_time(t, ts)
+            r = response_time_bound(t, ts, assignment_at(ts, "zero"))
             o = checking_overhead(t, ts, assignment)
             assert abs(o - (r_tee - r)) < 1e-9
             assert r_tee >= r

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from conftest import make_task, make_taskset
@@ -6,10 +9,12 @@ from oracles import catch_probability_by_enumeration
 from selcheck.game import build_game_from_weights, marginal_check_probability, solve_game
 from selcheck.planner import CheckPlan, TaskPlan
 from selcheck.simulator import (
+    DEFAULT_MAX_JOBS,
     AttackSpec,
     acceptance_ratio,
     coverage_ratio,
     detection_probability,
+    mean_detected_delay,
     result_csv,
     run_detection_experiment,
 )
@@ -209,24 +214,63 @@ def test_result_csv_layout():
     assert lines[-1].startswith("summary,")
 
 
+@pytest.mark.parametrize(
+    "accuracy, max_jobs",
+    [(1.0, DEFAULT_MAX_JOBS), (0.3, DEFAULT_MAX_JOBS), (0.3, 3)],
+)
+def test_mean_detected_delay_matches_simulation(accuracy, max_jobs):
+    # Marginals 0.9, 0.7 and 0.4: the drawn command matters.
+    entry = TaskPlan(task_id="victim", num_commands=3, k_star=2,
+                     strategies=((1, 2), (1, 3), (2, 3)), probabilities=(0.6, 0.3, 0.1))
+    plan_ = CheckPlan(feasible=True, tasks={"victim": entry})
+    catch = [detection_probability(entry, (c,), accuracy) for c in range(1, 4)]
+    attack = AttackSpec(victim="victim", commands="random", mode="persistent")
+    result = run_detection_experiment(plan_, attack, trials=100_000, max_jobs=max_jobs, seed=17,
+                                      detection_accuracy=accuracy)
+    hits = np.array(result.delays)[np.array(result.detected)]
+    stderr = hits.std(ddof=1) / math.sqrt(hits.size)
+    assert abs(mean_detected_delay(catch, max_jobs) - result.mean_delay) <= 6 * stderr
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 7])
+def test_mean_detected_delay_equals_finite_sum(horizon):
+    catch = (0.9, 0.35, 0.05, 0.0)
+    expected = sum(d * p * (1 - p) ** (d - 1) for p in catch for d in range(1, horizon + 1))
+    detected = sum(1 - (1 - p) ** horizon for p in catch)
+    assert mean_detected_delay(catch, horizon) == pytest.approx(expected / detected, rel=1e-12)
+
+
+def test_mean_detected_delay_edges():
+    assert mean_detected_delay((1.0,) * 5, DEFAULT_MAX_JOBS) == 1.0
+    assert mean_detected_delay((0.0, 1.0), 3) == 1.0
+    assert mean_detected_delay((0.0, 0.5), 10) == mean_detected_delay((0.5,), 10)
+    assert mean_detected_delay((0.5,), DEFAULT_MAX_JOBS) == pytest.approx(2.0, rel=1e-12)
+    # A tiny p keeps its precision: uncensored, the mean is 1/p.
+    assert mean_detected_delay((1e-9,), 10**12) == pytest.approx(1e9, rel=1e-6)
+    with pytest.raises(ValueError):
+        mean_detected_delay((0.0, 0.0), 10)
+    with pytest.raises(ValueError):
+        mean_detected_delay((), 10)
+
+
 def test_coverage_ratio_bounds_and_values():
     entries = {
         "a": TaskPlan(task_id="a", num_commands=4, k_star=4),
         "b": TaskPlan(task_id="b", num_commands=5, k_star=5),
     }
-    assert coverage_ratio(CheckPlan(feasible=True, tasks=entries)) == 1.0
+    assert coverage_ratio(CheckPlan(feasible=True, tasks=entries).coverage_pairs()) == 1.0
 
     table = [(2, 4), (2, 5), (2, 4), (3, 7)]
     entries = {
         str(i): TaskPlan(task_id=str(i), num_commands=n, k_star=k)
         for i, (k, n) in enumerate(table)
     }
-    cr = coverage_ratio(CheckPlan(feasible=True, tasks=entries))
+    cr = coverage_ratio(CheckPlan(feasible=True, tasks=entries).coverage_pairs())
     assert cr == pytest.approx((0.5 + 0.4 + 0.5 + 3 / 7) / 4)
     assert cr == pytest.approx(0.4571, abs=1e-4)
 
     single = {"a": TaskPlan(task_id="a", num_commands=5, k_star=1)}
-    assert coverage_ratio(CheckPlan(feasible=True, tasks=single)) == pytest.approx(0.2)
+    assert coverage_ratio(CheckPlan(feasible=True, tasks=single).coverage_pairs()) == pytest.approx(0.2)
 
 
 def test_coverage_ratio_ignores_commandless_tasks():
@@ -234,9 +278,9 @@ def test_coverage_ratio_ignores_commandless_tasks():
         "a": TaskPlan(task_id="a", num_commands=4, k_star=2),
         "quiet": TaskPlan(task_id="quiet", num_commands=0, k_star=0),
     }
-    assert coverage_ratio(CheckPlan(feasible=True, tasks=entries)) == pytest.approx(0.5)
+    assert coverage_ratio(CheckPlan(feasible=True, tasks=entries).coverage_pairs()) == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        coverage_ratio(CheckPlan(feasible=True, tasks={}))
+        coverage_ratio(CheckPlan(feasible=True, tasks={}).coverage_pairs())
 
 
 def _underloaded_batch():

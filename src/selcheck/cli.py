@@ -198,7 +198,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     _check_game_options(args)
-    base = _workload_spec(args, _read_spec(args), "medium", 0)
+    doc = _read_spec(args)
+    if "n_fixed" in doc:
+        # Each figure fixes it: fig 7 at 5 commands, figs 6 and 8 at the scenario's range.
+        raise ValueError("sweep sets n_fixed per figure; remove it from the spec")
+    base = _workload_spec(args, doc, "medium", 0)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.fig == 6:

@@ -11,51 +11,60 @@ For each attacker strategy l the checker's best committed distribution is
 a linear program: maximize expected reward, subject to l being the
 attacker's best response (highest expected cost), probabilities summing
 to one, and a strict positivity floor epsilon so every subset keeps a
-nonzero selection chance.  The solved strategy is the distribution of the
-feasible l with the highest objective (lowest index on ties).
+nonzero selection chance (the multiple-LPs method of Conitzer and
+Sandholm, EC 2006).
 
-Most of those LPs are infeasible (43 to 58 of the 64 at N = 6), and a
-full LP spends most of its pivots proving that.  So solve_game screens
-each l first.  A best-response row below zero in every coefficient rules
-l out at once.  Otherwise, from the uniform distribution, the screen adds
-the SCREEN_BATCH rows most violated at the current point (never a row it
-already holds) and solves that restricted LP for feasibility alone, for
-at most SCREEN_ROUNDS rounds.  The restricted LP keeps a subset of the
-full LP's rows and the same simplex, floor and bounds, so it is a
-relaxation: if it is infeasible, so is the full LP, and l is recorded
-infeasible without the full solve.  Every l the screen does not rule out
-still gets its full LP, so every feasible LP's vertex, objective and
-status, and with them every plan byte, is the one the full enumeration
-gives.  A restricted LP of a few rows is also far better conditioned than
-the full one, which reports some infeasible LPs as optimal with answers
-that break their own rows.
+Each LP has 2^N - 1 best-response rows, but only about 20 bind at its
+optimum, so solve_game adds them lazily (row generation).  A row below
+zero in every coefficient rules l out at once.  Otherwise, from the
+uniform distribution, it takes the SCREEN_BATCH rows most violated at the
+current point that it does not hold yet, solves the restricted LP with
+its objective on the rows held so far, and checks every row at the
+answer with one product; it stops when no row is violated by more than
+FEAS_TOL of its max-norm.  The restricted LP is a relaxation of the full
+one, so an infeasible restricted LP proves l infeasible.  With equal
+weights a feasible LP ends up holding a median of 16 of its 255 rows at
+N = 8, 16 of 511 at N = 9 and 27 of 1023 at N = 10.
+
+Every answer must pass a certificate before it counts: its probabilities
+sum to one within FEAS_TOL, none is below epsilon, and every best-response
+row, held ones included, is at least -FEAS_TOL times that row's max-norm.
+An answer that fails gets status "uncertified" and is never returned.
+
+The solved strategy is the distribution of the lowest l whose objective
+is within OBJECTIVE_TIE_TOL of the best certified one.  Tied strategies
+(symmetric ones, say) agree only to the LPs' accuracy, so a tolerance
+far below that would let roundoff pick the winner.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .lp import FEAS_TOL, LinearProgram, LpSolution, solve_lp
+from .lp import FEAS_TOL, ConstraintBlock, LinearProgram, LpSolution, solve_lp
 from .model import Task
 
 DEFAULT_BIG_M = 100.0
 DEFAULT_EPSILON = 1e-6
 
 # Objectives closer than this are tied; ties break toward the lower index.
-OBJECTIVE_TIE_TOL = 1e-9
+# On 428 games (N = 2..8, equal and distinct weights) certified objectives
+# were within 7e-9 of HiGHS's, and no strategy came closer to the best
+# than 7e-5 unless tied with it to 1e-14.
+OBJECTIVE_TIE_TOL = 10 * FEAS_TOL
 
-# 2^N attacker subsets; beyond this the enumeration is refused outright.
-MAX_COMMANDS = 20
+# Games on more commands are refused before anything is allocated.  One
+# equal-weight game took about 9 s at N = 10 (K = 5) and 27 s at N = 11 on
+# a 2-vCPU VM; each command doubles the LPs and widens each one.
+MAX_COMMANDS = 11
 
-# The infeasibility screen: rows added per round, and rounds before the
-# full LP.  Larger batches and more rounds proved no more LPs infeasible
-# at N = 6 and only cost time.
+# Rows row generation adds per round: the most violated ones not yet held.
 SCREEN_BATCH = 8
-SCREEN_ROUNDS = 2
 
 Strategy = tuple[int, ...]  # 1-based command indices, ascending
 
@@ -133,8 +142,8 @@ def build_game_from_weights(
         raise ValueError(f"k={k} must satisfy 1 <= k < {n} (k = n needs no game)")
     if not (math.isfinite(big_m) and big_m > 0):
         raise ValueError(f"big_m must be finite and positive, got {big_m!r}")
+    attacker = enumerate_attacker_strategies(n)  # checks MAX_COMMANDS before any large array
     designer = enumerate_designer_strategies(n, k)
-    attacker = enumerate_attacker_strategies(n)
     # Attacker strategy l is command mask l.  Sum each mask's weights once,
     # adding w_1..w_N in ascending order (adding 0.0 for a clear bit is
     # exact), which is the order reward_cost's frozenset sums take for
@@ -174,8 +183,9 @@ def build_game(task: Task, k: int, big_m: float = DEFAULT_BIG_M) -> GameInstance
 def best_response_block(game: GameInstance, l: int) -> np.ndarray:
     """Row l' is cost[:, l] - cost[:, l'], the margin by which l beats l'.
 
-    The broadcast comes out column-major, and a strided row's dot product
-    would round differently in solve_lp's rhs shift, so it is made C-contiguous.
+    The broadcast comes out column-major; row generation reads the block
+    by rows every round (`block @ x`, `block[rows]`), so it is made
+    C-contiguous.
     """
     return np.ascontiguousarray(game.cost[:, l] - game.cost.T)
 
@@ -184,19 +194,19 @@ def lp_for_attacker_strategy(
     game: GameInstance,
     l: int,
     epsilon: float = DEFAULT_EPSILON,
-    rows: list[int] | None = None,
+    rows: Sequence[int] | None = None,
     block: np.ndarray | None = None,
 ) -> LinearProgram:
-    """The checker's LP pinned to attacker strategy l.
+    """The checker's LP pinned to attacker strategy l, on best-response rows `rows`.
 
     max  sum_j x_j * reward[j, l]
-    s.t. sum_j x_j * cost[j, l] >= sum_j x_j * cost[j, l']   for all l' != l
+    s.t. sum_j x_j * cost[j, l] >= sum_j x_j * cost[j, l']   for l' in rows
          sum_j x_j = 1
          x_j >= epsilon
 
-    With `rows`, only those best-response rows l' are kept and the
-    objective is zero: the feasibility relaxation solve_game screens with.
-    `block` is l's best_response_block when the caller already has it.
+    `rows` defaults to every l' != l, the full LP; solve_game holds only
+    the rows its row generation has added.  `block` is l's
+    best_response_block when the caller already has it.
     """
     num_q = len(game.attacker_strategies)
     if not 0 <= l < num_q:
@@ -207,62 +217,87 @@ def lp_for_attacker_strategy(
     if block is None:
         block = best_response_block(game, l)
     if rows is None:
-        rows = [lp for lp in range(num_q) if lp != l]
-        objective = game.reward[:, l].tolist()
-    else:
-        objective = [0.0] * num_x
-    constraints = [(block[lp], ">=", 0.0) for lp in rows]
-    constraints.append(([1.0] * num_x, "=", 1.0))
-    return LinearProgram(objective=objective, constraints=constraints, lower_bounds=[epsilon] * num_x)
+        rows = np.flatnonzero(np.arange(num_q) != l)
+    relations = np.full(len(rows) + 1, ">=")
+    relations[-1] = "="
+    rhs = np.zeros(len(rows) + 1)
+    rhs[-1] = 1.0
+    return LinearProgram(
+        objective=game.reward[:, l],
+        constraints=ConstraintBlock(np.vstack([block[rows], np.ones(num_x)]), relations, rhs),
+        lower_bounds=np.full(num_x, epsilon),
+    )
 
 
-def _screened_infeasible(game: GameInstance, l: int, block: np.ndarray, epsilon: float) -> bool:
-    """True when l's LP is proven infeasible by one of its best-response rows
-    alone, or by a restricted LP on a few of them."""
-    # A row below zero in every coefficient fails at every distribution
-    # (by more than the margin a one-row LP's phase 1 would forgive).
-    if (block.max(axis=1) < -FEAS_TOL * np.abs(block).max(axis=1)).any():
-        return True
+def certified(x: np.ndarray, block: np.ndarray, norms: np.ndarray, epsilon: float) -> bool:
+    """True when x is a distribution on which attacker strategy l is a best response.
+
+    The probabilities sum to one within FEAS_TOL and none is below
+    epsilon, and every best-response row of l's `block` is at least
+    -FEAS_TOL times its max-norm `norms` (the tolerance solve_lp meets
+    on its equilibrated rows).
+    """
+    return bool(
+        abs(x.sum() - 1.0) <= FEAS_TOL
+        and (x >= epsilon).all()
+        and (block @ x >= -FEAS_TOL * norms).all()
+    )
+
+
+def _solve_by_row_generation(
+    game: GameInstance, l: int, epsilon: float
+) -> tuple[str, LpSolution | None]:
+    """l's status and, when "optimal", its certified LP answer."""
+    block = best_response_block(game, l)
+    norms = np.abs(block).max(axis=1)
+    # A row below zero in every coefficient fails at every distribution.
+    if (block.max(axis=1) < -FEAS_TOL * norms).any():
+        return "infeasible", None
+    # Zero rows (row l, and any l' that scores like l) hold everywhere.
+    scale = np.where(norms > 0.0, norms, 1.0)
     rows: list[int] = []
     x = np.full(block.shape[1], 1.0 / block.shape[1])
-    for _ in range(SCREEN_ROUNDS):
-        margin = block @ x
-        # Rows already held are met only to FEAS_TOL, so a re-check would
-        # pick them again; leave them out.  Row l is all zeros, never picked.
-        margin[rows] = np.inf
-        worst = np.argsort(margin, kind="stable")[:SCREEN_BATCH]
-        worst = worst[margin[worst] < -FEAS_TOL]
-        if not worst.size:
-            return False
+    sol = None
+    while True:
+        slack = block @ x / scale
+        # Held rows are met only to FEAS_TOL, so a re-check would pick
+        # them again forever; the certificate checks them instead.
+        slack[rows] = np.inf
+        worst = np.argsort(slack, kind="stable")[:SCREEN_BATCH]
+        worst = worst[slack[worst] < -FEAS_TOL]
+        if sol is not None and not worst.size:
+            break
         rows += worst.tolist()
+        # A relaxation of l's LP: infeasible here means infeasible there.
         sol = solve_lp(lp_for_attacker_strategy(game, l, epsilon, rows=rows, block=block))
         if not sol.optimal:
-            return True
+            return sol.status, None
         x = np.array(sol.x)
-    return False
+    if not certified(x, block, norms, epsilon):
+        return "uncertified", None
+    return "optimal", sol
 
 
 def solve_game(game: GameInstance, epsilon: float = DEFAULT_EPSILON) -> GameSolution:
-    """Solve the LP for every attacker strategy and keep the best feasible one.
+    """Solve every attacker strategy's LP by row generation; keep the best.
 
-    A strategy the screen proves infeasible skips its full LP (see the
-    module docstring); its status is "infeasible" either way.
+    The winner is the lowest l whose certified objective is within
+    OBJECTIVE_TIE_TOL of the best one (see the module docstring).
     """
-    best_l = -1
-    best: LpSolution | None = None
+    if epsilon <= 0:
+        raise ValueError("epsilon must be strictly positive")
     statuses: list[str] = []
+    answers: dict[int, LpSolution] = {}
     for l in range(len(game.attacker_strategies)):
-        block = best_response_block(game, l)
-        if _screened_infeasible(game, l, block, epsilon):
-            statuses.append("infeasible")
-            continue
-        sol = solve_lp(lp_for_attacker_strategy(game, l, epsilon, block=block))
-        statuses.append(sol.status)
-        if sol.optimal and (best is None or sol.objective > best.objective + OBJECTIVE_TIE_TOL):
-            best = sol
-            best_l = l
-    if best is None:
+        status, sol = _solve_by_row_generation(game, l, epsilon)
+        statuses.append(status)
+        if sol is not None:
+            answers[l] = sol
+    if not answers:
         raise GameInfeasibleError("no attacker strategy admits a feasible checker LP")
+    top = max(sol.objective for sol in answers.values())
+    best_l = min(l for l, sol in answers.items() if sol.objective >= top - OBJECTIVE_TIE_TOL)
+    best = answers[best_l]
     return GameSolution(
         attacker_strategy=best_l,
         probabilities=best.x,

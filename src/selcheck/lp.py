@@ -6,15 +6,19 @@ that defeats index-based anti-cycling: Bland's lowest-index entering walks
 the degenerate plateau for tens of thousands of pivots until roundoff
 cycles the basis.  The solver instead enters on the most negative reduced
 cost and runs the ratio test against a deterministically perturbed copy of
-the rhs (making pivots strictly improving), while reading answers from the
-exact rhs; rows are equilibrated to unit max-norm so tableau growth stays
-bounded.  Tolerances: 1e-9 for pivots, 1e-6 for feasibility classification.
+the rhs (making pivots strictly improving); rows are equilibrated to unit
+max-norm so tableau growth stays bounded.  The optimal basis of the
+perturbed problem can leave a basic variable of the exact one negative,
+so dual simplex pivots on the exact rhs follow, and the answer is then
+solved from the original rows for the final basis rather than read from
+the tableau, whose rhs column carries the pivots' roundoff.  Tolerances:
+1e-9 for pivots, 1e-6 for feasibility classification.
 
-Set-up is array code (one C-contiguous row matrix, then masks and fancy
-indexing), and so is the choice of ratio-test rows.  A degenerate game
-LP's vertex can turn on the last bit of its rhs, so the lower-bound shift
-stays one dot product per contiguous row (a matrix-vector product or a
-strided row rounds differently) and objective rows are summed in row order.
+Constraints come as (coefficients, relation, rhs) triples or as one
+ConstraintBlock of arrays; triples are stacked into a block first, so
+set-up is array code either way (one matrix, then masks and fancy
+indexing), and so is the choice of ratio-test rows.  Objective rows are
+summed in row order, so an answer does not depend on how numpy pairs sums.
 """
 
 from __future__ import annotations
@@ -49,17 +53,30 @@ def _draws(m: int) -> np.ndarray:
     return u
 
 
+@dataclass(frozen=True)
+class ConstraintBlock:
+    """Constraint rows as arrays: matrix[i] @ x  relations[i]  rhs[i]."""
+
+    matrix: np.ndarray     # m x n
+    relations: np.ndarray  # m relation strings
+    rhs: np.ndarray        # m
+
+    def __len__(self) -> int:
+        return self.matrix.shape[0]
+
+
 @dataclass
 class LinearProgram:
     """maximize objective @ x subject to linear constraints and variable bounds.
 
-    constraints are (coefficients, relation, rhs) triples: a list or 1-D
-    array, then '<=', '>=' or '='.  lower_bounds default to 0 and must be
-    finite; upper_bounds entries may be None (unbounded above).
+    constraints are (coefficients, relation, rhs) triples (a list or 1-D
+    array, then '<=', '>=' or '='), or one ConstraintBlock.  lower_bounds
+    default to 0 and must be finite; upper_bounds entries may be None
+    (unbounded above).
     """
 
     objective: list[float]
-    constraints: list[tuple[list[float], str, float]] = field(default_factory=list)
+    constraints: list[tuple[list[float], str, float]] | ConstraintBlock = field(default_factory=list)
     lower_bounds: list[float] | None = None
     upper_bounds: list[float | None] | None = None
 
@@ -67,17 +84,31 @@ class LinearProgram:
     def num_vars(self) -> int:
         return len(self.objective)
 
-    def check(self) -> None:
+    def block(self) -> ConstraintBlock:
+        """The constraints as one ConstraintBlock, after checking their shape."""
         n = self.num_vars
-        for coeffs, rel, _ in self.constraints:
-            if len(coeffs) != n:
-                raise ValueError(f"constraint has {len(coeffs)} coefficients, expected {n}")
-            if rel not in RELATIONS:
-                raise ValueError(f"bad relation {rel!r}")
+        if isinstance(self.constraints, ConstraintBlock):
+            block = self.constraints
+            if block.matrix.ndim != 2 or block.matrix.shape[1] != n or len(block.rhs) != len(block):
+                raise ValueError(f"constraint block of shape {block.matrix.shape} and {len(block.rhs)} "
+                                 f"rhs entries does not fit {n} variables")
+        else:
+            for coeffs, _, _ in self.constraints:
+                if len(coeffs) != n:
+                    raise ValueError(f"constraint has {len(coeffs)} coefficients, expected {n}")
+            block = ConstraintBlock(
+                matrix=np.array([np.asarray(a, dtype=float) for a, _, _ in self.constraints]).reshape(-1, n),
+                relations=np.array([rel for _, rel, _ in self.constraints], dtype=str),
+                rhs=np.array([float(b) for _, _, b in self.constraints]),
+            )
+        rel = block.relations
+        if len(rel) != len(block) or not ((rel == "<=") | (rel == ">=") | (rel == "=")).all():
+            raise ValueError(f"bad relations {rel!r}")
         if self.lower_bounds is not None and len(self.lower_bounds) != n:
             raise ValueError("lower_bounds length mismatch")
         if self.upper_bounds is not None and len(self.upper_bounds) != n:
             raise ValueError("upper_bounds length mismatch")
+        return block
 
 
 @dataclass(frozen=True)
@@ -109,11 +140,11 @@ def _simplex(tableau: np.ndarray, basis: list[int]) -> str:
     max_iter = 200 * (tableau.shape[0] + tableau.shape[1]) + 10_000
     for _ in range(max_iter):
         zrow = tableau[-1, :_TRUE]
-        enter = int(np.argmin(zrow))
+        enter = int(zrow.argmin())
         if zrow[enter] >= -PIVOT_TOL:
             return "optimal"
         column = tableau[:m, enter]
-        eligible = np.flatnonzero(column > PIVOT_TOL)
+        eligible = (column > PIVOT_TOL).nonzero()[0]
         if not eligible.size:
             return "unbounded"
         ratios = np.maximum(tableau[eligible, _PERT], 0.0) / column[eligible]
@@ -129,15 +160,59 @@ def _simplex(tableau: np.ndarray, basis: list[int]) -> str:
             elif ratio <= best_ratio + PIVOT_TOL:
                 best_ratio = min(best_ratio, ratio)
                 candidates.append(i)
-        leave = max(candidates, key=lambda i: (column[i], -basis[i]))
+        leave = candidates[0] if len(candidates) == 1 else max(candidates, key=lambda i: (column[i], -basis[i]))
         _pivot(tableau, leave, enter)
         basis[leave] = enter
         # Absorb pivot-arithmetic drift in the perturbed column only, and
         # only below pivot tolerance: anything coarser would erase the
         # perturbation and reintroduce exactly the degeneracy it prevents.
         rhs = tableau[:m, _PERT]
-        rhs[(rhs < 0.0) & (rhs > -PIVOT_TOL)] = 0.0
+        np.maximum(rhs, 0.0, out=rhs, where=rhs > -PIVOT_TOL)
     raise RuntimeError("simplex iteration limit exceeded")
+
+
+def _restore_exact_feasibility(tableau: np.ndarray, basis: list[int]) -> None:
+    """Dual simplex pivots on the exact rhs after an optimal perturbed solve.
+
+    The final basis is feasible for the perturbed rhs, but the exact rhs
+    can leave a basic variable negative by far more than roundoff (1.6e-5
+    seen on a game LP), and clamping it to zero would break the rows it
+    balances.  Each pivot takes the most negative exact value out of the
+    basis and keeps every reduced cost non-negative, so the basis stays
+    optimal; it stops when none is below -PIVOT_TOL, or when no column can
+    enter (an infeasibility at roundoff level, left to the caller's checks).
+    """
+    m = tableau.shape[0] - 1
+    for _ in range(m + 100):
+        rhs = tableau[:m, _TRUE]
+        leave = int(rhs.argmin())
+        if rhs[leave] >= -PIVOT_TOL:
+            return
+        row = tableau[leave, :_TRUE]
+        eligible = (row < -PIVOT_TOL).nonzero()[0]
+        if not eligible.size:
+            return
+        ratios = tableau[-1, eligible] / -row[eligible]
+        # Among tolerance-level ties prefer the largest pivot element.
+        tied = eligible[ratios <= ratios.min() + PIVOT_TOL]
+        enter = int(tied[row[tied].argmin()])
+        _pivot(tableau, leave, enter)
+        basis[leave] = enter
+
+
+def _basic_values(standard: np.ndarray, rhs: np.ndarray, basis: list[int], pivoted: np.ndarray) -> np.ndarray:
+    """The basic variables' values, solved from the original rows for the final basis.
+
+    Pivoting roundoff accumulates in the tableau's rhs column (3.5e-5 on
+    the sum-to-one row of one game LP), so the answer is read from the
+    standard-form rows instead, or from the tableau if that basis matrix is
+    singular.  Negative values, from roundoff, become zero.
+    """
+    try:
+        values = np.linalg.solve(standard[:, basis], rhs)
+    except np.linalg.LinAlgError:
+        values = pivoted
+    return np.where(values < 0.0, 0.0, values)  # max(v, 0.0), keeping -0.0
 
 
 def _require_finite(name: str, values: np.ndarray) -> None:
@@ -148,39 +223,40 @@ def _require_finite(name: str, values: np.ndarray) -> None:
 
 def solve_lp(problem: LinearProgram) -> LpSolution:
     """Solve a LinearProgram; classifies optimal / infeasible / unbounded."""
-    problem.check()
+    block = problem.block()
     n = problem.num_vars
-    c = np.asarray(problem.objective, dtype=float)
+    c = np.ascontiguousarray(problem.objective, dtype=float)  # a strided c rounds c @ x differently
     lb = np.zeros(n) if problem.lower_bounds is None else np.asarray(problem.lower_bounds, dtype=float)
-    if not np.all(np.isfinite(lb)):
+    if not np.isfinite(lb).all():
         raise ValueError("lower bounds must be finite")
 
     # Shift to y = x - lb >= 0; fold finite upper bounds in as <= rows.
-    rows = problem.constraints
     bounded = [j for j, ub in enumerate(problem.upper_bounds or ()) if ub is not None]
-    m = len(rows) + len(bounded)
-    A = np.array([np.asarray(a, dtype=float) for a, _, _ in rows] + list(np.eye(n)[bounded])).reshape(m, n)
+    ub = np.array([float(problem.upper_bounds[j]) for j in bounded])
+    A = np.vstack([block.matrix, np.eye(n)[bounded]]) if bounded else np.array(block.matrix, dtype=float)
+    m = A.shape[0]
     _require_finite("objective", c)
     _require_finite("constraint coefficients", A)
-    b = np.array([float(rhs) - float(A[i] @ lb) for i, (_, _, rhs) in enumerate(rows)]
-                 + [float(problem.upper_bounds[j]) - lb[j] for j in bounded])
+    b = np.concatenate([np.asarray(block.rhs, dtype=float) - A[:len(block)] @ lb, ub - lb[bounded]])
     _require_finite("rhs and upper bounds", b)
-    ge = np.array([rel == ">=" for _, rel, _ in rows] + [False] * len(bounded), dtype=bool)
-    eq = np.array([rel == "=" for _, rel, _ in rows] + [False] * len(bounded), dtype=bool)
+    no_bounds = np.zeros(len(bounded), dtype=bool)
+    ge = np.concatenate([block.relations == ">=", no_bounds])
+    eq = np.concatenate([block.relations == "=", no_bounds])
 
     # Equilibrate rows to unit max-norm: the game matrices mix big-M cells
     # with epsilon-scale ones, and unscaled rows let pivot growth swamp
     # both tolerances and the anti-degeneracy perturbation.
     scale = np.abs(A).max(axis=1)
-    scaled = scale > 0.0
-    A[scaled] /= scale[scaled, None]
-    b[scaled] /= scale[scaled]
+    scale[scale == 0.0] = 1.0
+    A /= scale[:, None]
+    b /= scale
 
     # Orient every row to b >= 0 so artificials start feasible; >= rows with
     # zero rhs become <= rows so they take a slack basis, not an artificial.
     flip = (b < 0) | ((b == 0) & ge)
-    A[flip] = -A[flip]
-    b[flip] = -b[flip]
+    sign = np.where(flip, -1.0, 1.0)
+    A *= sign[:, None]
+    b *= sign
     ge ^= flip & ~eq
     le = ~(ge | eq)
     num_le, num_ge = int(le.sum()), int(ge.sum())
@@ -195,8 +271,10 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     # A <= row starts on its slack, any other row on its artificial, in row order.
     basis_cols = np.where(le, n + np.cumsum(le) - 1, art0 + np.cumsum(~le) - 1)
     tableau[np.arange(m), basis_cols] = 1.0
-    tableau[np.flatnonzero(ge), art0 - num_ge + np.arange(num_ge)] = -1.0
+    tableau[ge.nonzero()[0], art0 - num_ge + np.arange(num_ge)] = -1.0
     basis = basis_cols.tolist()
+    # The rows in standard form, untouched by pivoting, to read answers from.
+    standard, rhs, keep = tableau[:m, :art0].copy(), b, slice(None)
 
     # Phase 1: maximize -(sum of artificials); price out basic artificials.
     if total > art0:
@@ -208,27 +286,28 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
         # Remove lingering artificials from the basis.
         for i in range(m):
             if basis[i] >= art0:
-                nonzero = np.flatnonzero(np.abs(tableau[i, :art0]) > PIVOT_TOL)
+                nonzero = (np.abs(tableau[i, :art0]) > PIVOT_TOL).nonzero()[0]
                 if nonzero.size:
                     _pivot(tableau, i, int(nonzero[0]))
                     basis[i] = int(nonzero[0])
         keep = [i for i in range(m) if basis[i] < art0]
         basis = [basis[i] for i in keep]
         m, total = len(basis), art0
-        tableau = np.vstack([tableau[keep][:, np.r_[:art0, _TRUE:0]], np.zeros(art0 + 2)])
+        tableau = np.vstack([np.hstack([tableau[keep, :art0], tableau[keep, _TRUE:]]), np.zeros(art0 + 2)])
 
     # Phase 2: restore the real objective row, adding the priced rows in
     # row order (a - (-p) is exactly a + p).
     cc = np.concatenate([c, np.zeros(total - n)])
     tableau[-1, :total] = -cc  # the z-row is all zeros here
     coef = cc[basis]
-    priced = np.flatnonzero(np.abs(coef) > 0.0)
+    priced = (coef != 0.0).nonzero()[0]
     tableau[-1] = _subtract_rows(tableau[-1], -coef[priced, None] * tableau[priced])
     status = _simplex(tableau, basis)
     if status == "unbounded":
         return LpSolution(status="unbounded")
+    _restore_exact_feasibility(tableau, basis)
 
     y = np.zeros(total)
-    y[basis] = np.where(tableau[:m, _TRUE] < 0.0, 0.0, tableau[:m, _TRUE])  # max(v, 0.0), keeping -0.0
+    y[basis] = _basic_values(standard[keep], rhs[keep], basis, tableau[:m, _TRUE])
     x = y[:n] + lb
     return LpSolution(status="optimal", x=tuple(x.tolist()), objective=float(c @ x))

@@ -192,6 +192,8 @@ def mean_detected_delay(catch: Sequence[float], horizon: int) -> float:
     is sum_c E[D_c; D_c <= H] / sum_c P(D_c <= H), where P(D <= H) =
     1 - (1-p)^H and E[D; D <= H] = (1 - (1-p)^H (1 + H p)) / p, both via
     expm1/log1p.  A p_c = 0 term adds nothing; ValueError if all are 0.
+    The quotient is clamped into [1, H], the exact range of a censored
+    delay's mean, which roundoff can leave by an ulp.
     """
     expected = detected = 0.0
     for p in catch:
@@ -201,7 +203,7 @@ def mean_detected_delay(catch: Sequence[float], horizon: int) -> float:
             expected -= math.expm1(log_miss_all + math.log1p(horizon * p)) / p
     if detected == 0.0:
         raise ValueError("no command can be caught")
-    return expected / detected
+    return min(max(expected / detected, 1.0), float(horizon))
 
 
 def coverage_ratio(pairs: Sequence[tuple[int, int]]) -> float:

@@ -2,20 +2,17 @@
 
 These deliberately avoid the package's own code paths: scores are redone
 with exact Fraction arithmetic straight from the case rules, LP optima
-are recomputed by enumerating polytope vertices instead of pivoting, and
+are recomputed by enumerating polytope vertices instead of pivoting,
 per-job catch probabilities are summed over every checked subset and
-detection outcome.  solve_game_all_rows is the one exception: it is the
-multiple-LPs loop as it stood before solve_game screened for infeasible
-LPs, a full LP for every attacker strategy.
+detection outcome, and game optima are taken from scipy's HiGHS on the
+full LPs (every best-response row) of every attacker strategy.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
-
-from selcheck.game import OBJECTIVE_TIE_TOL, GameSolution, lp_for_attacker_strategy
-from selcheck.lp import solve_lp
+from scipy.optimize import linprog
 
 
 def reward_cost_by_cases(designer, attacker, weights, big_m):
@@ -77,25 +74,30 @@ def game_lp_vertex_optimum(game, l, epsilon):
     )
 
 
-def solve_game_all_rows(game, epsilon, treat_infeasible=frozenset()):
-    """solve_game with every best-response row of every LP and no screen.
+def highs_objectives(game, epsilon):
+    """Optimum of every attacker strategy's full LP by scipy's HiGHS, None where infeasible.
 
-    Strategies in treat_infeasible get status "infeasible" without a solve.
-    Returns the GameSolution, or None when no LP is optimal.
+    The LP is rebuilt here from the cost and reward matrices, with all
+    2^N - 1 best-response rows: cost[:, l'] - cost[:, l] <= 0.
     """
-    best_l, best, statuses = -1, None, []
-    for l in range(len(game.attacker_strategies)):
-        if l in treat_infeasible:
-            statuses.append("infeasible")
-            continue
-        sol = solve_lp(lp_for_attacker_strategy(game, l, epsilon))
-        statuses.append(sol.status)
-        if sol.optimal and (best is None or sol.objective > best.objective + OBJECTIVE_TIE_TOL):
-            best, best_l = sol, l
-    if best is None:
-        return None
-    return GameSolution(attacker_strategy=best_l, probabilities=best.x,
-                        objective=best.objective, statuses=tuple(statuses))
+    num_x, num_q = game.cost.shape
+    objectives = []
+    for l in range(num_q):
+        others = np.arange(num_q) != l
+        res = linprog(
+            -game.reward[:, l],
+            A_ub=(game.cost[:, others] - game.cost[:, [l]]).T, b_ub=np.zeros(num_q - 1),
+            A_eq=np.ones((1, num_x)), b_eq=[1.0],
+            bounds=[(epsilon, None)] * num_x, method="highs",
+        )
+        objectives.append(-res.fun if res.status == 0 else None)
+    return objectives
+
+
+def tie_rule(objectives, tol):
+    """Lowest index whose objective is within tol of the best (None entries skipped)."""
+    top = max(v for v in objectives if v is not None)
+    return min(l for l, v in enumerate(objectives) if v is not None and v >= top - tol)
 
 
 def catch_probability_by_enumeration(strategies, probabilities, compromised, accuracy):

@@ -2,11 +2,13 @@ import json
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from selcheck.cli import build_parser, main
+from selcheck.game import MAX_COMMANDS
 
 BASE = [sys.executable, "-m", "selcheck.cli"]
 
@@ -118,6 +120,37 @@ def test_malformed_spec_is_an_error_line(tmp_path, capsys, doc, verb):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fig", ["6", "7", "8"])
+def test_sweep_rejects_n_fixed_in_the_spec(tmp_path, capsys, fig):
+    # Every figure sets n_fixed itself, so the key would be ignored.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_fixed": 8}))
+    out = tmp_path / "out"
+    assert main(["sweep", "--fig", fig, "--spec", str(spec), "--out", str(out),
+                 "--tasksets-per-bucket", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n_fixed" in err
+    assert not out.exists()
+
+
+def test_gen_honours_n_fixed(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_fixed": 8, "buckets": [2]}))
+    out = tmp_path / "batch"
+    assert main(["gen", "--spec", str(spec), "--out", str(out), "--tasksets-per-bucket", "2"]) == 0
+    tasks = [t for f in out.glob("taskset_*.json") for t in json.loads(f.read_text())["tasks"]]
+    assert tasks and {t["num_commands"] for t in tasks} == {8}
+
+
+def test_plan_refuses_a_game_above_the_command_cap(tmp_path, capsys):
+    path = tmp_path / "ts.json"
+    write_taskset(path, n=MAX_COMMANDS + 1)  # K* = 2 needs a game
+    started = time.monotonic()
+    assert main(["plan", "--taskset", str(path)]) == 1
+    assert time.monotonic() - started < 0.5
+    assert capsys.readouterr().err.startswith(f"error: n={MAX_COMMANDS + 1} exceeds")
+
+
 def test_readme_command_lines_parse():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```", 2)[1]
@@ -139,6 +172,20 @@ def test_plan_rover_shape(tmp_path):
     assert entry["k_star"] == 2
     assert len(entry["strategies"]) == 6
     assert sum(entry["probabilities"]) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_plan_on_the_committed_nine_command_taskset(tmp_path):
+    """The CI timing input: a 1-core `gen` taskset whose plan solves N = 9 games."""
+    out = tmp_path / "plan.json"
+    taskset = Path(__file__).parent / "data" / "taskset_n9_1core.json"
+    started = time.monotonic()
+    assert main(["plan", "--taskset", str(taskset), "--out", str(out)]) == 0
+    assert time.monotonic() - started < 60
+    games = [t for t in json.loads(out.read_text())["tasks"] if 0 < t["k_star"] < t["num_commands"]]
+    assert sorted(t["k_star"] for t in games) == [2, 5]
+    for t in games:
+        assert sum(t["probabilities"]) == pytest.approx(1.0, abs=1e-6)
+        assert min(t["probabilities"]) >= 1e-6
 
 
 def test_plan_underloaded_checks_everything(tmp_path):

@@ -1,4 +1,4 @@
-import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -6,23 +6,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_task
-from oracles import game_lp_vertex_optimum, reward_cost_by_cases, solve_game_all_rows
+from oracles import game_lp_vertex_optimum, highs_objectives, reward_cost_by_cases, tie_rule
 
 from selcheck.game import (
+    MAX_COMMANDS,
+    OBJECTIVE_TIE_TOL,
     GameInfeasibleError,
     GameInstance,
     GameSolution,
     best_response_block,
     build_game,
     build_game_from_weights,
+    certified,
     enumerate_attacker_strategies,
     enumerate_designer_strategies,
     lp_for_attacker_strategy,
     marginal_check_probability,
     reward_cost,
     solve_game,
+    _solve_by_row_generation,
 )
-from selcheck.lp import LinearProgram, solve_lp
+from selcheck.lp import FEAS_TOL, ConstraintBlock, LinearProgram, solve_lp
 
 
 def test_designer_strategies_lexicographic():
@@ -108,10 +112,19 @@ def test_lp_for_attacker_strategy_shape():
     g = build_game_from_weights((1.0,) * 3, 2)
     prob = lp_for_attacker_strategy(g, 4)
     assert prob.num_vars == 3
-    # 7 best-response rows plus the sum-to-one equality
-    assert len(prob.constraints) == 8
-    assert sum(1 for _, rel, _ in prob.constraints if rel == "=") == 1
-    assert prob.lower_bounds == [1e-6] * 3
+    # 7 best-response rows plus the sum-to-one equality, as one block
+    assert isinstance(prob.constraints, ConstraintBlock)
+    assert prob.constraints.matrix.shape == (8, 3)
+    assert list(prob.constraints.relations) == [">="] * 7 + ["="]
+    assert list(prob.constraints.rhs) == [0.0] * 7 + [1.0]
+    assert list(prob.lower_bounds) == [1e-6] * 3
+
+
+def test_game_cap_is_checked_before_anything_is_allocated():
+    started = time.monotonic()
+    with pytest.raises(ValueError, match="cap"):
+        build_game_from_weights((1.0,) * (MAX_COMMANDS + 1), (MAX_COMMANDS + 1) // 2)
+    assert time.monotonic() - started < 0.25
 
 
 def test_epsilon_must_be_positive():
@@ -247,53 +260,62 @@ def test_all_infeasible_raises():
         solve_game(g, epsilon=0.9)
 
 
-# sha256 over repr((attacker_strategy, probabilities, objective, statuses))
-# of solve_game for every (N, K) with 2 <= N <= 6 and 1 <= K < N, using the
-# first N weights of each family.  The LPs are massively degenerate, so a
-# change in float rounding anywhere in the game or LP set-up can move a
-# solution to another optimal vertex; these pin the exact bytes of plans.
-GOLDEN_GAME_WEIGHTS = {
-    "equal": (1.0,) * 6,
-    "distinct-a": (0.5, 1.25, 2.0, 0.75, 3.5, 1.75),
-    "distinct-b": (2.9, 0.3, 1.7, 4.1, 0.9, 2.3),
-}
-GOLDEN_GAME_SHA256 = {
-    "equal": "64bed46de616ad95fe015a8c113a1b7a84b2b5608ac467f674be4c3210848508",
-    "distinct-a": "69e626fe96494036cbc886a56238ed50db67248f3026c0cdf71a9d70da6e3b64",
-    "distinct-b": "769124969c78d42bff660e64c9d827d05ea1d892af5a6831b56a550dafe4ffe8",
+# Weight families for the objective oracle: equal weights and two vectors
+# of distinct weights, of which each game takes the first N.
+ORACLE_GAME_WEIGHTS = {
+    "equal": (1.0,) * 7,
+    "distinct-a": (0.5, 1.25, 2.0, 0.75, 3.5, 1.75, 0.3),
+    "distinct-b": (2.9, 0.3, 1.7, 4.1, 0.9, 2.3, 1.1),
 }
 
 
-@pytest.mark.parametrize("family", sorted(GOLDEN_GAME_WEIGHTS))
-def test_golden_solve_game_bytes(family):
-    weights = GOLDEN_GAME_WEIGHTS[family]
-    results = []
-    for n in range(2, 7):
+def _assert_certified(game, sol, eps):
+    """sol's distribution passes the certificate, checked here from the cost matrix."""
+    x = np.array(sol.probabilities)
+    rows = game.cost[:, sol.attacker_strategy] - game.cost.T
+    assert abs(x.sum() - 1.0) <= FEAS_TOL
+    assert (x >= eps).all()
+    assert (rows @ x >= -FEAS_TOL * np.abs(rows).max(axis=1)).all()
+    assert sol.objective == pytest.approx(float(x @ game.reward[:, sol.attacker_strategy]), abs=1e-9)
+    assert "uncertified" not in sol.statuses
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_GAME_WEIGHTS))
+def test_objective_matches_highs_enumeration(family):
+    """Every (N, K) with N <= 7: the winner is the tie rule applied to HiGHS's
+    optimum of every full LP, at its objective, with the same feasible set."""
+    weights = ORACLE_GAME_WEIGHTS[family]
+    eps = 1e-6
+    for n in range(2, 8):
         for k in range(1, n):
-            sol = solve_game(build_game_from_weights(weights[:n], k))
-            results.append((sol.attacker_strategy, sol.probabilities, sol.objective, sol.statuses))
-    assert hashlib.sha256(repr(results).encode()).hexdigest() == GOLDEN_GAME_SHA256[family]
+            game = build_game_from_weights(weights[:n], k)
+            reference = highs_objectives(game, eps)
+            sol = solve_game(game, eps)
+            assert sol.attacker_strategy == tie_rule(reference, OBJECTIVE_TIE_TOL), (n, k)
+            assert sol.objective == pytest.approx(reference[sol.attacker_strategy], abs=1e-6), (n, k)
+            assert [s == "optimal" for s in sol.statuses] == [v is not None for v in reference], (n, k)
+            _assert_certified(game, sol, eps)
 
 
 def test_solve_lp_same_answer_for_lists_arrays_and_row_views():
-    """Row container must not matter: lists, fresh arrays and views of one block."""
+    """Row container must not matter: lists, fresh arrays, views of one block, or the block."""
     for weights, k in (((1.0,) * 5, 2), ((0.5, 1.25, 2.0, 0.75, 3.5), 3)):
         g = build_game_from_weights(weights, k)
         for l in range(len(g.attacker_strategies)):
             prob = lp_for_attacker_strategy(g, l)
-            block = np.array([np.asarray(coeffs, dtype=float) for coeffs, _, _ in prob.constraints])
-            assert block.flags.c_contiguous
+            block = prob.constraints
+            triples = list(zip(block.matrix, block.relations.tolist(), block.rhs.tolist()))
 
             def variant(row_of):
                 return LinearProgram(
-                    objective=list(prob.objective),
-                    constraints=[(row_of(i), rel, b) for i, (_, rel, b) in enumerate(prob.constraints)],
-                    lower_bounds=list(prob.lower_bounds),
+                    objective=prob.objective.tolist(),
+                    constraints=[(row_of(a), rel, b) for a, rel, b in triples],
+                    lower_bounds=prob.lower_bounds.tolist(),
                 )
 
-            as_lists = solve_lp(variant(lambda i: block[i].tolist()))
-            as_arrays = solve_lp(variant(lambda i: np.array(block[i])))
-            as_views = solve_lp(variant(lambda i: block[i]))
+            as_lists = solve_lp(variant(lambda a: a.tolist()))
+            as_arrays = solve_lp(variant(np.array))
+            as_views = solve_lp(variant(lambda a: a))
             assert as_lists == as_arrays == as_views, l
             assert as_lists == solve_lp(prob), l
 
@@ -321,59 +343,67 @@ def test_equal_weight_score_matrices_exact_beyond_seven_commands():
             assert (game.reward[j, l], game.cost[j, l]) == cell
 
 
-def test_row_subset_lp_is_a_zero_objective_relaxation():
+def test_row_subset_lp_is_a_relaxation():
     g = build_game_from_weights((0.5, 1.25, 2.0, 0.75), 2)
-    block = best_response_block(g, 5)
-    full = lp_for_attacker_strategy(g, 5)
-    sub = lp_for_attacker_strategy(g, 5, rows=[9, 3], block=block)
-    assert sub.objective == [0.0] * 6
-    # The full LP holds every row but row 5, so row 9 is its ninth.
-    assert [list(a) for a, _, _ in sub.constraints[:2]] == [list(block[9]), list(block[3])]
-    assert list(full.constraints[8][0]) == list(block[9])
-    assert sub.constraints[2] == full.constraints[-1]
-    assert sub.lower_bounds == full.lower_bounds
-
-
-def _violation(game, l, x):
-    """Largest miss of the probability sum or of a best-response row at x."""
-    x = np.asarray(x)
-    return max(abs(x.sum() - 1.0), -float((best_response_block(game, l) @ x).min()))
+    block = best_response_block(g, 4)
+    full = lp_for_attacker_strategy(g, 4)
+    sub = lp_for_attacker_strategy(g, 4, rows=[9, 3], block=block)
+    assert list(sub.objective) == list(full.objective) == list(g.reward[:, 4])
+    # The full LP holds every row but row 4, so row 9 is its ninth.
+    assert sub.constraints.matrix[:2].tolist() == [list(block[9]), list(block[3])]
+    assert full.constraints.matrix[8].tolist() == list(block[9])
+    assert sub.constraints.matrix[-1].tolist() == full.constraints.matrix[-1].tolist() == [1.0] * 6
+    assert list(sub.constraints.relations) == [">=", ">=", "="]
+    assert list(sub.lower_bounds) == list(full.lower_bounds)
+    # Fewer rows can only raise the optimum.
+    assert solve_lp(sub).objective >= solve_lp(full).objective - 1e-9
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-@given(weights=st.integers(2, 5).flatmap(
+@given(weights=st.integers(2, 6).flatmap(
     lambda n: st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
-def test_screen_keeps_every_answer_of_the_full_lps(weights):
-    """solve_game equals the all-rows loop, except where the full LP's "optimal"
-    answer misses its own constraints and the screen calls that LP infeasible."""
+def test_every_returned_distribution_passes_the_certificate(weights):
     eps = 1e-6
     for k in range(1, len(weights)):
         game = build_game_from_weights(tuple(weights), k)
-        reference = solve_game_all_rows(game, eps)
-        try:
-            screened = solve_game(game, eps)
-        except GameInfeasibleError:
-            screened = None
-        differing = set()
-        if screened is not None and reference is not None:
-            differing = {l for l, (a, b) in enumerate(zip(reference.statuses, screened.statuses)) if a != b}
-        for l in differing:
-            assert (reference.statuses[l], screened.statuses[l]) == ("optimal", "infeasible")
-            assert _violation(game, l, solve_lp(lp_for_attacker_strategy(game, l, eps)).x) > 1e-6
-        if differing:
-            reference = solve_game_all_rows(game, eps, treat_infeasible=differing)
-        assert screened == reference
+        sol = solve_game(game, eps)
+        _assert_certified(game, sol, eps)
+        block = best_response_block(game, sol.attacker_strategy)
+        assert certified(np.array(sol.probabilities), block, np.abs(block).max(axis=1), eps)
 
 
-def test_screen_rejects_the_infeasible_lp_the_full_solve_called_optimal():
-    """A distinct-weight N = 6, K = 2 game whose full LP for attacker strategy 26
-    is infeasible but came back "optimal" with probabilities summing to 62.7.
-    The reference optimum (HiGHS) is strategy 32 at -66.245966."""
-    game = build_game_from_weights((0.803948, 0.629946, 1.967363, 0.765502, 1.844505, 1.970306), 2)
-    sol = solve_game(game, 1e-6)
-    assert sol.attacker_strategy == 32
-    assert sol.objective == pytest.approx(-66.245966, abs=1e-6)
-    assert sol.statuses[26] == "infeasible"
-    x = np.array(sol.probabilities)
-    assert abs(x.sum() - 1.0) <= 1e-9
-    assert (best_response_block(game, 32) @ x).min() >= -1e-9
+@pytest.mark.parametrize("weights, k, strategy, objective", [
+    # Full solve of strategy 26 came back "optimal" with probabilities summing to 62.7.
+    ((0.803948, 0.629946, 1.967363, 0.765502, 1.844505, 1.970306), 2, 32, -66.245966),
+    # Full solve of strategy 26 came back "optimal" missing its rows by 5.9e8.
+    ((0.811728, 1.267837, 1.901232, 1.434898, 0.613063, 1.7306, 1.588924), 2, None, None),
+], ids=["n6-plan-weighted", "n7-random"])
+def test_games_whose_full_lp_broke_return_the_certified_highs_optimum(weights, k, strategy, objective):
+    eps = 1e-6
+    game = build_game_from_weights(weights, k)
+    reference = highs_objectives(game, eps)
+    sol = solve_game(game, eps)
+    assert sol.attacker_strategy == tie_rule(reference, OBJECTIVE_TIE_TOL)
+    assert sol.objective == pytest.approx(reference[sol.attacker_strategy], abs=1e-6)
+    if strategy is not None:
+        assert sol.attacker_strategy == strategy
+        assert sol.objective == pytest.approx(objective, abs=1e-6)
+    assert reference[26] is None and sol.statuses[26] == "infeasible"
+    _assert_certified(game, sol, eps)
+
+
+def test_answer_after_a_long_pivot_sequence_is_certified():
+    """Equal weights, N = 10, K = 5, strategy 912: read off the tableau's rhs
+    column, its last restricted LP's answer missed the sum-to-one row by 3.5e-5."""
+    game = build_game_from_weights((1.0,) * 10, 5)
+    status, sol = _solve_by_row_generation(game, 912, 1e-6)
+    assert status == "optimal"
+    assert sol.objective == pytest.approx(-49.197301420, abs=1e-6)  # tied with HiGHS's best, l = 15
+
+
+@pytest.mark.parametrize("n, objective", [(8, -49.2478060226), (9, -54.886939760)], ids=["n8", "n9"])
+def test_equal_weight_large_games_pick_the_lowest_tied_strategy(n, objective):
+    """HiGHS reference optima; l = 7 (commands 1, 2, 3) is the lowest of its tied orbit."""
+    sol = solve_game(build_game_from_weights((1.0,) * n, 4))
+    assert sol.attacker_strategy == 7
+    assert sol.objective == pytest.approx(objective, abs=1e-6)

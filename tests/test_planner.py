@@ -145,9 +145,9 @@ def test_budgets_infeasible_exactly_when_min_checks_unschedulable(scenario):
 # arithmetic, the K* decisions or the acceptance counts shows here.
 GOLDEN_SHA256 = {
     "fig6_coverage.csv": "7203de4f9e018c902c15cd52800c39f5398c5ff03496c8a41bf0d3becca51822",
-    "fig7_tradeoff.csv": "4258ca872622ae10c7e884eef33f86feb4132dc66b1e7fbe0580741caab2422a",
+    "fig7_tradeoff.csv": "441dd685c8c3ff2cfea3c1b1d9aeadf61656c33a499b6ce62cb86aa3f554e9ae",
     "fig8_acceptance.csv": "f468c6753d1d10f559c1d69791e07c5a26b2df4601e6a4ea150792c733621090",
-    "plan.json": "6530d5c3d59a8719355f1048186fe053c8e7bf27d893d8032027201338211630",
+    "plan.json": "6ce4b7e13bac6e5dc807936e2fecc7914c71789633239790705e4c651db3cb5b",
     "report.csv": "2e47766b4676ac6db5fa89b394a8a0ea0ba31a4e6c8370222f65ff1e04be60fe",
 }
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_task, make_taskset
 from oracles import catch_probability_by_enumeration
@@ -245,12 +247,20 @@ def test_mean_detected_delay_edges():
     assert mean_detected_delay((0.0, 1.0), 3) == 1.0
     assert mean_detected_delay((0.0, 0.5), 10) == mean_detected_delay((0.5,), 10)
     assert mean_detected_delay((0.5,), DEFAULT_MAX_JOBS) == pytest.approx(2.0, rel=1e-12)
+    # Censored at one job the mean is exactly 1 (unclamped, 1 - 1 ulp).
+    assert mean_detected_delay((0.5,), 1) == 1.0
     # A tiny p keeps its precision: uncensored, the mean is 1/p.
     assert mean_detected_delay((1e-9,), 10**12) == pytest.approx(1e9, rel=1e-6)
     with pytest.raises(ValueError):
         mean_detected_delay((0.0, 0.0), 10)
     with pytest.raises(ValueError):
         mean_detected_delay((), 10)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(p=st.floats(0.0, 1.0, exclude_min=True), horizon=st.integers(1, 10**5))
+def test_mean_detected_delay_lies_in_one_to_horizon(p, horizon):
+    assert 1.0 <= mean_detected_delay([p], horizon) <= horizon
 
 
 def test_coverage_ratio_bounds_and_values():

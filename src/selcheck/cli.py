@@ -170,9 +170,15 @@ def cmd_simulate(args) -> int:
             _info("plan contains no attackable task")
             return EXIT_ERROR
         victim = pool[0]
-    elif victim not in plan.tasks:
-        _info(f"victim {victim!r} not in plan")
-        return EXIT_ERROR
+    else:
+        # Task ids may be integers; --victim names one by its str().
+        matches = [tid for tid in plan.tasks if str(tid) == victim]
+        if not matches:
+            _info(f"victim {victim!r} not in plan")
+            return EXIT_ERROR
+        if len(matches) > 1:
+            raise ValueError(f"victim {victim!r} matches task ids {matches!r}")
+        victim = matches[0]
     attack = simulator.AttackSpec(
         victim=victim,
         commands=_parse_commands(args.commands),

@@ -4,20 +4,23 @@ Every sweep is deterministic end to end: the taskset at (figure, scenario,
 bucket, index) derives its generator from the sweep seed through that path,
 so reruns and parallel runs produce byte-identical CSV.
 
-The tradeoff sweep (fig 7) simulates nothing: jobs check i.i.d. subsets,
-so a victim's mean detection delay has a closed form,
-`simulator.mean_detected_delay`.
+The tradeoff sweep (fig 7) plans each taskset with `planner.plan`,
+sharing one solved-game memo across a bucket cell, and simulates nothing:
+jobs check i.i.d. subsets, so a victim's mean detection delay has a closed
+form, `simulator.mean_detected_delay`, over its plan entry's marginals.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from . import game as game_mod
 from .model import Taskset, assignment_at
-from .planner import Infeasible, assign_check_budgets
+from .planner import Infeasible, assign_check_budgets, plan
 from .schedulability import is_schedulable
 from .simulator import DEFAULT_MAX_JOBS, acceptance_ratio, coverage_ratio, mean_detected_delay
 from .workload import NUM_BUCKETS, WorkloadSpec, draw_taskset, taskset_rng
@@ -71,19 +74,14 @@ def _cell_tasksets(
     ]
 
 
-def _budgeted(batch: list[Taskset | None]):
-    """(taskset, K* per task) for each placed taskset feasible at min_checks."""
-    for ts in batch:
-        if ts is not None and not isinstance(budgets := assign_check_budgets(ts), Infeasible):
-            yield ts, budgets
-
-
 def _coverage_cell(args) -> list[tuple[str, float, int]]:
     base, scenario_idx, bucket, count = args
     scenario = SCENARIOS[scenario_idx]
     feasible = 0
     cr_sum = 0.0
-    for ts, budgets in _budgeted(_cell_tasksets(base, 6, scenario_idx, bucket, count, scenario)):
+    for ts in _cell_tasksets(base, 6, scenario_idx, bucket, count, scenario):
+        if ts is None or isinstance(budgets := assign_check_budgets(ts), Infeasible):
+            continue
         pairs = [(budgets[t.id], t.num_commands) for t in ts.tasks if t.num_commands > 0]
         feasible += 1
         cr_sum += coverage_ratio(pairs)
@@ -98,36 +96,33 @@ def _acceptance_cell(args) -> list[tuple[str, float, int]]:
     return [(scheme, acceptance_ratio(batch, scheme), count) for scheme in ACCEPTANCE_METRICS]
 
 
-def _tradeoff_cell(args) -> list[tuple[float, bool, float | None]]:
+def _coverage_bin(pairs: list[tuple[int, int]]) -> int:
+    """The bin of the exact coverage ratio of (K*, N) pairs; full coverage joins
+    the top bin.  Float arithmetic would put a coverage on an edge (0.6, say)
+    one bin low."""
+    exact = sum(Fraction(k, n) for k, n in pairs) / len(pairs)
+    return min(max(math.floor((exact - Fraction(1, 5)) * 10), 0), len(CR_BIN_EDGES) - 2)
+
+
+def _tradeoff_cell(args) -> list[tuple[int, bool, float | None]]:
     base, bucket, count, n_fixed, big_m, epsilon = args
     records = []
-    # Generated workloads share weights, so distinct (weights, k) games are
-    # few; cache each one's exact mean delay across the whole cell.
-    game_delays: dict[tuple, float] = {}
-    for ts, budgets in _budgeted(_cell_tasksets(base, 7, 2, bucket, count, "medium", n_fixed)):
-        victims = [t for t in ts.tasks if t.num_commands > 0]
-        cr = coverage_ratio([(budgets[t.id], t.num_commands) for t in victims])
+    # Generated workloads share weights, so distinct (weights, K*) games are
+    # few; one memo for the whole cell solves each of them once.
+    games: dict = {}
+    for ts in _cell_tasksets(base, 7, 2, bucket, count, "medium", n_fixed):
+        if ts is None or isinstance(result := plan(ts, big_m, epsilon, games), Infeasible):
+            continue
         fine_grain = is_schedulable(ts, assignment_at(ts, "full"))
-
         # Every task takes a turn as the victim; the taskset's delay is the
         # mean over victims of their mean detection delay.  A K* = 0 victim
         # detects nothing and is left out.
-        delays = []
-        for victim in victims:
-            k = budgets[victim.id]
-            if k == 0:
-                continue
-            if k == victim.num_commands:
-                delays.append(1.0)
-                continue
-            key = (victim.weights, k)
-            if key not in game_delays:
-                instance = game_mod.build_game(victim, k, big_m)
-                solution = game_mod.solve_game(instance, epsilon)
-                catch = game_mod.marginal_check_probability(instance, solution)
-                game_delays[key] = mean_detected_delay(catch, DEFAULT_MAX_JOBS)
-            delays.append(game_delays[key])
-        records.append((cr, fine_grain, sum(delays) / len(delays) if delays else None))
+        delays = [
+            mean_detected_delay(game_mod.marginal_check_probability(e), DEFAULT_MAX_JOBS)
+            for e in (result.tasks[t.id] for t in ts.tasks) if e.k_star > 0
+        ]
+        records.append((_coverage_bin(result.coverage_pairs()), fine_grain,
+                        sum(delays) / len(delays) if delays else None))
     return records
 
 
@@ -179,18 +174,16 @@ def sweep_detection_tradeoff(
         for bucket in range(NUM_BUCKETS)
     ]
     results = _run_cells(_tradeoff_cell, cells, jobs)
-    bins: dict[int, list[tuple[float, bool, float | None]]] = {}
+    bins: dict[int, list[tuple[bool, float | None]]] = {}
     for records in results:
-        for cr, fine_grain, mean_delay in records:
-            b = min(int((cr - CR_BIN_EDGES[0]) / 0.1), len(CR_BIN_EDGES) - 2)
-            b = max(b, 0)
-            bins.setdefault(b, []).append((cr, fine_grain, mean_delay))
+        for b, fine_grain, mean_delay in records:
+            bins.setdefault(b, []).append((fine_grain, mean_delay))
     scenario = f"n{n_fixed}"
     rows = []
     for b in sorted(bins):
         records = bins[b]
-        gain = sum(1 for _, fg, _ in records if not fg) / len(records)
-        delays = [d for _, _, d in records if d is not None]
+        gain = sum(1 for fg, _ in records if not fg) / len(records)
+        delays = [d for _, d in records if d is not None]
         label = f"{CR_BIN_EDGES[b]:.1f}"
         rows.append(SweepRow(label, scenario, "sched_gain", gain, len(records), base.seed))
         if delays:

@@ -306,10 +306,11 @@ def solve_game(game: GameInstance, epsilon: float = DEFAULT_EPSILON) -> GameSolu
     )
 
 
-def marginal_check_probability(game: GameInstance, solution: GameSolution) -> tuple[float, ...]:
-    """Per-command probability of being checked in one job under the solution."""
-    marginals = [0.0] * game.num_commands
-    for xj, prob in zip(game.designer_strategies, solution.probabilities):
+def marginal_check_probability(entry) -> tuple[float, ...]:
+    """Per-command probability of being checked in one job under a planner.TaskPlan entry."""
+    strategies, x = entry.distribution()
+    marginals = [0.0] * entry.num_commands
+    for xj, prob in zip(strategies, x):
         for c in xj:
             marginals[c - 1] += prob
     return tuple(marginals)

@@ -14,17 +14,17 @@ solved from the original rows for the final basis rather than read from
 the tableau, whose rhs column carries the pivots' roundoff.  Tolerances:
 1e-9 for pivots, 1e-6 for feasibility classification.
 
-Constraints come as (coefficients, relation, rhs) triples or as one
-ConstraintBlock of arrays; triples are stacked into a block first, so
-set-up is array code either way (one matrix, then masks and fancy
-indexing), and so is the choice of ratio-test rows.  Objective rows are
-summed in row order, so an answer does not depend on how numpy pairs sums.
+Constraints come as one ConstraintBlock of arrays, so set-up is array
+code (one matrix, then masks and fancy indexing), and so is the choice of
+ratio-test rows.  Variables have finite lower bounds and no upper bounds;
+a caller states an upper bound as a `<=` row.  Objective rows are summed
+in row order, so an answer does not depend on how numpy pairs sums.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,48 +67,15 @@ class ConstraintBlock:
 
 @dataclass
 class LinearProgram:
-    """maximize objective @ x subject to linear constraints and variable bounds.
-
-    constraints are (coefficients, relation, rhs) triples (a list or 1-D
-    array, then '<=', '>=' or '='), or one ConstraintBlock.  lower_bounds
-    default to 0 and must be finite; upper_bounds entries may be None
-    (unbounded above).
-    """
+    """maximize objective @ x subject to `constraints` and x >= lower_bounds (default 0, finite)."""
 
     objective: list[float]
-    constraints: list[tuple[list[float], str, float]] | ConstraintBlock = field(default_factory=list)
+    constraints: ConstraintBlock
     lower_bounds: list[float] | None = None
-    upper_bounds: list[float | None] | None = None
 
     @property
     def num_vars(self) -> int:
         return len(self.objective)
-
-    def block(self) -> ConstraintBlock:
-        """The constraints as one ConstraintBlock, after checking their shape."""
-        n = self.num_vars
-        if isinstance(self.constraints, ConstraintBlock):
-            block = self.constraints
-            if block.matrix.ndim != 2 or block.matrix.shape[1] != n or len(block.rhs) != len(block):
-                raise ValueError(f"constraint block of shape {block.matrix.shape} and {len(block.rhs)} "
-                                 f"rhs entries does not fit {n} variables")
-        else:
-            for coeffs, _, _ in self.constraints:
-                if len(coeffs) != n:
-                    raise ValueError(f"constraint has {len(coeffs)} coefficients, expected {n}")
-            block = ConstraintBlock(
-                matrix=np.array([np.asarray(a, dtype=float) for a, _, _ in self.constraints]).reshape(-1, n),
-                relations=np.array([rel for _, rel, _ in self.constraints], dtype=str),
-                rhs=np.array([float(b) for _, _, b in self.constraints]),
-            )
-        rel = block.relations
-        if len(rel) != len(block) or not ((rel == "<=") | (rel == ">=") | (rel == "=")).all():
-            raise ValueError(f"bad relations {rel!r}")
-        if self.lower_bounds is not None and len(self.lower_bounds) != n:
-            raise ValueError("lower_bounds length mismatch")
-        if self.upper_bounds is not None and len(self.upper_bounds) != n:
-            raise ValueError("upper_bounds length mismatch")
-        return block
 
 
 @dataclass(frozen=True)
@@ -223,25 +190,28 @@ def _require_finite(name: str, values: np.ndarray) -> None:
 
 def solve_lp(problem: LinearProgram) -> LpSolution:
     """Solve a LinearProgram; classifies optimal / infeasible / unbounded."""
-    block = problem.block()
-    n = problem.num_vars
+    block, n = problem.constraints, problem.num_vars
+    if block.matrix.ndim != 2 or block.matrix.shape[1] != n or len(block.rhs) != len(block):
+        raise ValueError(f"constraint block of shape {block.matrix.shape} and {len(block.rhs)} "
+                         f"rhs entries does not fit {n} variables")
+    rel = block.relations
+    if len(rel) != len(block) or not ((rel == "<=") | (rel == ">=") | (rel == "=")).all():
+        raise ValueError(f"bad relations {rel!r}")
+    if problem.lower_bounds is not None and len(problem.lower_bounds) != n:
+        raise ValueError("lower_bounds length mismatch")
     c = np.ascontiguousarray(problem.objective, dtype=float)  # a strided c rounds c @ x differently
     lb = np.zeros(n) if problem.lower_bounds is None else np.asarray(problem.lower_bounds, dtype=float)
     if not np.isfinite(lb).all():
         raise ValueError("lower bounds must be finite")
 
-    # Shift to y = x - lb >= 0; fold finite upper bounds in as <= rows.
-    bounded = [j for j, ub in enumerate(problem.upper_bounds or ()) if ub is not None]
-    ub = np.array([float(problem.upper_bounds[j]) for j in bounded])
-    A = np.vstack([block.matrix, np.eye(n)[bounded]]) if bounded else np.array(block.matrix, dtype=float)
+    # Shift to y = x - lb >= 0.
+    A = np.array(block.matrix, dtype=float)
     m = A.shape[0]
     _require_finite("objective", c)
     _require_finite("constraint coefficients", A)
-    b = np.concatenate([np.asarray(block.rhs, dtype=float) - A[:len(block)] @ lb, ub - lb[bounded]])
-    _require_finite("rhs and upper bounds", b)
-    no_bounds = np.zeros(len(bounded), dtype=bool)
-    ge = np.concatenate([block.relations == ">=", no_bounds])
-    eq = np.concatenate([block.relations == "=", no_bounds])
+    b = np.asarray(block.rhs, dtype=float) - A @ lb
+    _require_finite("rhs", b)
+    ge, eq = rel == ">=", rel == "="
 
     # Equilibrate rows to unit max-norm: the game matrices mix big-M cells
     # with epsilon-scale ones, and unscaled rows let pivot growth swamp

@@ -10,8 +10,10 @@ k, so its deadline slack at min_checks caps k in closed form; K* is the
 smallest cap, clipped to [min_checks, num_commands].  The candidate is
 then confirmed with the schedulability evaluator at K* and K* + 1, and
 moved one check at a time should rounding disagree, so every decision is
-exactly the floating-point deadline test.  Tasks with K* < N get a solved
-game distribution; tasks checking all commands need none.
+exactly the floating-point deadline test.  Tasks with 0 < K* < N get a
+solved game distribution; tasks checking all commands need none.  Tasks
+with the same weights and K* share one solved game (see `plan`); the fig 7
+sweep plans through `plan` with one memo per bucket cell.
 """
 
 from __future__ import annotations
@@ -54,6 +56,12 @@ class TaskPlan:
     @property
     def deterministic(self) -> bool:
         return self.k_star == self.num_commands
+
+    def distribution(self) -> tuple[tuple[tuple[int, ...], ...], tuple[float, ...]]:
+        """(strategies, probabilities); a deterministic entry checks all commands with x = 1."""
+        if self.deterministic:
+            return (tuple(range(1, self.num_commands + 1)),), (1.0,)
+        return self.strategies, self.probabilities
 
 
 @dataclass(frozen=True)
@@ -116,11 +124,18 @@ def plan(
     taskset: Taskset,
     big_m: float = game_mod.DEFAULT_BIG_M,
     epsilon: float = game_mod.DEFAULT_EPSILON,
+    games: dict | None = None,
 ) -> CheckPlan | Infeasible:
-    """Full selection pass: budgets plus a solved distribution where K* < N."""
+    """Full selection pass: budgets plus a solved distribution where K* < N.
+
+    Each distinct game is solved once: `games` maps (weights, K*, big_m,
+    epsilon) to (strategies, GameSolution), a fresh dict unless the caller
+    passes one to share across calls.
+    """
     budgets = assign_check_budgets(taskset)
     if isinstance(budgets, Infeasible):
         return budgets
+    games = {} if games is None else games
     entries: dict[TaskId, TaskPlan] = {}
     for t in taskset.priority_ordered():
         k = budgets[t.id]
@@ -136,13 +151,16 @@ def plan(
                 probabilities=(1.0,),
             )
         else:
-            instance = game_mod.build_game(t, k, big_m)
-            solution = game_mod.solve_game(instance, epsilon)
+            key = (t.weights, k, big_m, epsilon)
+            if key not in games:
+                instance = game_mod.build_game(t, k, big_m)
+                games[key] = (instance.designer_strategies, game_mod.solve_game(instance, epsilon))
+            strategies, solution = games[key]
             entries[t.id] = TaskPlan(
                 task_id=t.id,
                 num_commands=t.num_commands,
                 k_star=k,
-                strategies=instance.designer_strategies,
+                strategies=strategies,
                 probabilities=solution.probabilities,
                 attacker_strategy=solution.attacker_strategy,
                 objective=solution.objective,

@@ -105,16 +105,13 @@ def detection_probability(entry: TaskPlan, compromised: Iterable[int], accuracy:
     ValueError unless it is non-negative, sums to 1 and matches the
     strategies in length.
     """
-    if entry.deterministic:
-        strategies, x = (tuple(range(1, entry.num_commands + 1)),), (1.0,)
-    else:
-        strategies, x = entry.strategies, entry.probabilities
-        if len(x) != len(strategies):
-            raise ValueError(f"{len(x)} probabilities for {len(strategies)} strategies")
-        if any(v < 0.0 for v in x):
-            raise ValueError("negative probability")
-        if abs(sum(x) - 1.0) > PROBABILITY_TOL:
-            raise ValueError(f"probabilities sum to {sum(x)}, not 1")
+    strategies, x = entry.distribution()
+    if len(x) != len(strategies):
+        raise ValueError(f"{len(x)} probabilities for {len(strategies)} strategies")
+    if any(v < 0.0 for v in x):
+        raise ValueError("negative probability")
+    if abs(sum(x) - 1.0) > PROBABILITY_TOL:
+        raise ValueError(f"probabilities sum to {sum(x)}, not 1")
     attacked = frozenset(compromised)
     miss = 1.0 - accuracy
     caught = sum(v * (1.0 - miss ** len(attacked.intersection(s))) for s, v in zip(strategies, x))

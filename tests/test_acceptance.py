@@ -173,11 +173,11 @@ def test_criterion_06_detection_delay_geometric_oracle():
     started = time.monotonic()
     game = build_game_from_weights((1.0,) * 4, 2)
     solution = solve_game(game)
-    marginal = marginal_check_probability(game, solution)[0]
     entry = TaskPlan(
         task_id="victim", num_commands=4, k_star=2,
         strategies=game.designer_strategies, probabilities=solution.probabilities,
     )
+    marginal = marginal_check_probability(entry)[0]
     plan = CheckPlan(feasible=True, tasks={"victim": entry})
     result = run_detection_experiment(
         plan, AttackSpec(victim="victim", commands=(1,), trigger=0),

@@ -530,3 +530,33 @@ def test_simulate_accepts_well_formed_hand_written_plan(tmp_path):
     res = run_cli("simulate", "--plan", str(plan_file), "--trials", "5", "--out", str(out))
     assert res.returncode == 0, res.stderr
     assert out.read_text().splitlines()[-1].startswith("summary,")
+
+
+def test_simulate_victim_matches_an_integer_task_id(tmp_path):
+    ts = tmp_path / "ts.json"
+    write_taskset(ts)
+    doc = json.loads(ts.read_text())
+    doc["tasks"][0]["id"] = 7
+    ts.write_text(json.dumps(doc))
+    plan_file = tmp_path / "plan.json"
+    assert run_cli("plan", "--taskset", str(ts), "--out", str(plan_file)).returncode == 0
+    assert json.loads(plan_file.read_text())["tasks"][0]["id"] == 7
+    out = tmp_path / "sim.csv"
+    res = run_cli("simulate", "--plan", str(plan_file), "--victim", "7", "--trials", "5",
+                  "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert "victim 7:" in res.stderr
+    assert out.read_text().splitlines()[-1].startswith("summary,")
+
+
+def test_simulate_victim_matching_two_task_ids_is_an_error(tmp_path):
+    doc = _plan_doc()
+    doc["tasks"] = [dict(doc["tasks"][0], id=7), dict(doc["tasks"][0], id="7")]
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(doc))
+    out = tmp_path / "sim.csv"
+    res = run_cli("simulate", "--plan", str(plan_file), "--victim", "7", "--trials", "5",
+                  "--out", str(out))
+    assert res.returncode == 1
+    assert "error: victim '7' matches task ids [7, '7']" in res.stderr
+    assert not out.exists()

@@ -162,8 +162,47 @@ def test_tradeoff_taskset_without_a_checking_victim_has_no_delay(monkeypatch):
     ]
 
 
+def test_tradeoff_bins_a_coverage_on_a_bin_edge_exactly(monkeypatch):
+    # K* = 3 of 5 is a coverage of exactly 0.6, though (0.6 - 0.2) / 0.1
+    # is 3.9999999999999996 in floats.
+    edge = make_taskset([make_task(wcet=1, period=10, n=5, n_min=1, overhead=3)])
+    monkeypatch.setattr(experiments, "_cell_tasksets", lambda *args, **kwargs: [edge])
+    result = sweep_detection_tradeoff(WorkloadSpec(seed=0), tasksets_per_bucket=1)
+    assert [(r.bin, r.metric, r.samples) for r in result.rows] == [
+        ("0.6", "sched_gain", 10),
+        ("0.6", "mean_delay_jobs", 10),
+    ]
+
+
 def test_csv_header_and_shape(coverage):
     text = coverage.to_csv()
     lines = text.strip().splitlines()
     assert lines[0] == "bin,scenario,metric,value,samples,seed"
     assert len(lines) == 21
+
+
+def test_tradeoff_cell_plans_through_one_memo_and_solves_each_game_once(monkeypatch):
+    from selcheck import game
+    from selcheck.game import DEFAULT_BIG_M, DEFAULT_EPSILON
+
+    memos, game_keys, solves = [], [], []
+    real_plan, real_solve = experiments.plan, game.solve_game
+
+    def recording_plan(ts, big_m, epsilon, games):
+        memos.append(games)
+        result = real_plan(ts, big_m, epsilon, games)
+        if not isinstance(result, experiments.Infeasible):
+            game_keys.extend((t.weights, e.k_star) for t in ts.tasks
+                             if 0 < (e := result.tasks[t.id]).k_star < t.num_commands)
+        return result
+
+    def counting_solve(instance, epsilon):
+        solves.append((instance.weights, instance.budget))
+        return real_solve(instance, epsilon)
+
+    monkeypatch.setattr(experiments, "plan", recording_plan)
+    monkeypatch.setattr(game, "solve_game", counting_solve)
+    experiments._tradeoff_cell((WorkloadSpec(seed=0), 6, 10, 5, DEFAULT_BIG_M, DEFAULT_EPSILON))
+    assert memos and all(m is memos[0] for m in memos)
+    assert len(game_keys) > len(set(game_keys))  # the cell repeats games
+    assert sorted(solves) == sorted(set(game_keys))

@@ -12,8 +12,6 @@ from selcheck.game import (
     MAX_COMMANDS,
     OBJECTIVE_TIE_TOL,
     GameInfeasibleError,
-    GameInstance,
-    GameSolution,
     best_response_block,
     build_game,
     build_game_from_weights,
@@ -26,7 +24,8 @@ from selcheck.game import (
     solve_game,
     _solve_by_row_generation,
 )
-from selcheck.lp import FEAS_TOL, ConstraintBlock, LinearProgram, solve_lp
+from selcheck.lp import FEAS_TOL, ConstraintBlock, solve_lp
+from selcheck.planner import TaskPlan
 
 
 def test_designer_strategies_lexicographic():
@@ -143,7 +142,8 @@ def test_solve_game_equal_weights_hand_values():
     assert sol.objective == pytest.approx(2 / 3 - 100 / 3, abs=1e-9)
     for p in sol.probabilities:
         assert p == pytest.approx(1 / 3, abs=1e-9)
-    assert marginal_check_probability(g, sol) == pytest.approx((2 / 3,) * 3, abs=1e-9)
+    marginals = marginal_check_probability(_entry(g, sol.probabilities))
+    assert marginals == pytest.approx((2 / 3,) * 3, abs=1e-9)
     # the no-attack strategy can never be the attacker's best response here
     assert sol.statuses[0] == "infeasible"
 
@@ -223,25 +223,22 @@ def test_partial_cells_share_denominator_and_stay_in_unit_interval():
             assert 0.0 <= zeta <= 1.0
 
 
+def _entry(game, probabilities):
+    """The plan entry holding `probabilities` over the game's checker strategies."""
+    return TaskPlan(task_id="t", num_commands=game.num_commands, k_star=game.budget,
+                    strategies=game.designer_strategies, probabilities=tuple(probabilities))
+
+
 def test_marginal_check_probability_mappings():
     g = build_game_from_weights((1.0, 1.0, 1.0), 2)
-    sol = GameSolution(attacker_strategy=1, probabilities=(0.25, 0.5, 0.25),
-                       objective=0.0, statuses=())
     # X = [(1,2), (1,3), (2,3)] lexicographic
-    assert marginal_check_probability(g, sol) == pytest.approx((0.75, 0.5, 0.75))
-    uniform = GameSolution(attacker_strategy=1, probabilities=(1 / 3,) * 3,
-                           objective=0.0, statuses=())
-    assert marginal_check_probability(g, uniform) == pytest.approx((2 / 3,) * 3)
+    assert marginal_check_probability(_entry(g, (0.25, 0.5, 0.25))) == pytest.approx((0.75, 0.5, 0.75))
+    assert marginal_check_probability(_entry(g, (1 / 3,) * 3)) == pytest.approx((2 / 3,) * 3)
 
 
 def test_marginal_is_one_when_single_full_strategy():
-    g = GameInstance(
-        num_commands=3, budget=3, weights=(1.0, 1.0, 1.0),
-        designer_strategies=((1, 2, 3),), attacker_strategies=((),),
-        reward=np.zeros((1, 1)), cost=np.zeros((1, 1)), big_m=100.0,
-    )
-    sol = GameSolution(attacker_strategy=0, probabilities=(1.0,), objective=0.0, statuses=())
-    assert marginal_check_probability(g, sol) == (1.0, 1.0, 1.0)
+    full = TaskPlan(task_id="t", num_commands=3, k_star=3)
+    assert marginal_check_probability(full) == (1.0, 1.0, 1.0)
 
 
 def test_single_strategy_game_forced_distribution():
@@ -295,29 +292,6 @@ def test_objective_matches_highs_enumeration(family):
             assert sol.objective == pytest.approx(reference[sol.attacker_strategy], abs=1e-6), (n, k)
             assert [s == "optimal" for s in sol.statuses] == [v is not None for v in reference], (n, k)
             _assert_certified(game, sol, eps)
-
-
-def test_solve_lp_same_answer_for_lists_arrays_and_row_views():
-    """Row container must not matter: lists, fresh arrays, views of one block, or the block."""
-    for weights, k in (((1.0,) * 5, 2), ((0.5, 1.25, 2.0, 0.75, 3.5), 3)):
-        g = build_game_from_weights(weights, k)
-        for l in range(len(g.attacker_strategies)):
-            prob = lp_for_attacker_strategy(g, l)
-            block = prob.constraints
-            triples = list(zip(block.matrix, block.relations.tolist(), block.rhs.tolist()))
-
-            def variant(row_of):
-                return LinearProgram(
-                    objective=prob.objective.tolist(),
-                    constraints=[(row_of(a), rel, b) for a, rel, b in triples],
-                    lower_bounds=prob.lower_bounds.tolist(),
-                )
-
-            as_lists = solve_lp(variant(lambda a: a.tolist()))
-            as_arrays = solve_lp(variant(np.array))
-            as_views = solve_lp(variant(lambda a: a))
-            assert as_lists == as_arrays == as_views, l
-            assert as_lists == solve_lp(prob), l
 
 
 @pytest.mark.parametrize("weights", [

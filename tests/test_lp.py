@@ -2,24 +2,39 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from selcheck.lp import LinearProgram, solve_lp
+from selcheck.lp import ConstraintBlock, LinearProgram, solve_lp
+
+
+def lp(objective, rows, lower_bounds=None):
+    """The LinearProgram on (coefficients, relation, rhs) rows."""
+    block = ConstraintBlock(
+        matrix=np.array([a for a, _, _ in rows], dtype=float),
+        relations=np.array([rel for _, rel, _ in rows]),
+        rhs=np.array([b for _, _, b in rows], dtype=float),
+    )
+    return LinearProgram(objective=objective, constraints=block, lower_bounds=lower_bounds)
+
+
+def upper_bound_rows(ubs):
+    """x_j <= ub_j as rows, for every ub_j that is not None."""
+    return [(np.eye(len(ubs))[j], "<=", ub) for j, ub in enumerate(ubs) if ub is not None]
 
 
 def test_simple_bounded_maximum():
-    sol = solve_lp(LinearProgram(objective=[1.0], constraints=[([1.0], "<=", 3.0)]))
+    sol = solve_lp(lp(objective=[1.0], rows=[([1.0], "<=", 3.0)]))
     assert sol.optimal
     assert sol.objective == pytest.approx(3.0)
     assert sol.x[0] == pytest.approx(3.0)
 
 
 def test_infeasible_classified():
-    sol = solve_lp(LinearProgram(objective=[1.0], constraints=[([1.0], "<=", -1.0)]))
+    sol = solve_lp(lp(objective=[1.0], rows=[([1.0], "<=", -1.0)]))
     assert sol.status == "infeasible"
     assert sol.x is None
 
 
 def test_degenerate_optimum_set():
-    sol = solve_lp(LinearProgram(objective=[1.0, 1.0], constraints=[([1.0, 1.0], "=", 1.0)]))
+    sol = solve_lp(lp(objective=[1.0, 1.0], rows=[([1.0, 1.0], "=", 1.0)]))
     assert sol.optimal
     assert sol.objective == pytest.approx(1.0)
     assert sum(sol.x) == pytest.approx(1.0)
@@ -27,17 +42,16 @@ def test_degenerate_optimum_set():
 
 
 def test_unbounded_classified():
-    sol = solve_lp(LinearProgram(objective=[1.0, 0.0], constraints=[([0.0, 1.0], "<=", 5.0)]))
+    sol = solve_lp(lp(objective=[1.0, 0.0], rows=[([0.0, 1.0], "<=", 5.0)]))
     assert sol.status == "unbounded"
 
 
 def test_bounds_respected():
     sol = solve_lp(
-        LinearProgram(
+        lp(
             objective=[-1.0, 1.0],
-            constraints=[([1.0, 1.0], "<=", 3.0)],
+            rows=[([1.0, 1.0], "<=", 3.0), *upper_bound_rows([None, 2.0])],
             lower_bounds=[0.5, 0.0],
-            upper_bounds=[None, 2.0],
         )
     )
     assert sol.optimal
@@ -47,9 +61,9 @@ def test_bounds_respected():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        solve_lp(LinearProgram(objective=[1.0, 2.0], constraints=[([1.0], "<=", 1.0)]))
+        solve_lp(lp(objective=[1.0, 2.0], rows=[([1.0], "<=", 1.0)]))
     with pytest.raises(ValueError):
-        solve_lp(LinearProgram(objective=[1.0], constraints=[([1.0], "<<", 1.0)]))
+        solve_lp(lp(objective=[1.0], rows=[([1.0], "<<", 1.0)]))
 
 
 NAN, INF = float("nan"), float("inf")
@@ -60,25 +74,23 @@ NAN, INF = float("nan"), float("inf")
     [
         pytest.param(dict(objective=[NAN, 1.0]), "objective", id="objective-nan"),
         pytest.param(dict(objective=[1.0, -INF]), "objective", id="objective-inf"),
-        pytest.param(dict(constraints=[([1.0, NAN], "<=", 3.0)]), "coefficients", id="coefficient-nan"),
-        pytest.param(dict(constraints=[([INF, 1.0], ">=", 1.0)]), "coefficients", id="coefficient-inf"),
-        pytest.param(dict(constraints=[([1.0, 1.0], "=", NAN)]), "rhs", id="rhs-nan"),
-        pytest.param(dict(constraints=[([1.0, 1.0], "<=", INF)]), "rhs", id="rhs-inf"),
-        pytest.param(dict(upper_bounds=[None, NAN]), "upper bounds", id="upper-nan"),
-        pytest.param(dict(upper_bounds=[INF, None]), "upper bounds", id="upper-inf"),
+        pytest.param(dict(rows=[([1.0, NAN], "<=", 3.0)]), "coefficients", id="coefficient-nan"),
+        pytest.param(dict(rows=[([INF, 1.0], ">=", 1.0)]), "coefficients", id="coefficient-inf"),
+        pytest.param(dict(rows=[([1.0, 1.0], "=", NAN)]), "rhs", id="rhs-nan"),
+        pytest.param(dict(rows=[([1.0, 1.0], "<=", INF)]), "rhs", id="rhs-inf"),
     ],
 )
 def test_non_finite_input_rejected_up_front(problem, message):
-    base = dict(objective=[1.0, 1.0], constraints=[([1.0, 1.0], "<=", 3.0)])
+    base = dict(objective=[1.0, 1.0], rows=[([1.0, 1.0], "<=", 3.0)])
     with pytest.raises(ValueError, match=message):
-        solve_lp(LinearProgram(**{**base, **problem}))
+        solve_lp(lp(**{**base, **problem}))
 
 
 def test_deterministic_across_runs():
-    prob = LinearProgram(
+    prob = lp(
         objective=[3.0, 2.0, 1.0],
-        constraints=[([1.0, 1.0, 1.0], "=", 4.0), ([1.0, 0.0, 0.0], "<=", 3.0),
-                     ([0.0, 1.0, 0.0], ">=", 1.0)],
+        rows=[([1.0, 1.0, 1.0], "=", 4.0), ([1.0, 0.0, 0.0], "<=", 3.0),
+              ([0.0, 1.0, 0.0], ">=", 1.0)],
     )
     first = solve_lp(prob)
     for _ in range(5):
@@ -97,11 +109,10 @@ def _random_problem(rng):
     b = rng.normal(size=m)
     lbs = rng.uniform(-1.0, 0.5, size=n)
     ubs = [None if rng.random() < 0.5 else float(lbs[j] + rng.uniform(0.0, 3.0)) for j in range(n)]
-    prob = LinearProgram(
+    prob = lp(
         objective=c.tolist(),
-        constraints=[(A[i].tolist(), rels[i], float(b[i])) for i in range(m)],
+        rows=[(A[i].tolist(), rels[i], float(b[i])) for i in range(m)] + upper_bound_rows(ubs),
         lower_bounds=lbs.tolist(),
-        upper_bounds=ubs,
     )
     return prob, (c, A, rels, b, lbs, ubs)
 
@@ -165,10 +176,9 @@ def test_objective_dominates_random_feasible_points(rng):
         # box + one <= constraint keeps the problem bounded and samplable
         a = np.abs(rng.normal(size=n)) + 0.1
         ub = float(rng.uniform(1.0, 5.0))
-        prob = LinearProgram(
+        prob = lp(
             objective=c.tolist(),
-            constraints=[(a.tolist(), "<=", ub)],
-            upper_bounds=[2.0] * n,
+            rows=[(a.tolist(), "<=", ub), *upper_bound_rows([2.0] * n)],
         )
         sol = solve_lp(prob)
         assert sol.optimal

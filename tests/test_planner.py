@@ -19,6 +19,7 @@ from selcheck.planner import (
     plan_from_dict,
     plan_to_dict,
     rate_monotonic_priorities,
+    TaskPlan,
 )
 from selcheck.schedulability import TIME_TOL, is_schedulable, response_time_bound
 from selcheck.workload import NUM_BUCKETS, WorkloadSpec, draw_taskset, gen_taskset, taskset_rng
@@ -251,6 +252,38 @@ def test_plan_solves_games_for_squeezed_tasks():
     assert len(entry.strategies) == 4  # C(4,3)
     assert sum(entry.probabilities) == pytest.approx(1.0, abs=1e-6)
     assert entry.attacker_strategy is not None
+
+
+
+def test_plan_solves_a_game_shared_by_tasks_once(monkeypatch):
+    from selcheck import game
+
+    # One task per core, each with R = 2 + 3k <= 10: K* = 2 of 5 for all three.
+    tasks = [make_task(tid=tid, wcet=2, period=10, n=5, n_min=1, overhead=3) for tid in "abc"]
+    ts = make_taskset(tasks, num_cores=3, cores={"a": 0, "b": 1, "c": 2})
+    solves = []
+    real_solve = game.solve_game
+
+    def counting_solve(instance, epsilon):
+        solves.append((instance.weights, instance.budget))
+        return real_solve(instance, epsilon)
+
+    monkeypatch.setattr(game, "solve_game", counting_solve)
+    memo = {}
+    result = plan(ts, games=memo)
+    assert solves == [((1.0,) * 5, 2)]
+    assert list(memo) == [((1.0,) * 5, 2, game.DEFAULT_BIG_M, game.DEFAULT_EPSILON)]
+    for t in tasks:
+        instance = game.build_game(t, 2)
+        alone = real_solve(instance, game.DEFAULT_EPSILON)
+        assert result.tasks[t.id] == TaskPlan(
+            task_id=t.id, num_commands=5, k_star=2, strategies=instance.designer_strategies,
+            probabilities=alone.probabilities, attacker_strategy=alone.attacker_strategy,
+            objective=alone.objective,
+        )
+    # A caller-owned memo carries the solved game to the next call.
+    assert plan(ts, games=memo) == result
+    assert len(solves) == 1
 
 
 def test_plan_round_trip(tmp_path):

@@ -60,8 +60,8 @@ def test_compromising_everything_detected_immediately():
 
 
 def test_detection_delay_matches_geometric_mean():
-    plan_, game, sol = randomized_plan(4, 2)
-    marginal = marginal_check_probability(game, sol)[0]
+    plan_, _, _ = randomized_plan(4, 2)
+    marginal = marginal_check_probability(plan_.tasks["victim"])[0]
     result = run_detection_experiment(
         plan_, AttackSpec(victim="victim", commands=(1,), trigger=0), trials=4000, seed=7
     )
@@ -128,9 +128,9 @@ def test_attack_spec_validation():
 
 @pytest.mark.parametrize("accuracy", [1.0, 0.5, 0.01, 0.0])
 def test_single_command_catch_probability_is_accuracy_times_marginal(accuracy):
-    plan_, game, sol = randomized_plan(4, 2)
+    plan_, _, _ = randomized_plan(4, 2)
     entry = plan_.tasks["victim"]
-    marginals = marginal_check_probability(game, sol)
+    marginals = marginal_check_probability(entry)
     for c, marginal in enumerate(marginals, start=1):
         p = detection_probability(entry, (c,), accuracy)
         assert p == pytest.approx(accuracy * marginal, abs=1e-12)

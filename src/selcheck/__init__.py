@@ -31,7 +31,6 @@ from .game import (
     enumerate_designer_strategies,
     lp_for_attacker_strategy,
     marginal_check_probability,
-    reward_cost,
     solve_game,
 )
 from .planner import (

@@ -15,21 +15,28 @@ nonzero selection chance (the multiple-LPs method of Conitzer and
 Sandholm, EC 2006).
 
 Each LP has 2^N - 1 best-response rows, but only about 20 bind at its
-optimum, so solve_game adds them lazily (row generation).  A row below
-zero in every coefficient rules l out at once.  Otherwise, from the
-uniform distribution, it takes the SCREEN_BATCH rows most violated at the
-current point that it does not hold yet, solves the restricted LP with
-its objective on the rows held so far, and checks every row at the
-answer with one product; it stops when no row is violated by more than
-FEAS_TOL of its max-norm.  The restricted LP is a relaxation of the full
-one, so an infeasible restricted LP proves l infeasible.  With equal
-weights a feasible LP ends up holding a median of 16 of its 255 rows at
-N = 8, 16 of 511 at N = 9 and 27 of 1023 at N = 10.
+optimum, so solve_game adds them lazily (row generation).  A row whose
+largest value over the floored simplex {x >= epsilon, sum x = 1} (a closed
+form, see screened_out) stays below the certificate's bound rules l out
+before any LP.  Otherwise, from the uniform distribution, it takes the
+SCREEN_BATCH rows most violated at the current point that it does not
+hold yet, solves the restricted LP with its objective on the rows held so
+far, and checks every row at the answer with one product; it stops when
+no row is violated by more than FEAS_TOL of its max-norm.  The first
+round is a cold solve_lp; each later one appends only its new rows to the
+last optimal tableau and re-solves it by dual pivots (lp.add_rows).  The
+restricted LP is a relaxation of the full one, so an infeasible
+restricted LP proves l infeasible; that verdict always comes from a cold
+solve, since a warm round without an answer is solved again cold.  With
+equal weights a feasible LP ends up holding a median of 16 of its 255 rows
+at N = 8, 16 of 511 at N = 9 and 27 of 1023 at N = 10.
 
 Every answer must pass a certificate before it counts: its probabilities
 sum to one within FEAS_TOL, none is below epsilon, and every best-response
 row, held ones included, is at least -FEAS_TOL times that row's max-norm.
-An answer that fails gets status "uncertified" and is never returned.
+An answer that fails gets status "uncertified" and is never returned;
+before that, l is solved again from the start with cold rounds only, and
+that answer must pass instead.
 
 The solved strategy is the distribution of the lowest l whose objective
 is within OBJECTIVE_TIE_TOL of the best certified one.  Tied strategies
@@ -46,7 +53,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .lp import FEAS_TOL, ConstraintBlock, LinearProgram, LpSolution, solve_lp
+from .lp import FEAS_TOL, ConstraintBlock, LinearProgram, LpSolution, add_rows, solve_lp
 from .model import Task
 
 DEFAULT_BIG_M = 100.0
@@ -59,7 +66,7 @@ DEFAULT_EPSILON = 1e-6
 OBJECTIVE_TIE_TOL = 10 * FEAS_TOL
 
 # Games on more commands are refused before anything is allocated.  One
-# equal-weight game took about 9 s at N = 10 (K = 5) and 27 s at N = 11 on
+# equal-weight game took about 4 s at N = 10 (K = 5) and 19 s at N = 11 on
 # a 2-vCPU VM; each command doubles the LPs and widens each one.
 MAX_COMMANDS = 11
 
@@ -87,29 +94,6 @@ def enumerate_attacker_strategies(n: int) -> list[Strategy]:
     if n > MAX_COMMANDS:
         raise ValueError(f"n={n} exceeds the 2^N enumeration cap ({MAX_COMMANDS})")
     return [tuple(c + 1 for c in range(n) if (mask >> c) & 1) for mask in range(1 << n)]
-
-
-def reward_cost(
-    designer: Strategy, attacker: Strategy, weights: tuple[float, ...], big_m: float = DEFAULT_BIG_M
-) -> tuple[float, float]:
-    """Score one (checker, attacker) strategy pair.
-
-    An empty attacker subset means no attack and falls under the general
-    weight-fraction formula (reward 1, cost 0); only a non-empty attack
-    that dodges every checked command counts as a miss.
-    """
-    checked = frozenset(designer)
-    attacked = frozenset(attacker)
-    if not checked:
-        raise ValueError("designer strategy must be non-empty")
-    if checked == attacked:
-        return big_m, -big_m
-    if attacked and not (checked & attacked):
-        return -big_m, big_m
-    denom = sum(weights[c - 1] for c in checked | attacked)
-    reward = sum(weights[c - 1] for c in checked) / denom
-    cost = sum(weights[c - 1] for c in attacked) / denom
-    return reward, cost
 
 
 @dataclass(frozen=True)
@@ -146,8 +130,8 @@ def build_game_from_weights(
     designer = enumerate_designer_strategies(n, k)
     # Attacker strategy l is command mask l.  Sum each mask's weights once,
     # adding w_1..w_N in ascending order (adding 0.0 for a clear bit is
-    # exact), which is the order reward_cost's frozenset sums take for
-    # N <= 7; beyond that distinct weights may differ in the last bit.
+    # exact), which is the order a frozenset sum over the cell's commands
+    # takes for N <= 7; beyond that distinct weights may differ in the last bit.
     masks = np.arange(1 << n)
     sums = np.zeros(1 << n)
     for c, w in enumerate(weights):
@@ -180,14 +164,16 @@ def build_game(task: Task, k: int, big_m: float = DEFAULT_BIG_M) -> GameInstance
     return build_game_from_weights(task.weights, k, big_m)
 
 
-def best_response_block(game: GameInstance, l: int) -> np.ndarray:
+def best_response_block(game: GameInstance, l: int, cost_t: np.ndarray | None = None) -> np.ndarray:
     """Row l' is cost[:, l] - cost[:, l'], the margin by which l beats l'.
 
-    The broadcast comes out column-major; row generation reads the block
-    by rows every round (`block @ x`, `block[rows]`), so it is made
-    C-contiguous.
+    Row generation reads the block by rows every round (`block @ x`,
+    `block[rows]`), so it is built C-contiguous from `cost_t`, game.cost.T
+    made C-contiguous, which solve_game makes once per game.
     """
-    return np.ascontiguousarray(game.cost[:, l] - game.cost.T)
+    if cost_t is None:
+        cost_t = np.ascontiguousarray(game.cost.T)
+    return cost_t[l] - cost_t
 
 
 def lp_for_attacker_strategy(
@@ -244,14 +230,35 @@ def certified(x: np.ndarray, block: np.ndarray, norms: np.ndarray, epsilon: floa
     )
 
 
+def screened_out(block: np.ndarray, norms: np.ndarray, epsilon: float) -> bool:
+    """True when some row of `block` fails at every distribution the certificate accepts.
+
+    Over the floored simplex {x >= epsilon, sum x = s} a row r peaks at
+    epsilon * sum(r) + (s - n * epsilon) * max(r): every entry at its
+    floor and the rest of the mass on r's largest entry.  The certificate
+    accepts sums within FEAS_TOL of one, which adds FEAS_TOL * |max(r)| to
+    the peak at s = 1; a row whose peak stays below the certificate's bound,
+    -FEAS_TOL times its max-norm, rules l out before any LP.
+    """
+    n = block.shape[1]
+    top = block.max(axis=1)
+    peak = epsilon * block.sum(axis=1) + (1.0 - n * epsilon) * top + FEAS_TOL * np.abs(top)
+    return bool((peak < -FEAS_TOL * norms).any())
+
+
 def _solve_by_row_generation(
-    game: GameInstance, l: int, epsilon: float
+    game: GameInstance, l: int, epsilon: float, cost_t: np.ndarray | None = None, warm: bool = True
 ) -> tuple[str, LpSolution | None]:
-    """l's status and, when "optimal", its certified LP answer."""
-    block = best_response_block(game, l)
+    """l's status and, when "optimal", its certified LP answer.
+
+    With `warm`, each round after the first appends its rows to the last
+    round's tableau (lp.add_rows); where that gives no answer the round is
+    solved cold, and an answer that fails the certificate sends l through
+    cold rounds only, from the start.
+    """
+    block = best_response_block(game, l, cost_t)
     norms = np.abs(block).max(axis=1)
-    # A row below zero in every coefficient fails at every distribution.
-    if (block.max(axis=1) < -FEAS_TOL * norms).any():
+    if screened_out(block, norms, epsilon):
         return "infeasible", None
     # Zero rows (row l, and any l' that scores like l) hold everywhere.
     scale = np.where(norms > 0.0, norms, 1.0)
@@ -268,14 +275,18 @@ def _solve_by_row_generation(
         if sol is not None and not worst.size:
             break
         rows += worst.tolist()
-        # A relaxation of l's LP: infeasible here means infeasible there.
-        sol = solve_lp(lp_for_attacker_strategy(game, l, epsilon, rows=rows, block=block))
+        sol = add_rows(sol, block[worst]) if warm and sol is not None else None
+        if sol is None:
+            # A relaxation of l's LP: infeasible here means infeasible there.
+            sol = solve_lp(lp_for_attacker_strategy(game, l, epsilon, rows=rows, block=block))
         if not sol.optimal:
             return sol.status, None
         x = np.array(sol.x)
     if not certified(x, block, norms, epsilon):
+        if warm:
+            return _solve_by_row_generation(game, l, epsilon, cost_t, warm=False)
         return "uncertified", None
-    return "optimal", sol
+    return "optimal", LpSolution(sol.status, sol.x, sol.objective)  # solve_game keeps no tableau
 
 
 def solve_game(game: GameInstance, epsilon: float = DEFAULT_EPSILON) -> GameSolution:
@@ -288,8 +299,9 @@ def solve_game(game: GameInstance, epsilon: float = DEFAULT_EPSILON) -> GameSolu
         raise ValueError("epsilon must be strictly positive")
     statuses: list[str] = []
     answers: dict[int, LpSolution] = {}
+    cost_t = np.ascontiguousarray(game.cost.T)
     for l in range(len(game.attacker_strategies)):
-        status, sol = _solve_by_row_generation(game, l, epsilon)
+        status, sol = _solve_by_row_generation(game, l, epsilon, cost_t)
         statuses.append(status)
         if sol is not None:
             answers[l] = sol

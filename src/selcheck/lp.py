@@ -14,6 +14,12 @@ solved from the original rows for the final basis rather than read from
 the tableau, whose rhs column carries the pivots' roundoff.  Tolerances:
 1e-9 for pivots, 1e-6 for feasibility classification.
 
+An optimal answer keeps its final phase-2 tableau, so `add_rows` can
+append `rows @ x >= 0` cuts and re-solve warm: the new rows are written in
+the current basis on slacks that enter it, and the same dual pivots
+restore feasibility while the basis stays optimal (the cutting-plane
+re-solve of the dual simplex method; Chvatal, *Linear Programming*, 1983).
+
 Constraints come as one ConstraintBlock of arrays, so set-up is array
 code (one matrix, then masks and fancy indexing), and so is the choice of
 ratio-test rows.  Variables have finite lower bounds and no upper bounds;
@@ -24,7 +30,7 @@ in row order, so an answer does not depend on how numpy pairs sums.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,10 +85,28 @@ class LinearProgram:
 
 
 @dataclass(frozen=True)
+class Tableau:
+    """An optimal LP's final phase-2 tableau and basis, kept for add_rows.
+
+    `standard` and `rhs` hold its rows in standard form (shifted by the
+    lower bounds, equilibrated and oriented), one per basic variable and
+    untouched by pivoting, to solve answers from.
+    """
+
+    tableau: np.ndarray
+    basis: list[int]
+    standard: np.ndarray
+    rhs: np.ndarray
+    objective: np.ndarray
+    lower_bounds: np.ndarray
+
+
+@dataclass(frozen=True)
 class LpSolution:
     status: str                      # optimal | infeasible | unbounded
     x: tuple[float, ...] | None = None
     objective: float | None = None
+    tableau: Tableau | None = field(default=None, repr=False, compare=False)  # when optimal
 
     @property
     def optimal(self) -> bool:
@@ -138,7 +162,7 @@ def _simplex(tableau: np.ndarray, basis: list[int]) -> str:
     raise RuntimeError("simplex iteration limit exceeded")
 
 
-def _restore_exact_feasibility(tableau: np.ndarray, basis: list[int]) -> None:
+def _restore_exact_feasibility(tableau: np.ndarray, basis: list[int]) -> bool:
     """Dual simplex pivots on the exact rhs after an optimal perturbed solve.
 
     The final basis is feasible for the perturbed rhs, but the exact rhs
@@ -146,25 +170,27 @@ def _restore_exact_feasibility(tableau: np.ndarray, basis: list[int]) -> None:
     seen on a game LP), and clamping it to zero would break the rows it
     balances.  Each pivot takes the most negative exact value out of the
     basis and keeps every reduced cost non-negative, so the basis stays
-    optimal; it stops when none is below -PIVOT_TOL, or when no column can
-    enter (an infeasibility at roundoff level, left to the caller's checks).
+    optimal.  It returns True when none is below -PIVOT_TOL, and False when
+    no column can enter (a Farkas row: infeasible, or roundoff) or the pivot
+    limit is hit; a cold solve leaves that to the caller's checks.
     """
     m = tableau.shape[0] - 1
     for _ in range(m + 100):
         rhs = tableau[:m, _TRUE]
         leave = int(rhs.argmin())
         if rhs[leave] >= -PIVOT_TOL:
-            return
+            return True
         row = tableau[leave, :_TRUE]
         eligible = (row < -PIVOT_TOL).nonzero()[0]
         if not eligible.size:
-            return
+            return False
         ratios = tableau[-1, eligible] / -row[eligible]
         # Among tolerance-level ties prefer the largest pivot element.
         tied = eligible[ratios <= ratios.min() + PIVOT_TOL]
         enter = int(tied[row[tied].argmin()])
         _pivot(tableau, leave, enter)
         basis[leave] = enter
+    return False
 
 
 def _basic_values(standard: np.ndarray, rhs: np.ndarray, basis: list[int], pivoted: np.ndarray) -> np.ndarray:
@@ -276,8 +302,54 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     if status == "unbounded":
         return LpSolution(status="unbounded")
     _restore_exact_feasibility(tableau, basis)
+    return _answer(Tableau(tableau, basis, standard[keep], rhs[keep], c, lb))
 
-    y = np.zeros(total)
-    y[basis] = _basic_values(standard[keep], rhs[keep], basis, tableau[:m, _TRUE])
-    x = y[:n] + lb
-    return LpSolution(status="optimal", x=tuple(x.tolist()), objective=float(c @ x))
+
+def _answer(kept: Tableau) -> LpSolution:
+    """The optimal answer of a final tableau, solved from its original rows."""
+    basis, n = kept.basis, len(kept.objective)
+    y = np.zeros(kept.tableau.shape[1] - 2)
+    y[basis] = _basic_values(kept.standard, kept.rhs, basis, kept.tableau[:-1, _TRUE])
+    x = y[:n] + kept.lower_bounds
+    return LpSolution(status="optimal", x=tuple(x.tolist()), objective=float(kept.objective @ x), tableau=kept)
+
+
+def add_rows(solved: LpSolution, rows: np.ndarray) -> LpSolution | None:
+    """Append the rows `rows @ x >= 0` to the LP `solved` answers, and re-solve it warm.
+
+    Each row is equilibrated as solve_lp does, written as -a @ y + s = a @ lb
+    on a new slack s (its value at the current answer, negative where the
+    row is violated) and expressed in the current basis, which s joins.
+    Dual pivots on the exact rhs then restore feasibility.  Returns None
+    when they leave a value below -PIVOT_TOL, which may be an infeasible LP
+    or roundoff; solve_lp decides that LP cold.
+    """
+    kept = solved.tableau
+    rows = np.asarray(rows, dtype=float)
+    _require_finite("constraint coefficients", rows)
+    (k, n), m = rows.shape, len(kept.basis)
+    if n != len(kept.objective):
+        raise ValueError(f"rows of shape {rows.shape} do not fit {len(kept.objective)} variables")
+    total = kept.tableau.shape[1] - 2
+    scale = np.abs(rows).max(axis=1)
+    scale[scale == 0.0] = 1.0
+    a = rows / scale[:, None]
+
+    # The new rows in standard form, over the old columns, the new slacks and
+    # both rhs columns; the z-row is unchanged, since every slack costs 0.
+    new = np.zeros((k, total + k + 2))
+    new[:, :n] = -a
+    new[np.arange(k), total + np.arange(k)] = 1.0
+    new[:, _TRUE] = new[:, _PERT] = a @ kept.lower_bounds
+    tableau = np.zeros((m + k + 1, total + k + 2))
+    tableau[np.r_[:m, -1], :total] = kept.tableau[:, :total]
+    tableau[np.r_[:m, -1], _TRUE:] = kept.tableau[:, _TRUE:]
+    tableau[m:-1] = new - new[:, kept.basis] @ tableau[:m]
+    basis = kept.basis + list(range(total, total + k))
+    if not _restore_exact_feasibility(tableau, basis):
+        return None
+    standard = np.zeros((m + k, total + k))
+    standard[:m, :total] = kept.standard
+    standard[m:] = new[:, :_TRUE]
+    rhs = np.concatenate([kept.rhs, new[:, _TRUE]])
+    return _answer(Tableau(tableau, basis, standard, rhs, kept.objective, kept.lower_bounds))

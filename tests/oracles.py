@@ -14,6 +14,31 @@ from itertools import combinations, product
 import numpy as np
 from scipy.optimize import linprog
 
+from selcheck.game import DEFAULT_BIG_M, Strategy
+
+
+def reward_cost(
+    designer: Strategy, attacker: Strategy, weights: tuple[float, ...], big_m: float = DEFAULT_BIG_M
+) -> tuple[float, float]:
+    """Score one (checker, attacker) strategy pair.
+
+    An empty attacker subset means no attack and falls under the general
+    weight-fraction formula (reward 1, cost 0); only a non-empty attack
+    that dodges every checked command counts as a miss.
+    """
+    checked = frozenset(designer)
+    attacked = frozenset(attacker)
+    if not checked:
+        raise ValueError("designer strategy must be non-empty")
+    if checked == attacked:
+        return big_m, -big_m
+    if attacked and not (checked & attacked):
+        return -big_m, big_m
+    denom = sum(weights[c - 1] for c in checked | attacked)
+    reward = sum(weights[c - 1] for c in checked) / denom
+    cost = sum(weights[c - 1] for c in attacked) / denom
+    return reward, cost
+
 
 def reward_cost_by_cases(designer, attacker, weights, big_m):
     """Exact re-derivation of one score cell from raw subsets."""

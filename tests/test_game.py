@@ -2,11 +2,11 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_task
-from oracles import game_lp_vertex_optimum, highs_objectives, reward_cost_by_cases, tie_rule
+from oracles import game_lp_vertex_optimum, highs_objectives, reward_cost, reward_cost_by_cases, tie_rule
 
 from selcheck.game import (
     MAX_COMMANDS,
@@ -20,11 +20,11 @@ from selcheck.game import (
     enumerate_designer_strategies,
     lp_for_attacker_strategy,
     marginal_check_probability,
-    reward_cost,
+    screened_out,
     solve_game,
     _solve_by_row_generation,
 )
-from selcheck.lp import FEAS_TOL, ConstraintBlock, solve_lp
+from selcheck.lp import FEAS_TOL, PIVOT_TOL, ConstraintBlock, LpSolution, add_rows, solve_lp
 from selcheck.planner import TaskPlan
 
 
@@ -381,3 +381,120 @@ def test_equal_weight_large_games_pick_the_lowest_tied_strategy(n, objective):
     sol = solve_game(build_game_from_weights((1.0,) * n, 4))
     assert sol.attacker_strategy == 7
     assert sol.objective == pytest.approx(objective, abs=1e-6)
+
+
+def test_block_from_one_transposed_cost_equals_the_broadcast_bit_for_bit():
+    for weights, k in (((1.0,) * 5, 2), ((0.5, 1.25, 2.0, 0.75, 3.5, 1.75), 3)):
+        game = build_game_from_weights(weights, k)
+        cost_t = np.ascontiguousarray(game.cost.T)
+        for l in range(len(game.attacker_strategies)):
+            reference = np.ascontiguousarray(game.cost[:, l] - game.cost.T)
+            for block in (best_response_block(game, l), best_response_block(game, l, cost_t)):
+                assert block.flags.c_contiguous
+                assert block.tobytes() == reference.tobytes()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_rows_added_warm_match_a_cold_solve_of_all_rows(data):
+    """Solving rows R, then adding rows S by dual pivots, answers like a cold solve of R and S."""
+    eps = 1e-6
+    n = data.draw(st.integers(2, 6), label="n")
+    weights = tuple(data.draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n), label="weights"))
+    k = data.draw(st.integers(1, n - 1), label="k")
+    game = build_game_from_weights(weights, k)
+    l = data.draw(st.integers(0, (1 << n) - 1), label="l")
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=2, max_size=24, unique=True), label="rows")
+    cut = data.draw(st.integers(1, len(rows) - 1), label="cut")
+    block = best_response_block(game, l)
+    first = solve_lp(lp_for_attacker_strategy(game, l, eps, rows=rows[:cut], block=block))
+    assume(first.optimal)
+    warm = add_rows(first, block[rows[cut:]])
+    cold = solve_lp(lp_for_attacker_strategy(game, l, eps, rows=rows, block=block))
+    held = block[rows]
+    norms = np.abs(held).max(axis=1)
+    if warm is None:
+        # No warm verdict, and the caller solves the LP cold: it must be
+        # infeasible, or feasible only within solve_lp's phase-1 tolerance.
+        assert not cold.optimal or (held @ np.array(cold.x) < -PIVOT_TOL * norms).any()
+    else:
+        assert warm.optimal and cold.optimal
+        assert abs(warm.objective - cold.objective) <= 1e-9
+        assert certified(np.array(warm.x), held, norms, eps)
+
+
+def test_game_whose_warm_answer_missed_a_row_returns_the_certified_highs_optimum():
+    """A warm answer here once failed the certificate; l goes through the cold rounds instead."""
+    eps = 1e-6
+    game = build_game_from_weights((1.75, 1.49609375, 1.4623892593852894, 1.4623892593852894,
+                                    1.4623892593852894, 0.5), 3)
+    reference = highs_objectives(game, eps)
+    sol = solve_game(game, eps)
+    assert sol.attacker_strategy == tie_rule(reference, OBJECTIVE_TIE_TOL)
+    assert sol.objective == pytest.approx(reference[sol.attacker_strategy], abs=1e-6)
+    assert [s == "optimal" for s in sol.statuses] == [v is not None for v in reference]
+    _assert_certified(game, sol, eps)
+
+
+@pytest.mark.parametrize("warm_answer", ["none", "uncertified"])
+def test_a_warm_round_without_a_certified_answer_falls_back_to_cold_rounds(monkeypatch, warm_answer):
+    game = build_game_from_weights((0.5, 1.25, 2.0, 0.75, 3.5, 1.75), 3)
+    cold = [_solve_by_row_generation(game, l, 1e-6, warm=False) for l in range(64)]
+
+    def broken(solved, rows):
+        if warm_answer == "none":
+            return None
+        return LpSolution("optimal", tuple(0.0 for _ in solved.x), 0.0, solved.tableau)
+
+    monkeypatch.setattr("selcheck.game.add_rows", broken)
+    assert [_solve_by_row_generation(game, l, 1e-6) for l in range(64)] == cold
+
+
+def test_screened_out_strategies_have_infeasible_highs_lps():
+    eps = 1e-6
+    screened = 0
+    for weights in ORACLE_GAME_WEIGHTS.values():
+        for n in range(2, 7):
+            for k in range(1, n):
+                game = build_game_from_weights(weights[:n], k)
+                out = []
+                for l in range(1 << n):
+                    block = best_response_block(game, l)
+                    if screened_out(block, np.abs(block).max(axis=1), eps):
+                        out.append(l)
+                reference = highs_objectives(game, eps)
+                assert all(reference[l] is None for l in out), (weights, n, k)
+                screened += len(out)
+    assert screened > 0
+
+
+def test_screen_rules_out_more_strategies_than_the_negative_row_test():
+    eps = 1e-6
+    game = build_game_from_weights((0.5, 1.25, 2.0, 0.75, 3.5, 1.75), 3)
+    old, new = set(), set()
+    for l in range(64):
+        block = best_response_block(game, l)
+        norms = np.abs(block).max(axis=1)
+        if (block.max(axis=1) < -FEAS_TOL * norms).any():  # the all-negative-row test it replaced
+            old.add(l)
+        if screened_out(block, norms, eps):
+            new.add(l)
+    assert old < new
+
+
+@pytest.mark.parametrize("peak, sum_x, kept", [
+    (-2.0e-6, 1 + 0.9 * FEAS_TOL, True),  # met only by a sum the certificate accepts above one
+    (-1.0e-6, 1.0, True),                 # between the bound and the bound less the margin
+    (-3.0e-6, None, False),               # below the bound even with the margin
+], ids=["margin", "inside-margin", "ruled-out"])
+def test_screen_keeps_every_distribution_the_certificate_accepts(peak, sum_x, kept):
+    """One row (1, -c) on two commands with epsilon = 0.4: its peak over the
+    floored simplex is 0.6 - 0.4 * c, set here to `peak`; the bound is
+    -FEAS_TOL * c (about -1.5e-6) and the margin FEAS_TOL * 1."""
+    eps, c = 0.4, (0.6 - peak) / 0.4
+    block = np.array([[1.0, -c]])
+    norms = np.abs(block).max(axis=1)
+    assert screened_out(block, norms, eps) is not kept
+    if kept:
+        x = np.array([sum_x - eps, eps])
+        assert certified(x, block, norms, eps)

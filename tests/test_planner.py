@@ -148,7 +148,7 @@ GOLDEN_SHA256 = {
     "fig6_coverage.csv": "7203de4f9e018c902c15cd52800c39f5398c5ff03496c8a41bf0d3becca51822",
     "fig7_tradeoff.csv": "441dd685c8c3ff2cfea3c1b1d9aeadf61656c33a499b6ce62cb86aa3f554e9ae",
     "fig8_acceptance.csv": "f468c6753d1d10f559c1d69791e07c5a26b2df4601e6a4ea150792c733621090",
-    "plan.json": "6ce4b7e13bac6e5dc807936e2fecc7914c71789633239790705e4c651db3cb5b",
+    "plan.json": "060074dccf0bb79ee661f871e429cf365c800bc46b45112539ab52a8014634d4",
     "report.csv": "2e47766b4676ac6db5fa89b394a8a0ea0ba31a4e6c8370222f65ff1e04be60fe",
 }
 

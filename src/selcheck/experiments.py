@@ -22,7 +22,7 @@ from . import game as game_mod
 from .model import Taskset, assignment_at
 from .planner import Infeasible, assign_check_budgets, plan
 from .schedulability import is_schedulable
-from .simulator import DEFAULT_MAX_JOBS, acceptance_ratio, coverage_ratio, mean_detected_delay
+from .simulator import DEFAULT_MAX_JOBS, acceptance_ratios, coverage_ratio, mean_detected_delay
 from .workload import NUM_BUCKETS, WorkloadSpec, draw_taskset, taskset_rng
 
 SCENARIOS = ("medium", "high")
@@ -92,8 +92,8 @@ def _acceptance_cell(args) -> list[tuple[str, float, int]]:
     base, scenario_idx, bucket, count = args
     scenario = SCENARIOS[scenario_idx]
     # None entries fit on no partition: unschedulable under every scheme.
-    batch = _cell_tasksets(base, 8, scenario_idx, bucket, count, scenario)
-    return [(scheme, acceptance_ratio(batch, scheme), count) for scheme in ACCEPTANCE_METRICS]
+    ratios = acceptance_ratios(_cell_tasksets(base, 8, scenario_idx, bucket, count, scenario))
+    return [(scheme, ratios[scheme], count) for scheme in ACCEPTANCE_METRICS]
 
 
 def _coverage_bin(pairs: list[tuple[int, int]]) -> int:

@@ -8,6 +8,7 @@ construction.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -183,6 +184,13 @@ def _validate_task(task: Task) -> list[Violation]:
     # Compared, not converted: an integer too large for a float must not raise here.
     if not all(_is_number(w) and 0 < w <= sys.float_info.max for w in task.weights):
         bad("weights", "weights must be positive finite numbers")
+    else:
+        # The game adds weights in this order; an infinite total makes its payoffs NaN.
+        total = 0.0
+        for w in task.weights:
+            total += w
+        if not math.isfinite(total):
+            bad("weights", "the sum of the weights must be finite")
     if _is_int(task.check_overhead) and task.check_overhead < 0:
         bad("check_overhead", "check_overhead must be >= 0")
     return v

@@ -187,30 +187,35 @@ def balanced_partition_by_response_bound(tasks: list[Task], num_cores: int) -> P
 
     Tasks arrive in priority order and go to the least-utilized core whose
     admission test passes (lowest index on ties).  A newcomer is always the
-    lowest priority on its core, so only its own bound needs checking.
-    Every placement this produces is schedulable with checking disabled;
-    raises PartitionError when some task's bound fails on every core.
+    lowest priority on its core, so only its own bound needs checking.  The
+    bound is summed over each core's (period, wcet) pairs in
+    `bound_from_wcets`'s order, own term first and then highest priority
+    down, so every placement this produces is schedulable with checking
+    disabled, bit for bit; raises PartitionError when some task's bound
+    fails on every core.
     """
     if num_cores < 1:
         raise ValueError("need at least one core")
     order = rate_monotonic_priorities(tasks)
     by_id = {t.id: t for t in tasks}
-    members: list[list[Task]] = [[] for _ in range(num_cores)]
+    # (period, wcet) of each core's members, highest priority first.
+    members: list[list[tuple[int, int]]] = [[] for _ in range(num_cores)]
     load = [0.0] * num_cores
     partition: dict[TaskId, int] = {}
     priority: dict[TaskId, int] = {}
     for rank, tid in enumerate(order):
         t = by_id[tid]
-        placed = False
-        for core in sorted(range(num_cores), key=lambda c: load[c]):
-            bound = t.wcet + sum((1.0 + t.deadline / h.period) * h.wcet for h in members[core])
-            if bound <= t.deadline + TIME_TOL:
-                members[core].append(t)
+        deadline, limit = t.deadline, t.deadline + TIME_TOL
+        for core in sorted(range(num_cores), key=load.__getitem__):
+            bound = float(t.wcet)  # summed in bound_from_wcets's order
+            for period, wcet in members[core]:
+                bound += (1.0 + deadline / period) * wcet
+            if bound <= limit:
+                members[core].append((t.period, t.wcet))
                 load[core] += t.utilization
                 partition[tid] = core
-                placed = True
                 break
-        if not placed:
+        else:
             raise PartitionError(f"task {tid} is unschedulable on every core")
         priority[tid] = rank
     return Platform(num_cores=num_cores, partition=partition, priority=priority)

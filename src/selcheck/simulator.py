@@ -210,16 +210,38 @@ def coverage_ratio(pairs: Sequence[tuple[int, int]]) -> float:
     return sum(k / n for k, n in pairs) / len(pairs)
 
 
-def acceptance_ratio(tasksets: Sequence[Taskset | None], scheme: str) -> float:
-    """Fraction of the batch schedulable under the scheme.
+def schedulable_schemes(taskset: Taskset) -> dict[str, bool]:
+    """Whether a valid taskset is schedulable under each scheme, in two bound tests.
+
+    The bound is monotone in every k and 0 <= min_checks <= num_commands, so
+    a taskset that fits at min_checks fits unsecured, and one that does not
+    fits under neither scate nor fine-grain.
+    """
+    if is_schedulable(taskset, assignment_at(taskset, "min")):
+        fine_grain = is_schedulable(taskset, assignment_at(taskset, "full"))
+        return {"unsecured": True, "fine-grain": fine_grain, "scate": True}
+    unsecured = is_schedulable(taskset, assignment_at(taskset, "zero"))
+    return {"unsecured": unsecured, "fine-grain": False, "scate": False}
+
+
+def acceptance_ratios(tasksets: Sequence[Taskset | None]) -> dict[str, float]:
+    """Fraction of the batch schedulable under each scheme, judging each taskset once.
 
     None entries stand for generated workloads that fit on no partition;
     they count as unschedulable under every scheme.
     """
-    if scheme not in SCHEME_LEVELS:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {tuple(SCHEME_LEVELS)}")
     if not tasksets:
         raise ValueError("empty batch")
-    level = SCHEME_LEVELS[scheme]
-    ok = sum(is_schedulable(ts, assignment_at(ts, level)) for ts in tasksets if ts is not None)
-    return ok / len(tasksets)
+    ok = dict.fromkeys(SCHEME_LEVELS, 0)
+    for ts in tasksets:
+        if ts is not None:
+            for scheme, fits in schedulable_schemes(ts).items():
+                ok[scheme] += fits
+    return {scheme: count / len(tasksets) for scheme, count in ok.items()}
+
+
+def acceptance_ratio(tasksets: Sequence[Taskset | None], scheme: str) -> float:
+    """Fraction of the batch schedulable under one scheme (see `acceptance_ratios`)."""
+    if scheme not in SCHEME_LEVELS:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {tuple(SCHEME_LEVELS)}")
+    return acceptance_ratios(tasksets)[scheme]

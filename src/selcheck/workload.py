@@ -13,9 +13,12 @@ loaded cores no headroom for checks at all.
 
 Every `gen` and `sweep` taskset takes one fixed-sum sample.  That draw runs
 in Python floats over only the table columns its walk can reach (k + 1 of
-them, k = floor(total utilization) <= core count), instead of numpy calls
-on n-element rows, and is byte-identical to the batched numpy sampler,
-which stays the path for many samples at once and the reference in tests.
+them, k = floor(total utilization) <= core count), takes every level's
+root from one vector power, and evaluates the walk's transition
+probability only at the state it visits.  It is byte-identical to the
+batched numpy sampler, which stays the path for many samples at once and
+the reference in tests.  `draw_taskset` is the one draw path for `gen` and
+every sweep.
 """
 
 from __future__ import annotations
@@ -141,47 +144,56 @@ def _stafford(n: int, s: float, m: int, rng: np.random.Generator) -> np.ndarray:
 def _stafford_one(n: int, s: float, rng: np.random.Generator) -> np.ndarray:
     """_stafford(n, s, 1, rng)[0] bit for bit, in Python floats.
 
-    The walk starts in column k and only moves left, so only columns 0..k
-    of t (0..k+1 of w) are built.  Byte identity with the numpy path rests
-    on three rules:
+    The walk starts in column k and only moves left, so only columns 0..k+1
+    of w are built, and t is computed only at the one state the walk visits
+    per level.  Byte identity with the numpy path rests on three rules:
     - every table entry is computed in numpy's order, (w * s1) / i;
     - s2 > s1 picks the branch, as np.where did;
-    - the root step stays one one-element array power per level (Python
-      `**` rounds differently on most draws, and one vector power over all
-      levels on some).
+    - the roots come from one vector power over all levels, except level 2's:
+      `x ** 0.5` on an array takes numpy's sqrt path, which rounds differently
+      from the vector power on some draws (and Python's `**` on most).
     """
     k = int(max(min(math.floor(s), n - 1), 0))
     s = max(min(s, k + 1.0), float(k))
     tiny = np.finfo(float).tiny
     s1 = [s - (k - j) for j in range(k + 1)]
 
+    # ws[i-1] is w's row at level i; t's row at level i+1 is read off it.
     w = [0.0] * (k + 2)
     w[1] = np.finfo(float).max
-    t = []
-    for i in range(2, n + 1):
-        row_w, row_t = [0.0] * (k + 2), [0.0] * (k + 1)
+    ws = [w]
+    for i in range(2, n):
+        row = [0.0] * (k + 2)
         for j in range(min(i, k + 1)):
-            s2 = (k + i - j) - s
-            tmp1 = w[j + 1] * s1[j] / i
-            tmp2 = w[j] * s2 / i
-            row_w[j + 1] = tmp1 + tmp2
-            tmp3 = row_w[j + 1] + tiny
-            row_t[j] = tmp2 / tmp3 if s2 > s1[j] else 1.0 - tmp1 / tmp3
-        w = row_w
-        t.append(row_t)
+            row[j + 1] = w[j + 1] * s1[j] / i + w[j] * ((k + i - j) - s) / i
+        w = row
+        ws.append(w)
 
     draws = rng.random(3 * n - 2)  # the transitions, positions and permutation keys
     rt, rs = draws[: n - 1].tolist(), draws[n - 1 : 2 * n - 2]
+    roots = np.power(rs, 1.0 / np.arange(n - 1, 0, -1.0)).tolist()  # [n-i-1] is level i's
+    if n >= 3:
+        roots[n - 3] = (rs[n - 3 : n - 2] ** 0.5).item()  # the sqrt path, as in _stafford
     x = []
     sv, j, sm, pr = s, k, 0.0, 1.0
-    for i in range(n - 1, 0, -1):
-        e = 1.0 if rt[n - i - 1] < t[i - 1][j] else 0.0
-        sx = (rs[n - i - 1 : n - i] ** (1.0 / i)).item()
+    for i, r, sx, w in zip(range(n - 1, 0, -1), rt, roots, reversed(ws)):
+        move = False  # numpy's t is 0 (no move) beyond column i
+        if j <= i:  # t at level i+1, column j
+            s2 = (k + i + 1 - j) - s
+            tmp1 = w[j + 1] * s1[j] / (i + 1)
+            tmp2 = w[j] * s2 / (i + 1)
+            tmp3 = (tmp1 + tmp2) + tiny
+            move = r < (tmp2 / tmp3 if s2 > s1[j] else 1.0 - tmp1 / tmp3)
         sm = sm + (1.0 - sx) * pr * sv / (i + 1)
         pr = sx * pr
-        x.append(sm + pr * e)
-        sv = sv - e
-        j = max(j - int(e), 0)
+        # numpy's sm + pr * e, with e = 1.0 on a move and 0.0 otherwise; both
+        # products are exact, so they are left out.
+        if move:
+            x.append(sm + pr)
+            sv = sv - 1.0
+            j = max(j - 1, 0)
+        else:
+            x.append(sm)
     x.append(sm + pr * sv)
     return np.array(x)[np.argsort(draws[2 * n - 2 :])]
 
@@ -242,13 +254,21 @@ def _draw_taskset(spec: WorkloadSpec, rng: np.random.Generator) -> Taskset:
         counts = rng.integers(n_lo, n_hi + 1, size=m).tolist()
 
     width = len(str(m - 1))
+    fixed_overhead = OVERHEAD_PRESETS_US.get(spec.overhead_preset)  # None: a share of wcet
+    overhead_fraction = spec.overhead_fraction
+    # (min_checks, weights) per distinct command count.
+    commands = {
+        n_cmd: (math.ceil(spec.min_checks_fraction * n_cmd), (1.0,) * n_cmd)
+        for n_cmd in set(counts)
+    }
     tasks = []
     for idx, (u, period, n_cmd) in enumerate(zip(utils, periods, counts)):
         wcet = max(1, round(u * period))
-        if spec.overhead_preset is not None:
-            overhead = OVERHEAD_PRESETS_US[spec.overhead_preset]
+        if fixed_overhead is None:
+            overhead = max(1, round(overhead_fraction * wcet))
         else:
-            overhead = max(1, round(spec.overhead_fraction * wcet))
+            overhead = fixed_overhead
+        min_checks, weights = commands[n_cmd]
         tasks.append(
             Task(
                 id=f"t{idx:0{width}d}",
@@ -256,8 +276,8 @@ def _draw_taskset(spec: WorkloadSpec, rng: np.random.Generator) -> Taskset:
                 period=period,
                 deadline=period,
                 num_commands=n_cmd,
-                min_checks=math.ceil(spec.min_checks_fraction * n_cmd),
-                weights=(1.0,) * n_cmd,
+                min_checks=min_checks,
+                weights=weights,
                 check_overhead=overhead,
             )
         )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from selcheck.model import Platform, Task, Taskset
+from selcheck.workload import SCENARIO_COMMANDS, WorkloadSpec, draw_taskset, taskset_rng
 
 
 def make_task(tid="t0", wcet=2, period=10, deadline=None, n=3, n_min=1,
@@ -31,3 +32,23 @@ def make_taskset(tasks, num_cores=1, cores=None, priorities=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+# Both scenarios, 1 and 4 cores and every overhead source, over every bucket.
+DRAW_SPECS = [
+    WorkloadSpec(num_cores=cores, utilization_bucket=bucket, scenario=scenario,
+                 overhead_preset=preset, seed=5)
+    for scenario in SCENARIO_COMMANDS
+    for cores in (1, 4)
+    for preset in (None, "linux-optee", "freertos")
+    for bucket in range(10)
+]
+
+
+def drawn_tasksets(per_spec=3):
+    """per_spec draws for each of DRAW_SPECS; None marks an unplaceable draw."""
+    return [
+        draw_taskset(spec, taskset_rng(spec.seed, spec_idx, index))
+        for spec_idx, spec in enumerate(DRAW_SPECS)
+        for index in range(per_spec)
+    ]

@@ -397,6 +397,22 @@ def test_plan_rejects_malformed_counts_and_weights(tmp_path, field, value):
     assert not (tmp_path / "p.json").exists()
 
 
+def test_plan_rejects_weights_whose_sum_overflows(tmp_path):
+    """Each weight is finite and positive, but their float sum is not: the
+    game's payoffs would be NaN, so validate names the task instead."""
+    ts = tmp_path / "ts.json"
+    write_taskset(ts)
+    doc = json.loads(ts.read_text())
+    doc["tasks"][0]["weights"] = [1e308, 1e308, 1.0, 1.0]
+    ts.write_text(json.dumps(doc))
+    res = run_cli("plan", "--taskset", str(ts), "--out", str(tmp_path / "p.json"))
+    assert res.returncode == 1
+    assert "invalid taskset: task ctrl: weights: the sum of the weights must be finite" in res.stderr
+    assert "objective must be finite" not in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "p.json").exists()
+
+
 @pytest.mark.parametrize("big_m", ["nan", "inf"])
 def test_plan_rejects_non_finite_big_m(tmp_path, big_m):
     ts = tmp_path / "ts.json"

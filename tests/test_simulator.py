@@ -5,21 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_task, make_taskset
+from conftest import drawn_tasksets, make_task, make_taskset
 from oracles import catch_probability_by_enumeration
 
 from selcheck.game import build_game_from_weights, marginal_check_probability, solve_game
+from selcheck.model import assignment_at
 from selcheck.planner import CheckPlan, TaskPlan
 from selcheck.simulator import (
     DEFAULT_MAX_JOBS,
+    SCHEME_LEVELS,
     AttackSpec,
     acceptance_ratio,
+    acceptance_ratios,
     coverage_ratio,
     detection_probability,
     mean_detected_delay,
     result_csv,
     run_detection_experiment,
+    schedulable_schemes,
 )
+from selcheck.schedulability import is_schedulable
 
 
 def randomized_plan(n=4, k=2, weights=None):
@@ -335,3 +340,49 @@ def test_acceptance_ratio_counts_unplaceable_as_unschedulable():
         acceptance_ratio([], "unsecured")
     with pytest.raises(ValueError):
         acceptance_ratio(batch, "paranoid")
+
+
+def _three_tests(ts):
+    """One is_schedulable call per scheme, at its uniform check level."""
+    return {scheme: is_schedulable(ts, assignment_at(ts, level))
+            for scheme, level in SCHEME_LEVELS.items()}
+
+
+def test_one_pass_judge_equals_three_tests_on_drawn_tasksets():
+    seen = set()
+    for ts in drawn_tasksets():
+        if ts is not None:
+            verdict = schedulable_schemes(ts)
+            assert verdict == _three_tests(ts)
+            seen.add((verdict["unsecured"], verdict["scate"], verdict["fine-grain"]))
+    # Placed draws always fit unsecured; every other outcome the monotone order
+    # allows shows up, including a taskset that fits unsecured but not at
+    # min_checks (the case where the judge's second test is the zero test).
+    assert seen == {(True, True, True), (True, True, False), (True, False, False)}
+
+
+HAND_BUILT = {
+    "fails-at-zero": make_taskset([make_task(tid="a", wcet=10, period=25, overhead=1),
+                                   make_task(tid="b", wcet=20, period=25, overhead=1)]),
+    "fits-only-unchecked": make_taskset([make_task(wcet=20, period=25, n=4, n_min=2,
+                                                   overhead=4)]),
+    "free-checks-fit": make_taskset([make_task(wcet=10, period=25, n=4, n_min=2, overhead=0)]),
+    "free-checks-miss": make_taskset([make_task(tid="a", wcet=10, period=25, overhead=0),
+                                      make_task(tid="b", wcet=20, period=25, overhead=0)]),
+    "no-commands": make_taskset([make_task(wcet=5, period=25, n=0, n_min=0, overhead=3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_one_pass_judge_equals_three_tests_on_hand_built_tasksets(name):
+    ts = HAND_BUILT[name]
+    assert schedulable_schemes(ts) == _three_tests(ts)
+
+
+def test_acceptance_ratios_count_each_scheme_over_the_batch():
+    batch = [*drawn_tasksets(per_spec=1), *HAND_BUILT.values(), None]
+    ratios = acceptance_ratios(batch)
+    for scheme in SCHEME_LEVELS:
+        fits = sum(_three_tests(ts)[scheme] for ts in batch if ts is not None)
+        assert ratios[scheme] == fits / len(batch)
+        assert acceptance_ratio(batch, scheme) == ratios[scheme]

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
+
+from conftest import DRAW_SPECS, drawn_tasksets
 
 from selcheck.model import assignment_at, validate
 from selcheck.schedulability import is_schedulable
@@ -196,3 +198,48 @@ def test_one_sample_draw_matches_batched_stafford(case):
     ref = _stafford(n, s, 1, many)[0]
     assert x.tobytes() == ref.tobytes()
     assert one.random() == many.random()
+
+
+@st.composite
+def root_cases(draw):
+    n = draw(st.integers(2, 45))
+    s = draw(st.one_of(st.floats(0.0, float(n)), st.integers(0, n).map(float)))
+    return n, s, draw(st.integers(0, 2**32 - 1))
+
+
+def _assert_one_draw_matches_batched(n, s, seed):
+    one, many = np.random.default_rng(seed), np.random.default_rng(seed)
+    x = randfixedsum(n, s, 0, 1, one)
+    ref = _stafford(n, s, 1, many)[0]
+    assert x.tobytes() == ref.tobytes()
+    assert one.bit_generator.state == many.bit_generator.state
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(case=root_cases())
+@example(case=(2, 0.5, 0))
+@example(case=(2, 1.0, 1))
+@example(case=(3, 1.5, 7))
+@example(case=(3, 2.0, 8))
+def test_one_root_power_per_draw_matches_batched_stafford(case):
+    """One vector power for every level's root, with level 2 on numpy's sqrt
+    path, gives _stafford's bytes and leaves the generator in its state."""
+    _assert_one_draw_matches_batched(*case)
+
+
+# Seeds whose level-2 root rounds differently under the vector power than
+# under `x ** 0.5`; n = 2 has no level 2, so its one root must stay untouched.
+@pytest.mark.parametrize("n, seeds", [(2, range(40)), (3, (7, 8, 18, 54, 70)), (4, (14, 41, 74))])
+def test_level_two_root_takes_the_sqrt_path(n, seeds):
+    for seed in seeds:
+        for s in (0.3, 1.0, n - 0.6):
+            _assert_one_draw_matches_batched(n, s, seed)
+
+
+def test_every_draw_is_schedulable_with_checking_disabled():
+    """Placement sums each admission bound in bound_from_wcets's order, so no
+    draw it places is refused by the schedulability test at zero checks."""
+    batch = [ts for ts in drawn_tasksets() if ts is not None]
+    assert len(batch) > len(DRAW_SPECS)
+    for ts in batch:
+        assert is_schedulable(ts, assignment_at(ts, "zero"))

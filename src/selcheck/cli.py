@@ -9,6 +9,7 @@ including usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -283,9 +284,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser `main` uses, built on first use and kept for the process:
+    parse_args returns a fresh Namespace per call and keeps no state."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one verb; may be called repeatedly in one process."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, OverflowError, ValueError, KeyError, json.JSONDecodeError,

@@ -67,8 +67,9 @@ class Platform:
 class Taskset:
     """Tasks plus their platform.
 
-    The per-core priority order and each task's higher- and lower-priority
-    neighbours are computed once, on first use, and cached: this assumes
+    The per-core priority order and each task's higher-priority neighbours
+    are computed once, on first use, and cached; so are the lower-priority
+    neighbours, separately, on the first lower_priority call.  This assumes
     platform.partition and platform.priority are not mutated after
     construction.
     """
@@ -89,15 +90,23 @@ class Taskset:
             orders.setdefault(partition[t.id], []).append(t)
         return {core: tuple(members) for core, members in orders.items()}
 
-    @cached_property
-    def _neighbours(self) -> dict[TaskId, tuple[tuple[Task, ...], tuple[Task, ...]]]:
-        """task id -> (higher-, lower-priority tasks on its core), highest first."""
+    def _same_core(self, higher: bool) -> dict[TaskId, tuple[Task, ...]]:
+        """task id -> the higher- (or lower-) priority tasks on its core, highest first."""
         out = {}
         for order in self._core_orders.values():
             ranks = [self.platform.priority[t.id] for t in order]
             for t, r in zip(order, ranks):
-                out[t.id] = (order[:bisect_left(ranks, r)], order[bisect_right(ranks, r):])
+                out[t.id] = order[:bisect_left(ranks, r)] if higher else order[bisect_right(ranks, r):]
         return out
+
+    @cached_property
+    def _higher(self) -> dict[TaskId, tuple[Task, ...]]:
+        return self._same_core(higher=True)
+
+    @cached_property
+    def _lower(self) -> dict[TaskId, tuple[Task, ...]]:
+        # Only the K* search reads these; the schedulability test does not.
+        return self._same_core(higher=False)
 
     def task(self, task_id: TaskId) -> Task:
         return self._by_id[task_id]
@@ -111,11 +120,11 @@ class Taskset:
 
     def higher_priority(self, task_id: TaskId) -> tuple[Task, ...]:
         """Same-core tasks with higher priority than task_id, highest first."""
-        return self._neighbours[task_id][0]
+        return self._higher[task_id]
 
     def lower_priority(self, task_id: TaskId) -> tuple[Task, ...]:
         """Same-core tasks with lower priority than task_id, highest first."""
-        return self._neighbours[task_id][1]
+        return self._lower[task_id]
 
     def priority_ordered(self) -> tuple[Task, ...]:
         """All tasks, grouped by core index, highest priority first per core."""

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from selcheck import cli
 from selcheck.cli import build_parser, main
 from selcheck.game import MAX_COMMANDS
 
@@ -576,3 +577,65 @@ def test_simulate_victim_matching_two_task_ids_is_an_error(tmp_path):
     assert res.returncode == 1
     assert "error: victim '7' matches task ids [7, '7']" in res.stderr
     assert not out.exists()
+
+
+def in_process(*argv):
+    """main(argv) in this process; a usage error's SystemExit gives its code."""
+    try:
+        return main([str(a) for a in argv])
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_main_builds_one_parser_per_process(tmp_path, monkeypatch):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"num_cores": 1, "n_fixed": 4, "buckets": [3]}))
+    gen_dir, plan_file = tmp_path / "gen", tmp_path / "plan.json"
+    assert in_process("gen", "--spec", spec, "--tasksets-per-bucket", 1, "--out", gen_dir) == 0
+    taskset = gen_dir / json.loads((gen_dir / "manifest.json").read_text())["tasksets"][0]["file"]
+    assert in_process("plan", "--taskset", taskset, "--out", plan_file) == 0
+    assert in_process("simulate", "--plan", plan_file, "--trials", 20, "--out", tmp_path / "s.csv") == 0
+    assert in_process("sweep", "--fig", 8, "--tasksets-per-bucket", 1, "--out", tmp_path) == 0
+    assert len(built) == 1
+
+
+def test_an_option_given_in_one_call_does_not_reach_the_next(tmp_path):
+    ts, plan_file = tmp_path / "ts.json", tmp_path / "plan.json"
+    write_taskset(ts)  # K* = 2 of 4: epsilon and the attacked commands show in the bytes
+    assert in_process("plan", "--taskset", ts, "--out", plan_file) == 0
+
+    def output(*argv):
+        assert in_process(*argv, "--out", tmp_path / "out") == 0
+        return (tmp_path / "out").read_bytes()
+
+    for plain, option in [
+        (("plan", "--taskset", ts), ("--epsilon", "1e-3")),
+        (("simulate", "--plan", plan_file, "--trials", 20, "--seed", 4), ("--commands", 1)),
+    ]:
+        cli._parser.cache_clear()
+        fresh = output(*plain)
+        assert output(*plain, *option) != fresh
+        assert output(*plain) == fresh
+
+
+def test_a_usage_error_between_calls_leaves_the_next_output_unchanged(tmp_path, capsys):
+    ts, plan_file = tmp_path / "ts.json", tmp_path / "plan.json"
+    write_taskset(ts)
+    assert in_process("plan", "--taskset", ts, "--out", plan_file) == 0
+    simulate = ("simulate", "--plan", plan_file, "--trials", 20, "--seed", 6)
+    assert in_process(*simulate, "--out", tmp_path / "before.csv") == 0
+    for bad, message in [(("simulate", "--plan", plan_file, "--trials", 0), "expected a positive integer"),
+                         (("sweep", "--fig", 9), "invalid choice")]:
+        capsys.readouterr()
+        assert in_process(*bad) == 1
+        assert message in capsys.readouterr().err
+        assert in_process(*simulate, "--out", tmp_path / "after.csv") == 0
+        assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()

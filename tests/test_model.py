@@ -1,9 +1,13 @@
 import pytest
 from conftest import make_task, make_taskset
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from selcheck.model import (
     OVERHEAD_PRESETS_US,
+    Platform,
     Task,
+    Taskset,
     assignment_at,
     load_taskset,
     save_taskset,
@@ -11,6 +15,7 @@ from selcheck.model import (
     taskset_to_dict,
     validate,
 )
+from selcheck.workload import NUM_BUCKETS, SCENARIO_COMMANDS, WorkloadSpec, draw_taskset, taskset_rng
 
 
 def test_valid_taskset_has_no_violations():
@@ -148,6 +153,42 @@ def test_priority_order_skips_empty_cores_without_walking_them():
     a, b = make_task(tid="a"), make_task(tid="b")
     ts = make_taskset([a, b], num_cores=10**18, cores={"a": 3, "b": 0})
     assert ts.priority_ordered() == (b, a)
+
+
+def _same_core_by_rank(ts, task, higher):
+    """Brute force: the tasks on task's core ranked above (or below) it,
+    highest priority first."""
+    core, rank = ts.platform.partition, ts.platform.priority
+    same_core = [t for t in ts.tasks if core[t.id] == core[task.id]]
+    side = [t for t in same_core if (rank[t.id] < rank[task.id] if higher else rank[t.id] > rank[task.id])]
+    return tuple(sorted(side, key=lambda t: rank[t.id]))
+
+
+@st.composite
+def ranked_drawn_tasksets(draw):
+    """A drawn taskset on 1 or 4 cores, in either scenario, with its
+    drawn priorities or a permutation of them."""
+    spec = WorkloadSpec(num_cores=draw(st.sampled_from((1, 4))),
+                        utilization_bucket=draw(st.integers(0, NUM_BUCKETS - 1)),
+                        scenario=draw(st.sampled_from(sorted(SCENARIO_COMMANDS))), seed=0)
+    ts = draw_taskset(spec, taskset_rng(draw(st.integers(0, 2**32 - 1))))
+    assume(ts is not None)
+    ids = [t.id for t in ts.tasks]
+    ranks = draw(st.permutations([ts.platform.priority[i] for i in ids]))
+    platform = Platform(ts.platform.num_cores, dict(ts.platform.partition), dict(zip(ids, ranks)))
+    return Taskset(ts.tasks, platform)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(ts=ranked_drawn_tasksets())
+def test_priority_neighbours_match_a_same_core_rank_filter(ts):
+    for task in ts.tasks:
+        assert ts.higher_priority(task.id) == _same_core_by_rank(ts, task, higher=True)
+    # The schedulability test reads only the higher slices; the lower ones
+    # are built on the first lower_priority call.
+    assert "_lower" not in vars(ts)
+    for task in ts.tasks:
+        assert ts.lower_priority(task.id) == _same_core_by_rank(ts, task, higher=False)
 
 
 def test_overhead_presets():

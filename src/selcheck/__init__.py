@@ -41,7 +41,6 @@ from .planner import (
     load_plan,
     max_feasible_k,
     plan,
-    rate_monotonic_priorities,
 )
 from .workload import WorkloadSpec, draw_taskset, gen_periods, gen_taskset, randfixedsum
 from .simulator import (

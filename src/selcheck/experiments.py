@@ -19,11 +19,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import game as game_mod
-from .model import Taskset, assignment_at
+from .model import assignment_at
 from .planner import Infeasible, assign_check_budgets, plan
 from .schedulability import is_schedulable
 from .simulator import DEFAULT_MAX_JOBS, acceptance_ratios, coverage_ratio, mean_detected_delay
-from .workload import NUM_BUCKETS, WorkloadSpec, draw_taskset, taskset_rng
+from .workload import NUM_BUCKETS, WorkloadSpec, draw_columns, draw_taskset, taskset_rng
 
 SCENARIOS = ("medium", "high")
 
@@ -64,12 +64,13 @@ class SweepResult:
 
 def _cell_tasksets(
     base: WorkloadSpec, fig: int, scenario_idx: int, bucket: int, count: int, scenario: str,
-    n_fixed: int | None = None,
-) -> list[Taskset | None]:
-    """Generate one bucket's batch; None marks a draw that fits on no partition."""
+    n_fixed: int | None = None, draw=draw_taskset,
+) -> list:
+    """Generate one bucket's batch with `draw` (Tasksets, or per-core columns
+    with `draw_columns`); None marks a draw that fits on no partition."""
     spec = replace(base, scenario=scenario, utilization_bucket=bucket, n_fixed=n_fixed)
     return [
-        draw_taskset(spec, taskset_rng(base.seed, fig, scenario_idx, bucket, index))
+        draw(spec, taskset_rng(base.seed, fig, scenario_idx, bucket, index))
         for index in range(count)
     ]
 
@@ -91,8 +92,11 @@ def _coverage_cell(args) -> list[tuple[str, float, int]]:
 def _acceptance_cell(args) -> list[tuple[str, float, int]]:
     base, scenario_idx, bucket, count = args
     scenario = SCENARIOS[scenario_idx]
-    # None entries fit on no partition: unschedulable under every scheme.
-    ratios = acceptance_ratios(_cell_tasksets(base, 8, scenario_idx, bucket, count, scenario))
+    # Judged on the drawn columns, with no Task built.  None entries fit on
+    # no partition: unschedulable under every scheme.
+    ratios = acceptance_ratios(
+        _cell_tasksets(base, 8, scenario_idx, bucket, count, scenario, draw=draw_columns)
+    )
     return [(scheme, ratios[scheme], count) for scheme in ACCEPTANCE_METRICS]
 
 

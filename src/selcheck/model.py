@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple, Sequence, Union
 
 TaskId = Union[str, int]
 
@@ -63,23 +63,37 @@ class Platform:
     priority: dict[TaskId, int]
 
 
+class CoreColumns(NamedTuple):
+    """One core's tasks, highest priority first, as parallel columns.
+
+    The schedulability test reads these, so a drawn workload can be judged
+    without building a Task per task; `Taskset.core_columns` gives the same
+    view of a Taskset.
+    """
+
+    ids: Sequence[TaskId]
+    priorities: Sequence[int]
+    deadlines: Sequence[int]
+    periods: Sequence[int]
+    wcets: Sequence[int]
+    check_overheads: Sequence[int]
+    num_commands: Sequence[int]
+    min_checks: Sequence[int]
+
+
 @dataclass(frozen=True)
 class Taskset:
     """Tasks plus their platform.
 
-    The per-core priority order and each task's higher-priority neighbours
-    are computed once, on first use, and cached; so are the lower-priority
-    neighbours, separately, on the first lower_priority call.  This assumes
-    platform.partition and platform.priority are not mutated after
-    construction.
+    The per-core priority order, its column view and each task's
+    higher-priority neighbours are computed once, on first use, and cached;
+    so are the lower-priority neighbours, separately, on the first
+    lower_priority call.  This assumes platform.partition and
+    platform.priority are not mutated after construction.
     """
 
     tasks: tuple[Task, ...]
     platform: Platform
-
-    @cached_property
-    def _by_id(self) -> dict[TaskId, Task]:
-        return {t.id: t for t in self.tasks}
 
     @cached_property
     def _core_orders(self) -> dict[int, tuple[Task, ...]]:
@@ -105,11 +119,22 @@ class Taskset:
 
     @cached_property
     def _lower(self) -> dict[TaskId, tuple[Task, ...]]:
-        # Only the K* search reads these; the schedulability test does not.
+        # Built on the first lower_priority call only: the schedulability
+        # test and the K* search read the column view instead.
         return self._same_core(higher=False)
 
-    def task(self, task_id: TaskId) -> Task:
-        return self._by_id[task_id]
+    @cached_property
+    def core_columns(self) -> dict[int, CoreColumns]:
+        """core -> its tasks as columns, highest priority first; cores in index order."""
+        priority = self.platform.priority
+        return {
+            core: CoreColumns(*zip(*(
+                (t.id, priority[t.id], t.deadline, t.period, t.wcet, t.check_overhead,
+                 t.num_commands, t.min_checks)
+                for t in order
+            )))
+            for core, order in sorted(self._core_orders.items())
+        }
 
     def core_of(self, task_id: TaskId) -> int:
         return self.platform.partition[task_id]

@@ -22,17 +22,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 from . import game as game_mod
-from .model import CheckAssignment, Platform, Task, TaskId, Taskset, _is_int, _is_number, assignment_at
-from .schedulability import (
-    TIME_TOL,
-    bound_from_wcets,
-    checked_wcets,
-    is_schedulable,
-    meets_deadlines,
-    tee_wcet,
-)
+from .model import CheckAssignment, Task, TaskId, Taskset, _is_int, _is_number, assignment_at
+from .schedulability import TIME_TOL, is_schedulable, meets_deadlines, response_bound, tee_wcet
 
 INFEASIBLE_MESSAGE = "minimum QoS requirements cannot be met"
 
@@ -82,26 +76,31 @@ def max_feasible_k(task: Task, taskset: Taskset, fixed: CheckAssignment) -> int:
     system-wide pass guarantees before calling.
     """
     lo, hi = task.min_checks, task.num_commands
-    affected = (task, *taskset.lower_priority(task.id))
-    wcets = checked_wcets(
-        (t for t in taskset.tasks_on_core(taskset.core_of(task.id)) if t.id != task.id), fixed
-    )
-    wcets[task.id] = tee_wcet(task, lo)
-    if not meets_deadlines(affected, taskset, wcets):
+    core = taskset.core_of(task.id)
+    columns = taskset.core_columns[core]
+    # The task and everything below it on its core: positions p.. of the columns.
+    p = columns.ids.index(task.id)
+    wcets = [tee_wcet(t, lo if t.id == task.id else fixed[t.id])
+             for t in taskset.tasks_on_core(core)]
+    deadlines, periods = columns.deadlines, columns.periods
+    affected = range(p, len(wcets))
+    # A slack is >= 0 exactly when its bound passes meets_deadlines's test.
+    slacks = [deadlines[j] + TIME_TOL - response_bound(wcets[j], deadlines[j], periods, wcets[:j])
+              for j in affected]
+    if min(slacks) < 0:
         raise ValueError(f"task {task.id}: infeasible even at min_checks={lo}")
 
-    # Each affected task i's bound grows by a_i * C^o per extra check, where
-    # a_i = 1 for the task itself and 1 + D_i / T for a lower-priority task.
+    # Each affected task j's bound grows by a_j * C^o per extra check, where
+    # a_j = 1 for the task itself and 1 + D_j / T for a lower-priority task.
     k = hi
     if task.check_overhead:
-        for i in affected:
-            a = 1.0 if i is task else 1.0 + i.deadline / task.period
-            slack = i.deadline + TIME_TOL - bound_from_wcets(i, taskset, wcets)
+        for j, slack in zip(affected, slacks):
+            a = 1.0 if j == p else 1.0 + deadlines[j] / task.period
             k = min(k, lo + math.floor(slack / (a * task.check_overhead)))
 
     def meets(checks: int) -> bool:
-        wcets[task.id] = tee_wcet(task, checks)
-        return meets_deadlines(affected, taskset, wcets)
+        wcets[p] = tee_wcet(task, checks)
+        return meets_deadlines(columns, wcets, p)
 
     while k > lo and not meets(k):
         k -= 1
@@ -169,56 +168,47 @@ def plan(
 
 
 # ---------------------------------------------------------------------------
-# Partitioning and priority assignment for generated workloads.
+# Partitioning for generated workloads (the draw assigns their priorities).
 # ---------------------------------------------------------------------------
 
 
 class PartitionError(RuntimeError):
-    """No core can host a task under the unit-utilization capacity bound."""
+    """No core's response-bound admission test accepts a task."""
 
 
-def rate_monotonic_priorities(tasks: list[Task]) -> list[TaskId]:
-    """Task ids ordered highest priority first: shorter period wins, ties by id."""
-    return [t.id for t in sorted(tasks, key=lambda t: (t.period, t.id))]
-
-
-def balanced_partition_by_response_bound(tasks: list[Task], num_cores: int) -> Platform:
+def balanced_partition_by_response_bound(
+    periods: Sequence[int], wcets: Sequence[int], num_cores: int
+) -> list[int]:
     """Load-balancing placement with the vanilla response bound as admission test.
 
-    Tasks arrive in priority order and go to the least-utilized core whose
-    admission test passes (lowest index on ties).  A newcomer is always the
-    lowest priority on its core, so only its own bound needs checking.  The
-    bound is summed over each core's (period, wcet) pairs in
-    `bound_from_wcets`'s order, own term first and then highest priority
-    down, so every placement this produces is schedulable with checking
-    disabled, bit for bit; raises PartitionError when some task's bound
-    fails on every core.
+    Tasks are given as columns in priority order, each with its deadline
+    equal to its period, and go to the least-utilized core whose admission
+    test passes (lowest index on ties).  A newcomer is always the lowest
+    priority on its core, so only its own bound needs checking, and
+    `response_bound` sums it, so every placement this produces is
+    schedulable with checking disabled, bit for bit.  Returns the core of
+    each task, in the given order; raises PartitionError when some task's
+    bound fails on every core.
     """
     if num_cores < 1:
         raise ValueError("need at least one core")
-    order = rate_monotonic_priorities(tasks)
-    by_id = {t.id: t for t in tasks}
-    # (period, wcet) of each core's members, highest priority first.
-    members: list[list[tuple[int, int]]] = [[] for _ in range(num_cores)]
+    # The periods and wcets of each core's members, highest priority first.
+    core_periods: list[list[int]] = [[] for _ in range(num_cores)]
+    core_wcets: list[list[int]] = [[] for _ in range(num_cores)]
     load = [0.0] * num_cores
-    partition: dict[TaskId, int] = {}
-    priority: dict[TaskId, int] = {}
-    for rank, tid in enumerate(order):
-        t = by_id[tid]
-        deadline, limit = t.deadline, t.deadline + TIME_TOL
+    placed = []
+    for rank, (period, wcet) in enumerate(zip(periods, wcets)):
+        limit = period + TIME_TOL
         for core in sorted(range(num_cores), key=load.__getitem__):
-            bound = float(t.wcet)  # summed in bound_from_wcets's order
-            for period, wcet in members[core]:
-                bound += (1.0 + deadline / period) * wcet
-            if bound <= limit:
-                members[core].append((t.period, t.wcet))
-                load[core] += t.utilization
-                partition[tid] = core
+            if response_bound(wcet, period, core_periods[core], core_wcets[core]) <= limit:
+                core_periods[core].append(period)
+                core_wcets[core].append(wcet)
+                load[core] += wcet / period
+                placed.append(core)
                 break
         else:
-            raise PartitionError(f"task {tid} is unschedulable on every core")
-        priority[tid] = rank
-    return Platform(num_cores=num_cores, partition=partition, priority=priority)
+            raise PartitionError(f"task {rank} in priority order is unschedulable on every core")
+    return placed
 
 
 # ---------------------------------------------------------------------------

@@ -6,23 +6,25 @@ The bound is the closed linear form
 
 with C^chk = C + k * C^o for the assigned number of checks k.  It is an
 upper bound, not the iterative fixed-point recurrence.  One evaluator,
-`bound_from_wcets`, sums it (own term first, then hp(i) from highest to
-lowest priority) for every caller: single bounds, `is_schedulable`,
-`analyze` and the planner's K* selection.  The bound is linear in each
-task's k, which gives the planner its closed form for K*; rounding keeps
-it monotone non-decreasing in every k, which lets the planner confirm
-that candidate by stepping one check at a time.  D_i / T_h is evaluated
-in double precision and all deadline comparisons use an absolute
-tolerance.
+`response_bound`, sums it (own term first, then hp(i) from highest to
+lowest priority) for every caller: the placement's admission test, single
+bounds, `is_schedulable`, `analyze`, the planner's K* selection and the
+fig 8 judge.  The Taskset callers read each core through its column view
+(`Taskset.core_columns`), so a drawn workload's columns and its Taskset
+are judged by the same arithmetic.  The bound is linear in each task's k,
+which gives the planner its closed form for K*; rounding keeps it monotone
+non-decreasing in every k, which lets the planner confirm that candidate
+by stepping one check at a time.  D_i / T_h is evaluated in double
+precision and all deadline comparisons use an absolute tolerance.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .model import CheckAssignment, Task, TaskId, Taskset
+from .model import CheckAssignment, CoreColumns, Task, TaskId, Taskset
 
 # Absolute tolerance for comparing the (non-integral) bound to deadlines.
 TIME_TOL = 1e-9
@@ -40,18 +42,25 @@ def checked_wcets(tasks: Iterable[Task], assignment: CheckAssignment) -> dict[Ta
     return {t.id: tee_wcet(t, assignment[t.id]) for t in tasks}
 
 
-def bound_from_wcets(task: Task, taskset: Taskset, wcets: dict[TaskId, int]) -> float:
-    """The bound of `task` given every same-core task's execution time in `wcets`."""
-    r = float(wcets[task.id])
-    deadline = task.deadline
-    for h in taskset.higher_priority(task.id):
-        r += (1.0 + deadline / h.period) * wcets[h.id]
+def response_bound(wcet: int, deadline: int, periods: Sequence[int], wcets: Sequence[int]) -> float:
+    """The bound of a task with execution time `wcet` and relative deadline
+    `deadline` under the higher-priority tasks whose periods and execution
+    times are `periods` and `wcets`, highest priority first.  The sum runs
+    over `wcets`; `periods` may run on past it (a whole core's column)."""
+    r = float(wcet)
+    for period, c in zip(periods, wcets):
+        r += (1.0 + deadline / period) * c
     return r
 
 
-def meets_deadlines(tasks: Iterable[Task], taskset: Taskset, wcets: dict[TaskId, int]) -> bool:
-    """True iff each of `tasks` meets its deadline given the execution times `wcets`."""
-    return all(bound_from_wcets(t, taskset, wcets) <= t.deadline + TIME_TOL for t in tasks)
+def meets_deadlines(columns: CoreColumns, wcets: Sequence[int], start: int = 0) -> bool:
+    """True iff the core's tasks from position `start` down meet their
+    deadlines, given every task's execution time on the core in `wcets`."""
+    deadlines, periods = columns.deadlines, columns.periods
+    for j in range(start, len(wcets)):
+        if response_bound(wcets[j], deadlines[j], periods, wcets[:j]) > deadlines[j] + TIME_TOL:
+            return False
+    return True
 
 
 def response_time_bound(task: Task, taskset: Taskset, assignment: CheckAssignment) -> float:
@@ -62,8 +71,10 @@ def response_time_bound(task: Task, taskset: Taskset, assignment: CheckAssignmen
     """
     if task.id not in taskset.platform.partition:
         raise ValueError(f"task {task.id} not in partition")
-    wcets = checked_wcets((task, *taskset.higher_priority(task.id)), assignment)
-    return bound_from_wcets(task, taskset, wcets)
+    hp = taskset.higher_priority(task.id)
+    wcets = checked_wcets((task, *hp), assignment)
+    return response_bound(wcets[task.id], task.deadline, [h.period for h in hp],
+                          [wcets[h.id] for h in hp])
 
 
 def checking_overhead(task: Task, taskset: Taskset, assignment: CheckAssignment) -> float:
@@ -108,20 +119,22 @@ def _complete_wcets(taskset: Taskset, assignment: CheckAssignment) -> dict[TaskI
 def analyze(taskset: Taskset, assignment: CheckAssignment) -> ResponseTimeReport:
     """Per-task response times and deadline flags for a complete assignment."""
     checked = _complete_wcets(taskset, assignment)
-    vanilla = {t.id: t.wcet for t in taskset.tasks}
     entries = []
-    for t in taskset.priority_ordered():
-        r_checked = bound_from_wcets(t, taskset, checked)
-        entries.append(
-            TaskTiming(
-                task_id=t.id,
-                response_time=bound_from_wcets(t, taskset, vanilla),
-                response_time_checked=r_checked,
-                overhead=checking_overhead(t, taskset, assignment),
-                deadline=t.deadline,
-                schedulable=r_checked <= t.deadline + TIME_TOL,
+    for core, columns in taskset.core_columns.items():
+        wcets = [checked[tid] for tid in columns.ids]
+        for j, t in enumerate(taskset.tasks_on_core(core)):
+            r_checked = response_bound(wcets[j], t.deadline, columns.periods, wcets[:j])
+            entries.append(
+                TaskTiming(
+                    task_id=t.id,
+                    response_time=response_bound(t.wcet, t.deadline, columns.periods,
+                                                 columns.wcets[:j]),
+                    response_time_checked=r_checked,
+                    overhead=checking_overhead(t, taskset, assignment),
+                    deadline=t.deadline,
+                    schedulable=r_checked <= t.deadline + TIME_TOL,
+                )
             )
-        )
     return ResponseTimeReport(
         entries=tuple(entries), schedulable=all(e.schedulable for e in entries)
     )
@@ -129,7 +142,9 @@ def analyze(taskset: Taskset, assignment: CheckAssignment) -> ResponseTimeReport
 
 def is_schedulable(taskset: Taskset, assignment: CheckAssignment) -> bool:
     """True iff every task's checked response-time bound meets its deadline."""
-    return meets_deadlines(taskset.tasks, taskset, _complete_wcets(taskset, assignment))
+    checked = _complete_wcets(taskset, assignment)
+    return all(meets_deadlines(columns, [checked[tid] for tid in columns.ids])
+               for columns in taskset.core_columns.values())
 
 
 def report_csv(report: ResponseTimeReport) -> str:

@@ -16,9 +16,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import TaskId, Taskset, assignment_at
+from .model import CoreColumns, TaskId, Taskset
 from .planner import CheckPlan, TaskPlan
-from .schedulability import is_schedulable
+from .schedulability import meets_deadlines
 
 PROBABILITY_TOL = 1e-6
 
@@ -210,25 +210,41 @@ def coverage_ratio(pairs: Sequence[tuple[int, int]]) -> float:
     return sum(k / n for k, n in pairs) / len(pairs)
 
 
-def schedulable_schemes(taskset: Taskset) -> dict[str, bool]:
-    """Whether a valid taskset is schedulable under each scheme, in two bound tests.
+def _fits(cores: Iterable[CoreColumns], level: str) -> bool:
+    """True iff every core meets its deadlines with each task at the uniform check level."""
+    for c in cores:
+        if level == "zero":
+            wcets = c.wcets
+        else:
+            checks = c.min_checks if level == "min" else c.num_commands
+            wcets = [w + k * o for w, k, o in zip(c.wcets, checks, c.check_overheads)]
+        if not meets_deadlines(c, wcets):
+            return False
+    return True
+
+
+def schedulable_schemes(placed: Taskset | Sequence[CoreColumns]) -> dict[str, bool]:
+    """Whether a valid taskset (or a drawn one's per-core columns) is
+    schedulable under each scheme, in two bound tests.
 
     The bound is monotone in every k and 0 <= min_checks <= num_commands, so
     a taskset that fits at min_checks fits unsecured, and one that does not
     fits under neither scate nor fine-grain.
     """
-    if is_schedulable(taskset, assignment_at(taskset, "min")):
-        fine_grain = is_schedulable(taskset, assignment_at(taskset, "full"))
-        return {"unsecured": True, "fine-grain": fine_grain, "scate": True}
-    unsecured = is_schedulable(taskset, assignment_at(taskset, "zero"))
-    return {"unsecured": unsecured, "fine-grain": False, "scate": False}
+    cores = placed.core_columns.values() if isinstance(placed, Taskset) else placed
+    if _fits(cores, "min"):
+        return {"unsecured": True, "fine-grain": _fits(cores, "full"), "scate": True}
+    return {"unsecured": _fits(cores, "zero"), "fine-grain": False, "scate": False}
 
 
-def acceptance_ratios(tasksets: Sequence[Taskset | None]) -> dict[str, float]:
+def acceptance_ratios(
+    tasksets: Sequence[Taskset | Sequence[CoreColumns] | None],
+) -> dict[str, float]:
     """Fraction of the batch schedulable under each scheme, judging each taskset once.
 
-    None entries stand for generated workloads that fit on no partition;
-    they count as unschedulable under every scheme.
+    Entries are Tasksets or drawn per-core columns; None entries stand for
+    generated workloads that fit on no partition, and count as
+    unschedulable under every scheme.
     """
     if not tasksets:
         raise ValueError("empty batch")
@@ -240,7 +256,9 @@ def acceptance_ratios(tasksets: Sequence[Taskset | None]) -> dict[str, float]:
     return {scheme: count / len(tasksets) for scheme, count in ok.items()}
 
 
-def acceptance_ratio(tasksets: Sequence[Taskset | None], scheme: str) -> float:
+def acceptance_ratio(
+    tasksets: Sequence[Taskset | Sequence[CoreColumns] | None], scheme: str
+) -> float:
     """Fraction of the batch schedulable under one scheme (see `acceptance_ratios`)."""
     if scheme not in SCHEME_LEVELS:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {tuple(SCHEME_LEVELS)}")

@@ -17,8 +17,15 @@ them, k = floor(total utilization) <= core count), takes every level's
 root from one vector power, and evaluates the walk's transition
 probability only at the state it visits.  It is byte-identical to the
 batched numpy sampler, which stays the path for many samples at once and
-the reference in tests.  `draw_taskset` is the one draw path for `gen` and
-every sweep.
+the reference in tests.
+
+A draw first yields placed per-core columns (`draw_columns`): for each
+core, in priority order, each task's id, period (= deadline), wcet, check
+overhead, command count and min_checks.  Fig 8 judges those columns
+directly; `draw_taskset` and `gen_taskset` build the Task and Taskset
+objects from them for `gen`, figs 6 and 7 and library callers.  Both come
+from the same generator draws, so a seed gives the same workload either
+way.
 """
 
 from __future__ import annotations
@@ -28,7 +35,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import OVERHEAD_PRESETS_US, Task, Taskset, _is_int, _is_number
+from .model import (
+    OVERHEAD_PRESETS_US,
+    CoreColumns,
+    Platform,
+    Task,
+    TaskId,
+    Taskset,
+    _is_int,
+    _is_number,
+)
 from .planner import PartitionError, balanced_partition_by_response_bound
 
 SCENARIO_COMMANDS = {"medium": (3, 5), "high": (8, 10)}
@@ -70,6 +86,7 @@ class WorkloadSpec:
             raise ValueError(f"n_fixed must be null or an integer >= 1, got {self.n_fixed!r}")
         if not all(v is None or _is_int(v) for v in (self.tasks_min, self.tasks_max)):
             raise ValueError("tasks_min and tasks_max must be null or integers")
+        self.task_count_range()
         periods = (self.period_min_us, self.period_max_us)
         if not (all(map(_is_int, periods)) and 0 < periods[0] <= periods[1]):
             raise ValueError(f"bad period range {periods!r}")
@@ -88,7 +105,8 @@ class WorkloadSpec:
         lo = 3 * self.num_cores if self.tasks_min is None else self.tasks_min
         hi = 10 * self.num_cores if self.tasks_max is None else self.tasks_max
         if not 1 <= lo <= hi:
-            raise ValueError("bad task count range")
+            raise ValueError(f"bad task count range: need 1 <= tasks_min <= tasks_max, "
+                             f"got tasks_min {lo} and tasks_max {hi}")
         return lo, hi
 
 
@@ -238,7 +256,8 @@ def gen_periods(n: int, lo: int, hi: int, rng: np.random.Generator) -> list[int]
     return [int(min(max(round(v), lo), hi)) for v in raw]
 
 
-def _draw_taskset(spec: WorkloadSpec, rng: np.random.Generator) -> Taskset:
+def _draw_columns(spec: WorkloadSpec, rng: np.random.Generator) -> list[CoreColumns]:
+    """One placed draw as per-core columns; PartitionError when it fits on no partition."""
     tmin, tmax = spec.task_count_range()
     m = int(rng.integers(tmin, tmax + 1))
     u_lo, u_hi = spec.utilization_range()
@@ -253,40 +272,62 @@ def _draw_taskset(spec: WorkloadSpec, rng: np.random.Generator) -> Taskset:
         n_lo, n_hi = SCENARIO_COMMANDS[spec.scenario]
         counts = rng.integers(n_lo, n_hi + 1, size=m).tolist()
 
-    width = len(str(m - 1))
+    wcets = [max(1, round(u * period)) for u, period in zip(utils, periods)]
     fixed_overhead = OVERHEAD_PRESETS_US.get(spec.overhead_preset)  # None: a share of wcet
-    overhead_fraction = spec.overhead_fraction
-    # (min_checks, weights) per distinct command count.
-    commands = {
-        n_cmd: (math.ceil(spec.min_checks_fraction * n_cmd), (1.0,) * n_cmd)
-        for n_cmd in set(counts)
-    }
+    if fixed_overhead is None:
+        overhead_fraction = spec.overhead_fraction
+        overheads = [max(1, round(overhead_fraction * wcet)) for wcet in wcets]
+    else:
+        overheads = [fixed_overhead] * m
+    min_checks = {n_cmd: math.ceil(spec.min_checks_fraction * n_cmd) for n_cmd in set(counts)}
+
+    # Rate-monotonic priorities: shorter period first, ties by id.  Ids are
+    # zero-padded draw indices, so the id order is the index order that the
+    # stable sort keeps.
+    order = sorted(range(m), key=periods.__getitem__)
+    placed = balanced_partition_by_response_bound(
+        [periods[i] for i in order], [wcets[i] for i in order], spec.num_cores
+    )
+    width = len(str(m - 1))
+    columns = []
+    for _ in range(spec.num_cores):
+        core_periods = []  # drawn deadlines equal the periods: both columns are this list
+        columns.append(CoreColumns([], [], core_periods, core_periods, [], [], [], []))
+    for rank, (i, core) in enumerate(zip(order, placed)):
+        ids, ranks, _, core_periods, core_wcets, core_overheads, core_counts, core_min = (
+            columns[core])
+        ids.append(f"t{i:0{width}d}")
+        ranks.append(rank)
+        core_periods.append(periods[i])
+        core_wcets.append(wcets[i])
+        core_overheads.append(overheads[i])
+        core_counts.append(counts[i])
+        core_min.append(min_checks[counts[i]])
+    return columns
+
+
+def _taskset_from_columns(columns: list[CoreColumns]) -> Taskset:
+    """The Taskset of a drawn workload: tasks in id order, equal command weights."""
+    weights: dict[int, tuple[float, ...]] = {}
     tasks = []
-    for idx, (u, period, n_cmd) in enumerate(zip(utils, periods, counts)):
-        wcet = max(1, round(u * period))
-        if fixed_overhead is None:
-            overhead = max(1, round(overhead_fraction * wcet))
-        else:
-            overhead = fixed_overhead
-        min_checks, weights = commands[n_cmd]
-        tasks.append(
-            Task(
-                id=f"t{idx:0{width}d}",
-                wcet=wcet,
-                period=period,
-                deadline=period,
-                num_commands=n_cmd,
-                min_checks=min_checks,
-                weights=weights,
-                check_overhead=overhead,
-            )
-        )
-    platform = balanced_partition_by_response_bound(tasks, spec.num_cores)
+    partition: dict[TaskId, int] = {}
+    priority: dict[TaskId, int] = {}
+    for core, col in enumerate(columns):
+        for tid, rank, deadline, period, wcet, overhead, n_cmd, min_checks in zip(*col):
+            if n_cmd not in weights:
+                weights[n_cmd] = (1.0,) * n_cmd
+            tasks.append(Task(id=tid, wcet=wcet, period=period, deadline=deadline,
+                              num_commands=n_cmd, min_checks=min_checks,
+                              weights=weights[n_cmd], check_overhead=overhead))
+            partition[tid] = core
+            priority[tid] = rank
+    tasks.sort(key=lambda t: t.id)  # zero-padded draw indices: the draw order
+    platform = Platform(num_cores=len(columns), partition=partition, priority=priority)
     return Taskset(tasks=tuple(tasks), platform=platform)
 
 
-def draw_taskset(spec: WorkloadSpec, rng: np.random.Generator) -> Taskset | None:
-    """One draw with no retry: None when the draw fits on no partition.
+def draw_columns(spec: WorkloadSpec, rng: np.random.Generator) -> list[CoreColumns] | None:
+    """One draw with no retry, as per-core columns: None when it fits on no partition.
 
     Sweep experiments count unplaceable draws as unschedulable tasksets
     instead of redrawing, so the acceptance-ratio denominator stays the
@@ -294,9 +335,15 @@ def draw_taskset(spec: WorkloadSpec, rng: np.random.Generator) -> Taskset | None
     """
     spec.check()
     try:
-        return _draw_taskset(spec, rng)
+        return _draw_columns(spec, rng)
     except PartitionError:
         return None
+
+
+def draw_taskset(spec: WorkloadSpec, rng: np.random.Generator) -> Taskset | None:
+    """`draw_columns`'s draw as a Taskset (the same generator draws)."""
+    columns = draw_columns(spec, rng)
+    return None if columns is None else _taskset_from_columns(columns)
 
 
 def gen_taskset(
@@ -313,7 +360,7 @@ def gen_taskset(
     spec.check()
     for _ in range(retry_budget):
         try:
-            return _draw_taskset(spec, rng)
+            return _taskset_from_columns(_draw_columns(spec, rng))
         except PartitionError:
             continue
     raise GenerationError(

@@ -29,6 +29,11 @@ def make_taskset(tasks, num_cores=1, cores=None, priorities=None):
     )
 
 
+def task_by_id(taskset, tid):
+    """The task of `taskset` whose id is `tid`."""
+    return next(t for t in taskset.tasks if t.id == tid)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

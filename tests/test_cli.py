@@ -107,6 +107,8 @@ def test_gen_bad_bucket_errors(tmp_path):
         {"overhead_preset": ["freertos"]},
         {"n_fixed": 2.5},
         {"tasks_max": "40"},
+        {"tasks_min": 9, "tasks_max": 3},
+        {"tasks_min": 0},
         {"period_min_us": "10000"},
     ],
     ids=lambda doc: json.dumps(doc),

@@ -184,8 +184,7 @@ def ranked_drawn_tasksets(draw):
 def test_priority_neighbours_match_a_same_core_rank_filter(ts):
     for task in ts.tasks:
         assert ts.higher_priority(task.id) == _same_core_by_rank(ts, task, higher=True)
-    # The schedulability test reads only the higher slices; the lower ones
-    # are built on the first lower_priority call.
+    # The lower slices are built on the first lower_priority call only.
     assert "_lower" not in vars(ts)
     for task in ts.tasks:
         assert ts.lower_priority(task.id) == _same_core_by_rank(ts, task, higher=False)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from conftest import make_task, make_taskset
+from conftest import make_task, make_taskset, task_by_id
 
 from selcheck.model import assignment_at
 from selcheck.planner import (
@@ -18,7 +18,6 @@ from selcheck.planner import (
     plan,
     plan_from_dict,
     plan_to_dict,
-    rate_monotonic_priorities,
     TaskPlan,
 )
 from selcheck.schedulability import TIME_TOL, is_schedulable, response_time_bound
@@ -96,7 +95,7 @@ def _two_task_core(hi_wcet, hi_period, hi_overhead, n, lo_wcet, lo_deadline):
     ],
 )
 def test_max_feasible_k_closed_form_boundaries(taskset, expected):
-    task = taskset.task("hi") if len(taskset.tasks) > 1 else taskset.tasks[0]
+    task = task_by_id(taskset, "hi") if len(taskset.tasks) > 1 else taskset.tasks[0]
     fixed = assignment_at(taskset, "min")
     assert max_feasible_k(task, taskset, fixed) == _linear_scan(task, taskset, fixed) == expected
 
@@ -112,7 +111,7 @@ def test_max_feasible_k_closed_form_boundaries(taskset, expected):
     ],
 )
 def test_max_feasible_k_confirm_step_corrects_roundoff(taskset, expected):
-    hi, lo = taskset.task("hi"), taskset.task("lo")
+    hi, lo = task_by_id(taskset, "hi"), task_by_id(taskset, "lo")
     fixed = assignment_at(taskset, "min")
     slack = lo.deadline + TIME_TOL - response_time_bound(lo, taskset, fixed)
     closed_form = math.floor(slack / ((1.0 + lo.deadline / hi.period) * hi.check_overhead))
@@ -148,6 +147,8 @@ GOLDEN_SHA256 = {
     "fig6_coverage.csv": "7203de4f9e018c902c15cd52800c39f5398c5ff03496c8a41bf0d3becca51822",
     "fig7_tradeoff.csv": "441dd685c8c3ff2cfea3c1b1d9aeadf61656c33a499b6ce62cb86aa3f554e9ae",
     "fig8_acceptance.csv": "f468c6753d1d10f559c1d69791e07c5a26b2df4601e6a4ea150792c733621090",
+    # The same fig 8 run under the fixed-overhead preset.
+    "freertos/fig8_acceptance.csv": "ff126c2404d5f2e8654e81d129c959d07206276c576a97bad5bebe9f7e810db8",
     "plan.json": "060074dccf0bb79ee661f871e429cf365c800bc46b45112539ab52a8014634d4",
     "report.csv": "2e47766b4676ac6db5fa89b394a8a0ea0ba31a4e6c8370222f65ff1e04be60fe",
 }
@@ -161,6 +162,8 @@ def test_golden_sweep_and_plan_bytes(tmp_path):
     for fig in ("6", "7", "8"):
         assert main(["sweep", "--fig", fig, "--seed", "3", "--tasksets-per-bucket", "4",
                      "--out", str(tmp_path)]) == 0
+    assert main(["sweep", "--fig", "8", "--seed", "3", "--tasksets-per-bucket", "4",
+                 "--preset", "freertos", "--out", str(tmp_path / "freertos")]) == 0
     assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "batch"), "--seed", "11",
                  "--tasksets-per-bucket", "1"]) == 0
     assert main(["plan", "--taskset", str(tmp_path / "batch" / "taskset_medium_b5_0000.json"),
@@ -305,7 +308,7 @@ def test_full_plan_on_generated_multicore_taskset(tmp_path):
     assert isinstance(result, CheckPlan)
     assert set(result.tasks) == {t.id for t in ts.tasks}
     for entry in result.tasks.values():
-        task = ts.task(entry.task_id)
+        task = task_by_id(ts, entry.task_id)
         assert task.min_checks <= entry.k_star <= task.num_commands
         if entry.deterministic:
             assert entry.strategies == ()
@@ -321,18 +324,7 @@ def test_full_plan_on_generated_multicore_taskset(tmp_path):
     assert load_plan(path) == result
 
 
-def test_rate_monotonic_priorities():
-    tasks = [
-        make_task(tid="a", period=100),
-        make_task(tid="b", period=10),
-        make_task(tid="c", period=50),
-    ]
-    assert rate_monotonic_priorities(tasks) == ["b", "c", "a"]
-    ties = [make_task(tid="z", period=10), make_task(tid="a", period=10)]
-    assert rate_monotonic_priorities(ties) == ["a", "z"]
-    assert rate_monotonic_priorities([make_task(tid="only")]) == ["only"]
-
-
 def test_balanced_partition_rejects_oversized_task():
     with pytest.raises(PartitionError):
-        balanced_partition_by_response_bound([make_task(wcet=12, period=10, deadline=10)], 4)
+        # Columns in priority order: one task with period (= deadline) 10 and wcet 12.
+        balanced_partition_by_response_bound([10], [12], 4)

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import make_task, make_taskset
+from conftest import make_task, make_taskset, task_by_id
 
 from selcheck.model import assignment_at
 from selcheck.schedulability import (
@@ -43,20 +43,20 @@ def test_sole_task_bound_has_no_interference():
 def test_two_task_bound_matches_hand_evaluation():
     ts = two_task_core()
     # 4 + (1 + 10/4) * 2 = 11
-    assert response_time_bound(ts.task("lo"), ts, {"hi": 1, "lo": 2}) == pytest.approx(11.0)
+    assert response_time_bound(task_by_id(ts, "lo"), ts, {"hi": 1, "lo": 2}) == pytest.approx(11.0)
 
 
 def test_zero_checks_reduce_to_vanilla():
     ts = two_task_core()
     zero = assignment_at(ts, "zero")
     assert zero == {"hi": 0, "lo": 0}
-    assert response_time_bound(ts.task("lo"), ts, zero) == pytest.approx(5.5)
-    assert response_time_bound(ts.task("hi"), ts, zero) == pytest.approx(1.0)
+    assert response_time_bound(task_by_id(ts, "lo"), ts, zero) == pytest.approx(5.5)
+    assert response_time_bound(task_by_id(ts, "hi"), ts, zero) == pytest.approx(1.0)
 
 
 def test_overhead_identity_and_miss_condition():
     ts = two_task_core()
-    lo = ts.task("lo")
+    lo = task_by_id(ts, "lo")
     assignment = {"hi": 1, "lo": 2}
     o = checking_overhead(lo, ts, assignment)
     assert o == pytest.approx(11.0 - 5.5)
@@ -97,12 +97,12 @@ def test_overhead_identity_on_random_inputs(rng):
 
 def test_monotone_in_every_tasks_k(rng):
     ts = two_task_core()
-    lo = ts.task("lo")
+    lo = task_by_id(ts, "lo")
     for _ in range(50):
         a = {"hi": int(rng.integers(0, 3)), "lo": int(rng.integers(0, 4))}
         bumped = dict(a)
         key = "hi" if rng.random() < 0.5 else "lo"
-        if bumped[key] < ts.task(key).num_commands:
+        if bumped[key] < task_by_id(ts, key).num_commands:
             bumped[key] += 1
         assert response_time_bound(lo, ts, bumped) >= response_time_bound(lo, ts, a)
 

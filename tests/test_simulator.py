@@ -1,15 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import drawn_tasksets, make_task, make_taskset
+from conftest import DRAW_SPECS, drawn_tasksets, make_task, make_taskset
 from oracles import catch_probability_by_enumeration
 
 from selcheck.game import build_game_from_weights, marginal_check_probability, solve_game
-from selcheck.model import assignment_at
+from selcheck.experiments import sweep_acceptance
+from selcheck.model import OVERHEAD_PRESETS_US, Task, Taskset, assignment_at
 from selcheck.planner import CheckPlan, TaskPlan
 from selcheck.simulator import (
     DEFAULT_MAX_JOBS,
@@ -25,6 +27,13 @@ from selcheck.simulator import (
     schedulable_schemes,
 )
 from selcheck.schedulability import is_schedulable
+from selcheck.workload import (
+    SCENARIO_COMMANDS,
+    WorkloadSpec,
+    draw_columns,
+    draw_taskset,
+    taskset_rng,
+)
 
 
 def randomized_plan(n=4, k=2, weights=None):
@@ -386,3 +395,81 @@ def test_acceptance_ratios_count_each_scheme_over_the_batch():
         fits = sum(_three_tests(ts)[scheme] for ts in batch if ts is not None)
         assert ratios[scheme] == fits / len(batch)
         assert acceptance_ratio(batch, scheme) == ratios[scheme]
+
+
+# DRAW_SPECS (both scenarios, 1 and 4 cores, the overhead fraction and each
+# preset, every bucket), then a fixed command count and another overhead
+# fraction on 4 cores, then one period for every task, so every priority is
+# decided by the id tie-break.
+SPLIT_SPECS = DRAW_SPECS + [
+    replace(spec, n_fixed=7, overhead_fraction=0.25, seed=6) for spec in DRAW_SPECS
+    if spec.num_cores == 4 and spec.overhead_preset is None
+] + [
+    replace(spec, period_min_us=50_000, period_max_us=50_000, seed=7) for spec in DRAW_SPECS
+    if spec.num_cores == 4 and spec.overhead_preset is None and spec.utilization_bucket < 5
+]
+
+
+def _column_rows(columns):
+    """task id -> (wcet, period, deadline, overhead, commands, min_checks, core, priority)."""
+    rows = {}
+    for core, col in enumerate(columns):
+        assert list(col.priorities) == sorted(col.priorities)  # highest priority first
+        for tid, rank, deadline, period, wcet, overhead, n, n_min in zip(*col):
+            assert tid not in rows
+            rows[tid] = (wcet, period, deadline, overhead, n, n_min, core, rank)
+    return rows
+
+
+def _follows_the_spec(ts, spec):
+    """The drawn values follow the spec's rules: rate-monotonic ranks, the
+    command count range, the min_checks share and the overhead source."""
+    ids = [t.id for t in ts.tasks]
+    assert ids == [f"t{i:0{len(str(len(ids) - 1))}d}" for i in range(len(ids))]
+    by_rate = sorted(ts.tasks, key=lambda t: (t.period, t.id))
+    assert [ts.platform.priority[t.id] for t in by_rate] == list(range(len(ids)))
+    lo, hi = (spec.n_fixed,) * 2 if spec.n_fixed else SCENARIO_COMMANDS[spec.scenario]
+    fixed = OVERHEAD_PRESETS_US.get(spec.overhead_preset)
+    for t in ts.tasks:
+        assert lo <= t.num_commands <= hi and t.deadline == t.period
+        assert t.min_checks == math.ceil(spec.min_checks_fraction * t.num_commands)
+        assert t.check_overhead == (max(1, round(spec.overhead_fraction * t.wcet))
+                                    if fixed is None else fixed)
+
+
+def test_drawn_columns_match_the_drawn_taskset_and_its_judge():
+    seen = set()
+    placed = unplaceable = 0
+    for spec_idx, spec in enumerate(SPLIT_SPECS):
+        for index in range(3):
+            columns = draw_columns(spec, taskset_rng(spec.seed, spec_idx, index))
+            ts = draw_taskset(spec, taskset_rng(spec.seed, spec_idx, index))
+            assert (columns is None) == (ts is None), (spec, index)
+            if ts is None:
+                unplaceable += 1
+                continue
+            placed += 1
+            assert len(columns) == spec.num_cores
+            _follows_the_spec(ts, spec)
+            part, prio = ts.platform.partition, ts.platform.priority
+            assert _column_rows(columns) == {
+                t.id: (t.wcet, t.period, t.deadline, t.check_overhead, t.num_commands,
+                       t.min_checks, part[t.id], prio[t.id])
+                for t in ts.tasks
+            }
+            verdict = schedulable_schemes(columns)
+            assert verdict == _three_tests(ts) == schedulable_schemes(ts)
+            seen.add((verdict["unsecured"], verdict["scate"], verdict["fine-grain"]))
+    assert placed > len(SPLIT_SPECS) and unplaceable > 0
+    assert seen == {(True, True, True), (True, True, False), (True, False, False)}
+
+
+@pytest.mark.parametrize("preset", [None, "freertos"])
+def test_sweep_acceptance_builds_no_task(monkeypatch, preset):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built during the fig 8 sweep")
+
+    monkeypatch.setattr(Task, "__init__", refuse)
+    monkeypatch.setattr(Taskset, "__init__", refuse)
+    result = sweep_acceptance(WorkloadSpec(seed=2, overhead_preset=preset), tasksets_per_bucket=2)
+    assert len(result.rows) == 60

@@ -237,7 +237,7 @@ def test_level_two_root_takes_the_sqrt_path(n, seeds):
 
 
 def test_every_draw_is_schedulable_with_checking_disabled():
-    """Placement sums each admission bound in bound_from_wcets's order, so no
+    """Placement sums each admission bound with response_bound, so no
     draw it places is refused by the schedulability test at zero checks."""
     batch = [ts for ts in drawn_tasksets() if ts is not None]
     assert len(batch) > len(DRAW_SPECS)

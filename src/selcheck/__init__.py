@@ -17,9 +17,7 @@ from .model import (
 from .schedulability import (
     ResponseTimeReport,
     analyze,
-    checking_overhead,
     is_schedulable,
-    response_time_bound,
     tee_wcet,
 )
 from .lp import LinearProgram, LpSolution, solve_lp

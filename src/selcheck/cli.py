@@ -62,7 +62,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def _read_spec(args) -> dict:
     """The --spec document ({} without one): an object whose `scenario` is a
-    string and `buckets` a list of integers; WorkloadSpec.check checks the rest."""
+    string and `buckets` a list of distinct integers; WorkloadSpec.check
+    checks the rest."""
     doc = json.loads(Path(args.spec).read_text()) if args.spec else {}
     if not isinstance(doc, dict):
         raise ValueError(f"a workload spec must be a JSON object, got {type(doc).__name__}")
@@ -71,6 +72,8 @@ def _read_spec(args) -> dict:
     buckets = doc.get("buckets", [])
     if not (isinstance(buckets, list) and all(_is_int(b) for b in buckets)):
         raise ValueError(f"spec buckets must be a list of integers, got {buckets!r}")
+    if len(set(buckets)) != len(buckets):
+        raise ValueError(f"spec buckets must not repeat, got {buckets!r}")
     return doc
 
 
@@ -206,9 +209,10 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     _check_game_options(args)
     doc = _read_spec(args)
-    if "n_fixed" in doc:
-        # Each figure fixes it: fig 7 at 5 commands, figs 6 and 8 at the scenario's range.
-        raise ValueError("sweep sets n_fixed per figure; remove it from the spec")
+    # Each figure sets these: figs 6 and 8 run all buckets of both scenarios, fig 7 medium at N = 5.
+    for key in ("n_fixed", "buckets", "scenario"):
+        if key in doc:
+            raise ValueError(f"sweep sets {key} per figure; remove it from the spec")
     base = _workload_spec(args, doc, "medium", 0)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)

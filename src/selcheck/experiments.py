@@ -19,10 +19,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import game as game_mod
-from .model import assignment_at
 from .planner import Infeasible, assign_check_budgets, plan
-from .schedulability import is_schedulable
-from .simulator import DEFAULT_MAX_JOBS, acceptance_ratios, coverage_ratio, mean_detected_delay
+from .simulator import (DEFAULT_MAX_JOBS, acceptance_ratios, coverage_ratio, mean_detected_delay,
+                        schedulable_schemes)
 from .workload import NUM_BUCKETS, WorkloadSpec, draw_columns, draw_taskset, taskset_rng
 
 SCENARIOS = ("medium", "high")
@@ -117,7 +116,8 @@ def _tradeoff_cell(args) -> list[tuple[int, bool, float | None]]:
     for ts in _cell_tasksets(base, 7, 2, bucket, count, "medium", n_fixed):
         if ts is None or isinstance(result := plan(ts, big_m, epsilon, games), Infeasible):
             continue
-        fine_grain = is_schedulable(ts, assignment_at(ts, "full"))
+        # A planned taskset fits at min_checks, so this is its full-check test.
+        fine_grain = schedulable_schemes(ts)["fine-grain"]
         # Every task takes a turn as the victim; the taskset's delay is the
         # mean over victims of their mean detection delay.  A K* = 0 victim
         # detects nothing and is left out.

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -85,11 +84,9 @@ class CoreColumns(NamedTuple):
 class Taskset:
     """Tasks plus their platform.
 
-    The per-core priority order, its column view and each task's
-    higher-priority neighbours are computed once, on first use, and cached;
-    so are the lower-priority neighbours, separately, on the first
-    lower_priority call.  This assumes platform.partition and
-    platform.priority are not mutated after construction.
+    `core_columns`, the one view of a core that every bound reads, is built
+    on first use and cached; so platform.partition and platform.priority
+    must not be mutated after construction.
     """
 
     tasks: tuple[Task, ...]
@@ -104,25 +101,6 @@ class Taskset:
             orders.setdefault(partition[t.id], []).append(t)
         return {core: tuple(members) for core, members in orders.items()}
 
-    def _same_core(self, higher: bool) -> dict[TaskId, tuple[Task, ...]]:
-        """task id -> the higher- (or lower-) priority tasks on its core, highest first."""
-        out = {}
-        for order in self._core_orders.values():
-            ranks = [self.platform.priority[t.id] for t in order]
-            for t, r in zip(order, ranks):
-                out[t.id] = order[:bisect_left(ranks, r)] if higher else order[bisect_right(ranks, r):]
-        return out
-
-    @cached_property
-    def _higher(self) -> dict[TaskId, tuple[Task, ...]]:
-        return self._same_core(higher=True)
-
-    @cached_property
-    def _lower(self) -> dict[TaskId, tuple[Task, ...]]:
-        # Built on the first lower_priority call only: the schedulability
-        # test and the K* search read the column view instead.
-        return self._same_core(higher=False)
-
     @cached_property
     def core_columns(self) -> dict[int, CoreColumns]:
         """core -> its tasks as columns, highest priority first; cores in index order."""
@@ -135,21 +113,6 @@ class Taskset:
             )))
             for core, order in sorted(self._core_orders.items())
         }
-
-    def core_of(self, task_id: TaskId) -> int:
-        return self.platform.partition[task_id]
-
-    def tasks_on_core(self, core: int) -> tuple[Task, ...]:
-        """Tasks on one core, highest priority first."""
-        return self._core_orders.get(core, ())
-
-    def higher_priority(self, task_id: TaskId) -> tuple[Task, ...]:
-        """Same-core tasks with higher priority than task_id, highest first."""
-        return self._higher[task_id]
-
-    def lower_priority(self, task_id: TaskId) -> tuple[Task, ...]:
-        """Same-core tasks with lower priority than task_id, highest first."""
-        return self._lower[task_id]
 
     def priority_ordered(self) -> tuple[Task, ...]:
         """All tasks, grouped by core index, highest priority first per core."""

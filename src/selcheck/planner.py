@@ -26,7 +26,8 @@ from typing import Sequence
 
 from . import game as game_mod
 from .model import CheckAssignment, Task, TaskId, Taskset, _is_int, _is_number, assignment_at
-from .schedulability import TIME_TOL, is_schedulable, meets_deadlines, response_bound, tee_wcet
+from .schedulability import (TIME_TOL, checked_wcets, is_schedulable, meets_deadlines,
+                             response_bound, tee_wcet)
 
 INFEASIBLE_MESSAGE = "minimum QoS requirements cannot be met"
 
@@ -76,12 +77,10 @@ def max_feasible_k(task: Task, taskset: Taskset, fixed: CheckAssignment) -> int:
     system-wide pass guarantees before calling.
     """
     lo, hi = task.min_checks, task.num_commands
-    core = taskset.core_of(task.id)
-    columns = taskset.core_columns[core]
+    columns = taskset.core_columns[taskset.platform.partition[task.id]]
     # The task and everything below it on its core: positions p.. of the columns.
     p = columns.ids.index(task.id)
-    wcets = [tee_wcet(t, lo if t.id == task.id else fixed[t.id])
-             for t in taskset.tasks_on_core(core)]
+    wcets = checked_wcets(columns, [lo if tid == task.id else fixed[tid] for tid in columns.ids])
     deadlines, periods = columns.deadlines, columns.periods
     affected = range(p, len(wcets))
     # A slack is >= 0 exactly when its bound passes meets_deadlines's test.
@@ -263,12 +262,16 @@ def _entry_from_dict(entry) -> TaskPlan:
 def plan_from_dict(doc: dict) -> CheckPlan:
     if not (isinstance(doc, dict) and isinstance(doc.get("tasks"), list)):
         raise ValueError("a plan must be an object with a 'tasks' list")
+    if doc.get("feasible") is not True:
+        # `plan` writes only feasible plans; an infeasible taskset exits 2 with none.
+        says = f", not {json.dumps(doc['feasible'])}" if "feasible" in doc else ""
+        raise ValueError(f'a plan must say "feasible": true{says}')
     entries: dict[TaskId, TaskPlan] = {}
     for entry in map(_entry_from_dict, doc["tasks"]):
         if entry.task_id in entries:
             raise ValueError(f"duplicate task id {entry.task_id!r} in plan")
         entries[entry.task_id] = entry
-    return CheckPlan(feasible=doc["feasible"], tasks=entries)
+    return CheckPlan(feasible=True, tasks=entries)
 
 
 def load_plan(path: str | Path) -> CheckPlan:

@@ -5,26 +5,25 @@ The bound is the closed linear form
     R_i = C_i^chk + sum_{h in hp(i)} (1 + D_i / T_h) * C_h^chk
 
 with C^chk = C + k * C^o for the assigned number of checks k.  It is an
-upper bound, not the iterative fixed-point recurrence.  One evaluator,
-`response_bound`, sums it (own term first, then hp(i) from highest to
-lowest priority) for every caller: the placement's admission test, single
-bounds, `is_schedulable`, `analyze`, the planner's K* selection and the
-fig 8 judge.  The Taskset callers read each core through its column view
-(`Taskset.core_columns`), so a drawn workload's columns and its Taskset
-are judged by the same arithmetic.  The bound is linear in each task's k,
-which gives the planner its closed form for K*; rounding keeps it monotone
-non-decreasing in every k, which lets the planner confirm that candidate
-by stepping one check at a time.  D_i / T_h is evaluated in double
-precision and all deadline comparisons use an absolute tolerance.
+upper bound, not the iterative fixed-point recurrence.  Every caller reads
+a core as columns (`Taskset.core_columns`, or a drawn workload's own):
+`checked_wcets` gives the core's C^chk column and `response_bound` sums
+one task's bound (own term first, then hp(i) from highest priority down)
+for placement, `is_schedulable`, `analyze`, the K* search and the fig 8
+judge.  The bound is linear in each task's k, which gives the planner its
+closed form for K*; rounding keeps it monotone non-decreasing in every k,
+which lets the planner confirm that candidate by stepping one check at a
+time.  D_i / T_h is evaluated in double precision and all deadline
+comparisons use an absolute tolerance.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .model import CheckAssignment, CoreColumns, Task, TaskId, Taskset
+from .model import CheckAssignment, CoreColumns, Task, Taskset
 
 # Absolute tolerance for comparing the (non-integral) bound to deadlines.
 TIME_TOL = 1e-9
@@ -37,9 +36,9 @@ def tee_wcet(task: Task, k: int) -> int:
     return task.wcet + k * task.check_overhead
 
 
-def checked_wcets(tasks: Iterable[Task], assignment: CheckAssignment) -> dict[TaskId, int]:
-    """C + k * C^o for each task under the assignment, keyed by task id."""
-    return {t.id: tee_wcet(t, assignment[t.id]) for t in tasks}
+def checked_wcets(columns: CoreColumns, checks: Sequence[int]) -> list[int]:
+    """C + k * C^o for each task on one core, given each task's k in `checks`."""
+    return [w + k * o for w, k, o in zip(columns.wcets, checks, columns.check_overheads)]
 
 
 def response_bound(wcet: int, deadline: int, periods: Sequence[int], wcets: Sequence[int]) -> float:
@@ -61,30 +60,6 @@ def meets_deadlines(columns: CoreColumns, wcets: Sequence[int], start: int = 0) 
         if response_bound(wcets[j], deadlines[j], periods, wcets[:j]) > deadlines[j] + TIME_TOL:
             return False
     return True
-
-
-def response_time_bound(task: Task, taskset: Taskset, assignment: CheckAssignment) -> float:
-    """Upper bound on the worst-case response time of `task` under `assignment`.
-
-    Interference is taken only from higher-priority tasks on the task's core;
-    the assignment must cover the task and all of those tasks.
-    """
-    if task.id not in taskset.platform.partition:
-        raise ValueError(f"task {task.id} not in partition")
-    hp = taskset.higher_priority(task.id)
-    wcets = checked_wcets((task, *hp), assignment)
-    return response_bound(wcets[task.id], task.deadline, [h.period for h in hp],
-                          [wcets[h.id] for h in hp])
-
-
-def checking_overhead(task: Task, taskset: Taskset, assignment: CheckAssignment) -> float:
-    """Total checking overhead O = R^chk - R, computed directly from k * C^o terms."""
-    if task.id not in taskset.platform.partition:
-        raise ValueError(f"task {task.id} not in partition")
-    o = float(assignment[task.id] * task.check_overhead)
-    for h in taskset.higher_priority(task.id):
-        o += (1.0 + task.deadline / h.period) * assignment[h.id] * h.check_overhead
-    return o
 
 
 @dataclass(frozen=True)
@@ -109,30 +84,39 @@ class ResponseTimeReport:
         raise KeyError(task_id)
 
 
-def _complete_wcets(taskset: Taskset, assignment: CheckAssignment) -> dict[TaskId, int]:
+def _core_checks(taskset: Taskset,
+                 assignment: CheckAssignment) -> list[tuple[CoreColumns, list[int]]]:
+    """Each core's columns with its tasks' k, read from a complete assignment;
+    ValueError when a task is missing or its k lies outside [0, N]."""
     for t in taskset.tasks:
         if t.id not in assignment:
             raise ValueError(f"assignment missing task {t.id}")
-    return checked_wcets(taskset.tasks, assignment)
+        if not 0 <= assignment[t.id] <= t.num_commands:
+            raise ValueError(f"task {t.id}: k={assignment[t.id]} outside [0, {t.num_commands}]")
+    return [(columns, [assignment[tid] for tid in columns.ids])
+            for columns in taskset.core_columns.values()]
 
 
 def analyze(taskset: Taskset, assignment: CheckAssignment) -> ResponseTimeReport:
-    """Per-task response times and deadline flags for a complete assignment."""
-    checked = _complete_wcets(taskset, assignment)
+    """Per-task R, R^chk, overhead O (summed from the k * C^o terms) and deadline flag."""
     entries = []
-    for core, columns in taskset.core_columns.items():
-        wcets = [checked[tid] for tid in columns.ids]
-        for j, t in enumerate(taskset.tasks_on_core(core)):
-            r_checked = response_bound(wcets[j], t.deadline, columns.periods, wcets[:j])
+    for columns, checks in _core_checks(taskset, assignment):
+        wcets = checked_wcets(columns, checks)
+        periods, overheads = columns.periods, columns.check_overheads
+        for j, (tid, deadline) in enumerate(zip(columns.ids, columns.deadlines)):
+            r_checked = response_bound(wcets[j], deadline, periods, wcets[:j])
+            overhead = float(checks[j] * overheads[j])
+            for h in range(j):
+                overhead += (1.0 + deadline / periods[h]) * checks[h] * overheads[h]
             entries.append(
                 TaskTiming(
-                    task_id=t.id,
-                    response_time=response_bound(t.wcet, t.deadline, columns.periods,
+                    task_id=tid,
+                    response_time=response_bound(columns.wcets[j], deadline, periods,
                                                  columns.wcets[:j]),
                     response_time_checked=r_checked,
-                    overhead=checking_overhead(t, taskset, assignment),
-                    deadline=t.deadline,
-                    schedulable=r_checked <= t.deadline + TIME_TOL,
+                    overhead=overhead,
+                    deadline=deadline,
+                    schedulable=r_checked <= deadline + TIME_TOL,
                 )
             )
     return ResponseTimeReport(
@@ -142,9 +126,8 @@ def analyze(taskset: Taskset, assignment: CheckAssignment) -> ResponseTimeReport
 
 def is_schedulable(taskset: Taskset, assignment: CheckAssignment) -> bool:
     """True iff every task's checked response-time bound meets its deadline."""
-    checked = _complete_wcets(taskset, assignment)
-    return all(meets_deadlines(columns, [checked[tid] for tid in columns.ids])
-               for columns in taskset.core_columns.values())
+    return all(meets_deadlines(columns, checked_wcets(columns, checks))
+               for columns, checks in _core_checks(taskset, assignment))
 
 
 def report_csv(report: ResponseTimeReport) -> str:

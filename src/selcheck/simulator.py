@@ -18,7 +18,7 @@ import numpy as np
 
 from .model import CoreColumns, TaskId, Taskset
 from .planner import CheckPlan, TaskPlan
-from .schedulability import meets_deadlines
+from .schedulability import checked_wcets, meets_deadlines
 
 PROBABILITY_TOL = 1e-6
 
@@ -216,8 +216,7 @@ def _fits(cores: Iterable[CoreColumns], level: str) -> bool:
         if level == "zero":
             wcets = c.wcets
         else:
-            checks = c.min_checks if level == "min" else c.num_commands
-            wcets = [w + k * o for w, k, o in zip(c.wcets, checks, c.check_overheads)]
+            wcets = checked_wcets(c, c.min_checks if level == "min" else c.num_commands)
         if not meets_deadlines(c, wcets):
             return False
     return True

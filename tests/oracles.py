@@ -4,8 +4,10 @@ These deliberately avoid the package's own code paths: scores are redone
 with exact Fraction arithmetic straight from the case rules, LP optima
 are recomputed by enumerating polytope vertices instead of pivoting,
 per-job catch probabilities are summed over every checked subset and
-detection outcome, and game optima are taken from scipy's HiGHS on the
-full LPs (every best-response row) of every attacker strategy.
+detection outcome, game optima are taken from scipy's HiGHS on the
+full LPs (every best-response row) of every attacker strategy, and
+response bounds are summed from Task fields over same-core rank filters
+instead of the per-core columns.
 """
 
 from fractions import Fraction
@@ -144,3 +146,32 @@ def catch_probability_by_enumeration(strategies, probabilities, compromised, acc
                     chance *= a if flagged else 1 - a
                 total += Fraction(x) * chance
     return total / sum(Fraction(x) for x in probabilities)
+
+
+def same_core_by_rank(taskset, task, higher):
+    """Brute force: the tasks on task's core ranked above (or below) it,
+    highest priority first."""
+    core, rank = taskset.platform.partition, taskset.platform.priority
+    same_core = [t for t in taskset.tasks if core[t.id] == core[task.id]]
+    side = [t for t in same_core
+            if (rank[t.id] < rank[task.id] if higher else rank[t.id] > rank[task.id])]
+    return tuple(sorted(side, key=lambda t: rank[t.id]))
+
+
+def response_bounds_by_rank(taskset, tasks, assignment):
+    """Each of `tasks`' checked response bound under `assignment`, by task id.
+
+    Summed straight from the Task fields in the package's float order: the
+    task's own C + k * C^o, then (1 + D / T_h) * (C_h + k_h * C^o_h) over
+    the higher-ranked tasks on its core, highest priority first.
+    """
+    def checked(t):
+        return t.wcet + assignment[t.id] * t.check_overhead
+
+    bounds = {}
+    for task in tasks:
+        r = float(checked(task))
+        for h in same_core_by_rank(taskset, task, higher=True):
+            r += (1.0 + task.deadline / h.period) * checked(h)
+        bounds[task.id] = r
+    return bounds

@@ -12,7 +12,12 @@ import time
 import numpy as np
 from scipy.stats import chi2
 
-from oracles import game_lp_vertex_optimum, reward_cost_by_cases
+from oracles import (
+    game_lp_vertex_optimum,
+    response_bounds_by_rank,
+    reward_cost_by_cases,
+    same_core_by_rank,
+)
 
 from selcheck.experiments import sweep_acceptance, sweep_coverage, sweep_detection_tradeoff
 from selcheck.game import (
@@ -24,7 +29,7 @@ from selcheck.game import (
 from selcheck.lp import solve_lp
 from selcheck.model import assignment_at
 from selcheck.planner import CheckPlan, Infeasible, TaskPlan, assign_check_budgets, max_feasible_k
-from selcheck.schedulability import TIME_TOL, response_time_bound
+from selcheck.schedulability import TIME_TOL
 from selcheck.simulator import AttackSpec, run_detection_experiment
 from selcheck.workload import WorkloadSpec, gen_taskset, randfixedsum, taskset_rng
 
@@ -129,12 +134,11 @@ def test_criterion_04_binary_search_equals_linear_scan():
             got = max_feasible_k(task, ts, fixed)
             best = None
             scan = dict(fixed)
+            affected = [task, *same_core_by_rank(ts, task, higher=False)]
             for k in range(task.min_checks, task.num_commands + 1):
                 scan[task.id] = k
-                lower = [task, *ts.lower_priority(task.id)]
-                if all(
-                    response_time_bound(t, ts, scan) <= t.deadline + TIME_TOL for t in lower
-                ):
+                bounds = response_bounds_by_rank(ts, affected, scan)
+                if all(bounds[t.id] <= t.deadline + TIME_TOL for t in affected):
                     best = k
             assert got == best, (idx, task.id)
             fixed[task.id] = got

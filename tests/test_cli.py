@@ -100,6 +100,7 @@ def test_gen_bad_bucket_errors(tmp_path):
         {"buckets": "5"},
         {"buckets": [1.5]},
         {"buckets": [True]},
+        {"buckets": [5, 5]},
         {"min_checks_fraction": "x"},
         {"min_checks_fraction": 2},
         {"overhead_fraction": -0.1},
@@ -125,15 +126,16 @@ def test_malformed_spec_is_an_error_line(tmp_path, capsys, doc, verb):
 
 @pytest.mark.parametrize("fig", ["6", "7", "8"])
 def test_sweep_rejects_n_fixed_in_the_spec(tmp_path, capsys, fig):
-    # Every figure sets n_fixed itself, so the key would be ignored.
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"n_fixed": 8}))
-    out = tmp_path / "out"
-    assert main(["sweep", "--fig", fig, "--spec", str(spec), "--out", str(out),
-                 "--tasksets-per-bucket", "1"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "n_fixed" in err
-    assert not out.exists()
+    # Every figure sets these keys itself, so they would be ignored.
+    for key, value in (("n_fixed", 8), ("buckets", [5]), ("scenario", "high")):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--fig", fig, "--spec", str(spec), "--out", str(out),
+                     "--tasksets-per-bucket", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not out.exists()
 
 
 def test_gen_honours_n_fixed(tmp_path):
@@ -511,6 +513,8 @@ def _with_task(**changes):
         pytest.param({"feasible": True, "tasks": 5}, id="tasks-int"),
         pytest.param({"feasible": True, "tasks": {"ctrl": {}}}, id="tasks-object"),
         pytest.param({"feasible": True, "tasks": _plan_doc()["tasks"] * 2}, id="duplicate-id"),
+        pytest.param({"tasks": _plan_doc()["tasks"]}, id="feasible-missing"),
+        pytest.param({"feasible": False, "tasks": _plan_doc()["tasks"]}, id="feasible-false"),
         pytest.param(_with_task(id=["ctrl"]), id="id-list"),
         pytest.param(_with_task(probabilities=[0.5, "0.25", 0.25]), id="probability-string"),
         pytest.param(_with_task(probabilities=[0.5, float("nan"), 0.25]), id="probability-nan"),

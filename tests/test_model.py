@@ -2,6 +2,7 @@ import pytest
 from conftest import make_task, make_taskset
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import same_core_by_rank
 
 from selcheck.model import (
     OVERHEAD_PRESETS_US,
@@ -155,15 +156,6 @@ def test_priority_order_skips_empty_cores_without_walking_them():
     assert ts.priority_ordered() == (b, a)
 
 
-def _same_core_by_rank(ts, task, higher):
-    """Brute force: the tasks on task's core ranked above (or below) it,
-    highest priority first."""
-    core, rank = ts.platform.partition, ts.platform.priority
-    same_core = [t for t in ts.tasks if core[t.id] == core[task.id]]
-    side = [t for t in same_core if (rank[t.id] < rank[task.id] if higher else rank[t.id] > rank[task.id])]
-    return tuple(sorted(side, key=lambda t: rank[t.id]))
-
-
 @st.composite
 def ranked_drawn_tasksets(draw):
     """A drawn taskset on 1 or 4 cores, in either scenario, with its
@@ -182,12 +174,18 @@ def ranked_drawn_tasksets(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(ts=ranked_drawn_tasksets())
 def test_priority_neighbours_match_a_same_core_rank_filter(ts):
-    for task in ts.tasks:
-        assert ts.higher_priority(task.id) == _same_core_by_rank(ts, task, higher=True)
-    # The lower slices are built on the first lower_priority call only.
-    assert "_lower" not in vars(ts)
-    for task in ts.tasks:
-        assert ts.lower_priority(task.id) == _same_core_by_rank(ts, task, higher=False)
+    # Each task sits in its core's columns between the tasks ranked above it
+    # and those ranked below it, and every task sits in exactly one column.
+    by_id = {t.id: t for t in ts.tasks}
+    placed = []
+    for columns in ts.core_columns.values():
+        ids = list(columns.ids)
+        for p, tid in enumerate(ids):
+            task = by_id[tid]
+            assert ids[:p] == [t.id for t in same_core_by_rank(ts, task, higher=True)]
+            assert ids[p + 1:] == [t.id for t in same_core_by_rank(ts, task, higher=False)]
+        placed += ids
+    assert sorted(placed) == sorted(by_id)
 
 
 def test_overhead_presets():

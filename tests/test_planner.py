@@ -5,6 +5,7 @@ import math
 import pytest
 
 from conftest import make_task, make_taskset, task_by_id
+from oracles import response_bounds_by_rank, same_core_by_rank
 
 from selcheck.model import assignment_at
 from selcheck.planner import (
@@ -20,7 +21,7 @@ from selcheck.planner import (
     plan_to_dict,
     TaskPlan,
 )
-from selcheck.schedulability import TIME_TOL, is_schedulable, response_time_bound
+from selcheck.schedulability import TIME_TOL, is_schedulable
 from selcheck.workload import NUM_BUCKETS, WorkloadSpec, draw_taskset, gen_taskset, taskset_rng
 
 
@@ -45,10 +46,11 @@ def _linear_scan(task, taskset, fixed):
     """Brute-force reference for max_feasible_k: try every k in order."""
     best = None
     assignment = dict(fixed)
+    affected = [task, *same_core_by_rank(taskset, task, higher=False)]
     for k in range(task.min_checks, task.num_commands + 1):
         assignment[task.id] = k
-        lower = [task, *taskset.lower_priority(task.id)]
-        if all(response_time_bound(t, taskset, assignment) <= t.deadline + TIME_TOL for t in lower):
+        bounds = response_bounds_by_rank(taskset, affected, assignment)
+        if all(bounds[t.id] <= t.deadline + TIME_TOL for t in affected):
             best = k
     return best
 
@@ -113,7 +115,7 @@ def test_max_feasible_k_closed_form_boundaries(taskset, expected):
 def test_max_feasible_k_confirm_step_corrects_roundoff(taskset, expected):
     hi, lo = task_by_id(taskset, "hi"), task_by_id(taskset, "lo")
     fixed = assignment_at(taskset, "min")
-    slack = lo.deadline + TIME_TOL - response_time_bound(lo, taskset, fixed)
+    slack = lo.deadline + TIME_TOL - response_bounds_by_rank(taskset, [lo], fixed)[lo.id]
     closed_form = math.floor(slack / ((1.0 + lo.deadline / hi.period) * hi.check_overhead))
     assert closed_form != expected  # the case exercises the confirm step
     assert max_feasible_k(hi, taskset, fixed) == _linear_scan(hi, taskset, fixed) == expected

@@ -3,14 +3,11 @@ import pytest
 from conftest import make_task, make_taskset, task_by_id
 
 from selcheck.model import assignment_at
-from selcheck.schedulability import (
-    analyze,
-    checking_overhead,
-    is_schedulable,
-    report_csv,
-    response_time_bound,
-    tee_wcet,
-)
+from selcheck.schedulability import analyze, is_schedulable, report_csv, tee_wcet
+
+
+def checked_bound(ts, task_id, assignment):
+    return analyze(ts, assignment).entry(task_id).response_time_checked
 
 
 def two_task_core():
@@ -37,35 +34,33 @@ def test_tee_wcet_rejects_out_of_range_k():
 
 def test_sole_task_bound_has_no_interference():
     ts = make_taskset([make_task(wcet=2, period=10, n=3, overhead=1)])
-    assert response_time_bound(ts.tasks[0], ts, {"t0": 2}) == 4.0
+    assert checked_bound(ts, "t0", {"t0": 2}) == 4.0
 
 
 def test_two_task_bound_matches_hand_evaluation():
     ts = two_task_core()
     # 4 + (1 + 10/4) * 2 = 11
-    assert response_time_bound(task_by_id(ts, "lo"), ts, {"hi": 1, "lo": 2}) == pytest.approx(11.0)
+    assert checked_bound(ts, "lo", {"hi": 1, "lo": 2}) == pytest.approx(11.0)
 
 
 def test_zero_checks_reduce_to_vanilla():
     ts = two_task_core()
     zero = assignment_at(ts, "zero")
     assert zero == {"hi": 0, "lo": 0}
-    assert response_time_bound(task_by_id(ts, "lo"), ts, zero) == pytest.approx(5.5)
-    assert response_time_bound(task_by_id(ts, "hi"), ts, zero) == pytest.approx(1.0)
+    assert checked_bound(ts, "lo", zero) == pytest.approx(5.5)
+    assert checked_bound(ts, "hi", zero) == pytest.approx(1.0)
 
 
 def test_overhead_identity_and_miss_condition():
     ts = two_task_core()
     lo = task_by_id(ts, "lo")
     assignment = {"hi": 1, "lo": 2}
-    o = checking_overhead(lo, ts, assignment)
+    o = analyze(ts, assignment).entry("lo").overhead
     assert o == pytest.approx(11.0 - 5.5)
-    assert checking_overhead(lo, ts, {"hi": 0, "lo": 0}) == 0.0
+    assert analyze(ts, {"hi": 0, "lo": 0}).entry("lo").overhead == 0.0
     # deadline missed iff O > D - R
-    vanilla = response_time_bound(lo, ts, assignment_at(ts, "zero"))
-    assert (o > lo.deadline - vanilla) == (
-        response_time_bound(lo, ts, assignment) > lo.deadline
-    )
+    vanilla = checked_bound(ts, "lo", assignment_at(ts, "zero"))
+    assert (o > lo.deadline - vanilla) == (checked_bound(ts, "lo", assignment) > lo.deadline)
 
 
 def test_overhead_identity_on_random_inputs(rng):
@@ -87,24 +82,25 @@ def test_overhead_identity_on_random_inputs(rng):
         ts = make_taskset(tasks, cores={t.id: 0 for t in tasks},
                           priorities={t.id: i for i, t in enumerate(tasks)})
         assignment = {t.id: int(rng.integers(0, t.num_commands + 1)) for t in tasks}
+        report = analyze(ts, assignment)
         for t in tasks:
-            r_tee = response_time_bound(t, ts, assignment)
-            r = response_time_bound(t, ts, assignment_at(ts, "zero"))
-            o = checking_overhead(t, ts, assignment)
+            r_tee = report.entry(t.id).response_time_checked
+            r = checked_bound(ts, t.id, assignment_at(ts, "zero"))
+            assert report.entry(t.id).response_time == r
+            o = report.entry(t.id).overhead
             assert abs(o - (r_tee - r)) < 1e-9
             assert r_tee >= r
 
 
 def test_monotone_in_every_tasks_k(rng):
     ts = two_task_core()
-    lo = task_by_id(ts, "lo")
     for _ in range(50):
         a = {"hi": int(rng.integers(0, 3)), "lo": int(rng.integers(0, 4))}
         bumped = dict(a)
         key = "hi" if rng.random() < 0.5 else "lo"
         if bumped[key] < task_by_id(ts, key).num_commands:
             bumped[key] += 1
-        assert response_time_bound(lo, ts, bumped) >= response_time_bound(lo, ts, a)
+        assert checked_bound(ts, "lo", bumped) >= checked_bound(ts, "lo", a)
 
 
 def test_cross_core_independence():
@@ -113,7 +109,7 @@ def test_cross_core_independence():
     ts = make_taskset([a, b], num_cores=2, cores={"a": 0, "b": 1},
                       priorities={"a": 0, "b": 0})
     for kb in (0, 1, 2):
-        assert response_time_bound(a, ts, {"a": 1, "b": kb}) == 3.0
+        assert checked_bound(ts, "a", {"a": 1, "b": kb}) == 3.0
 
 
 def test_is_schedulable_cases():
@@ -126,10 +122,11 @@ def test_is_schedulable_cases():
 
 def test_incomplete_assignment_rejected():
     ts = two_task_core()
-    with pytest.raises(ValueError):
-        is_schedulable(ts, {"hi": 0})
-    with pytest.raises(ValueError):
-        analyze(ts, {"hi": 0})
+    # A missing task, then lo (N = 3) at k = N + 1 and at k = -1.
+    for assignment in ({"hi": 0}, {"hi": 0, "lo": 4}, {"hi": 0, "lo": -1}):
+        for check in (is_schedulable, analyze):
+            with pytest.raises(ValueError):
+                check(ts, assignment)
 
 
 def test_report_csv_format():

@@ -177,6 +177,40 @@ def test_golden_sweep_and_plan_bytes(tmp_path):
     assert digests == GOLDEN_SHA256
 
 
+# sha256 and stderr summary of `simulate` on the golden plan.json above (its
+# default victim, 1,000 trials, seed 0): a random command at low accuracy,
+# a fixed set in one-shot mode, and a blind checker whose summary is empty.
+GOLDEN_SIMULATE = {
+    "random": (["--commands", "random", "--accuracy", "0.01"],
+               "d235786a4a3c3af3f1ad133bd7b6c28b94f3ef8a12f493ea247fb43b3da572b2",
+               "victim t07: 1000 of 1000 trials detected, mean delay 245.501 jobs, p99 1210\n"),
+    "one-shot": (["--commands", "1,3", "--mode", "one-shot"],
+                 "0eb0556fae5fc89aea87b62db5b259c30481a295b48a47d92fa86f1d440607f2",
+                 "victim t07: 788 of 1000 trials detected, mean delay 1.000 jobs, p99 1\n"),
+    "blind": (["--accuracy", "0"],
+              "42c5888eaac0aef2f72f5eff8fe5e7f165c6164eb7e5bab1ccb4329cbe776c6a",
+              "victim t07: 0 of 1000 trials detected\n"),
+}
+
+
+def test_golden_simulate_bytes(tmp_path, capsys):
+    from selcheck.cli import main
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"scenario": "medium", "num_cores": 4, "buckets": [5]}))
+    assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "batch"), "--seed", "11",
+                 "--tasksets-per-bucket", "1"]) == 0
+    assert main(["plan", "--taskset", str(tmp_path / "batch" / "taskset_medium_b5_0000.json"),
+                 "--out", str(tmp_path / "plan.json")]) == 0
+    capsys.readouterr()
+    for name, (options, digest, summary) in GOLDEN_SIMULATE.items():
+        out = tmp_path / f"{name}.csv"
+        assert main(["simulate", "--plan", str(tmp_path / "plan.json"), *options,
+                     "--out", str(out)]) == 0
+        assert (name, hashlib.sha256(out.read_bytes()).hexdigest()) == (name, digest)
+        assert capsys.readouterr().err == summary
+
+
 def test_plan_all_full_when_underloaded():
     a = make_task(tid="a", wcet=1, period=100, n=3, n_min=1, overhead=1)
     b = make_task(tid="b", wcet=1, period=200, n=4, n_min=1, overhead=1)

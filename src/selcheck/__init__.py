@@ -28,7 +28,6 @@ from .game import (
     enumerate_attacker_strategies,
     enumerate_designer_strategies,
     lp_for_attacker_strategy,
-    marginal_check_probability,
     solve_game,
 )
 from .planner import (
@@ -44,7 +43,7 @@ from .workload import WorkloadSpec, draw_taskset, gen_periods, gen_taskset, rand
 from .simulator import (
     AttackSpec,
     SimResult,
-    acceptance_ratio,
+    catch_mass,
     coverage_ratio,
     detection_probability,
     mean_detected_delay,

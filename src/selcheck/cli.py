@@ -160,10 +160,6 @@ def _parse_commands(text: str):
     return tuple(int(c) for c in text.split(","))
 
 
-def _parse_trigger(text: str):
-    return "random" if text == "random" else int(text)
-
-
 def cmd_simulate(args) -> int:
     plan = planner.load_plan(args.plan)
     victim = args.victim
@@ -186,7 +182,6 @@ def cmd_simulate(args) -> int:
     attack = simulator.AttackSpec(
         victim=victim,
         commands=_parse_commands(args.commands),
-        trigger=_parse_trigger(args.trigger),
         mode=args.mode,
     )
     result = simulator.run_detection_experiment(
@@ -263,7 +258,6 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--commands", default="random",
                        help="compromised commands, e.g. '1,3', or 'random' (default)")
     p_sim.add_argument("--mode", choices=["persistent", "one-shot"], default="persistent")
-    p_sim.add_argument("--trigger", default="random", help="0-based trigger job index or 'random'")
     p_sim.add_argument("--trials", type=_positive_int, default=1000)
     p_sim.add_argument("--max-jobs", type=_positive_int, default=simulator.DEFAULT_MAX_JOBS)
     p_sim.add_argument("--accuracy", type=float, default=1.0,

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from . import game as game_mod
 from .planner import Infeasible, assign_check_budgets, plan
-from .simulator import (DEFAULT_MAX_JOBS, acceptance_ratios, coverage_ratio, mean_detected_delay,
-                        schedulable_schemes)
+from .simulator import (DEFAULT_MAX_JOBS, acceptance_ratios, catch_mass, coverage_ratio,
+                        mean_detected_delay, schedulable_schemes)
 from .workload import NUM_BUCKETS, WorkloadSpec, draw_columns, draw_taskset, taskset_rng
 
 SCENARIOS = ("medium", "high")
@@ -122,7 +122,7 @@ def _tradeoff_cell(args) -> list[tuple[int, bool, float | None]]:
         # mean over victims of their mean detection delay.  A K* = 0 victim
         # detects nothing and is left out.
         delays = [
-            mean_detected_delay(game_mod.marginal_check_probability(e), DEFAULT_MAX_JOBS)
+            mean_detected_delay(catch_mass(e), DEFAULT_MAX_JOBS)
             for e in (result.tasks[t.id] for t in ts.tasks) if e.k_star > 0
         ]
         records.append((_coverage_bin(result.coverage_pairs()), fine_grain,

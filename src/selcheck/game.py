@@ -317,12 +317,3 @@ def solve_game(game: GameInstance, epsilon: float = DEFAULT_EPSILON) -> GameSolu
         statuses=tuple(statuses),
     )
 
-
-def marginal_check_probability(entry) -> tuple[float, ...]:
-    """Per-command probability of being checked in one job under a planner.TaskPlan entry."""
-    strategies, x = entry.distribution()
-    marginals = [0.0] * entry.num_commands
-    for xj, prob in zip(strategies, x):
-        for c in xj:
-            marginals[c - 1] += prob
-    return tuple(marginals)

@@ -9,9 +9,10 @@ attacked job, so a plan that checks everything reads a delay of one job.
 
 from __future__ import annotations
 
-import io
+import functools
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,18 +33,17 @@ SCHEME_LEVELS = {"unsecured": "zero", "fine-grain": "full", "scate": "min"}
 
 @dataclass(frozen=True)
 class AttackSpec:
-    """What the adversary tampers with and when.
+    """What the adversary tampers with.
 
     commands is a fixed non-empty subset of the victim's command indices,
-    or "random" for one uniformly drawn command per trial.  trigger is the
-    0-based job index of the first attacked job, or "random"; jobs are
-    i.i.d., so it does not affect the delay.  persistent mode re-injects on
-    every job from the trigger; one-shot touches only the trigger job.
+    or "random" for one uniformly drawn command per trial.  persistent mode
+    re-injects on every job from the first attacked one; one-shot touches
+    only that job.  Jobs are i.i.d., so the job the attack starts at does
+    not affect the delay.
     """
 
     victim: TaskId
     commands: tuple[int, ...] | str = "random"
-    trigger: int | str = "random"
     mode: str = "persistent"
 
     def check(self, num_commands: int) -> None:
@@ -55,10 +55,6 @@ class AttackSpec:
                 raise ValueError("compromised command set must be non-empty")
             if any(not 1 <= c <= num_commands for c in self.commands):
                 raise ValueError("compromised command outside 1..N")
-        if isinstance(self.trigger, str) and self.trigger != "random":
-            raise ValueError(f"bad trigger spec {self.trigger!r}")
-        if not isinstance(self.trigger, str) and self.trigger < 0:
-            raise ValueError("trigger job index must be >= 0")
         if self.mode not in ("persistent", "one-shot"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -71,27 +67,42 @@ class SimResult:
     delays: tuple[int, ...]
     detected: tuple[bool, ...]
 
+    @functools.cached_property
+    def detected_delays(self) -> list[int]:
+        """The detected trials' delays in ascending order, filtered once per result."""
+        return sorted(compress(self.delays, self.detected))
+
     @property
     def undetected(self) -> int:
-        return sum(1 for d in self.detected if not d)
-
-    def _detected_delays(self) -> list[int]:
-        return [d for d, ok in zip(self.delays, self.detected) if ok]
+        return len(self.delays) - len(self.detected_delays)
 
     @property
     def mean_delay(self) -> float:
-        hits = self._detected_delays()
+        hits = self.detected_delays
         if not hits:
             raise ValueError("no detected trials")
         return sum(hits) / len(hits)
 
     @property
     def p99_delay(self) -> int:
-        hits = sorted(self._detected_delays())
+        hits = self.detected_delays
         if not hits:
             raise ValueError("no detected trials")
-        rank = max(int(np.ceil(0.99 * len(hits))) - 1, 0)
-        return hits[rank]
+        return hits[max(math.ceil(0.99 * len(hits)) - 1, 0)]
+
+
+def _checked_distribution(entry: TaskPlan) -> tuple[tuple[tuple[int, ...], ...], tuple[float, ...]]:
+    """The entry's (strategies, probabilities).  Plan files come from
+    outside, so ValueError unless the probabilities are non-negative, sum
+    to 1 and match the strategies in length."""
+    strategies, x = entry.distribution()
+    if len(x) != len(strategies):
+        raise ValueError(f"{len(x)} probabilities for {len(strategies)} strategies")
+    if any(v < 0.0 for v in x):
+        raise ValueError("negative probability")
+    if abs(sum(x) - 1.0) > PROBABILITY_TOL:
+        raise ValueError(f"probabilities sum to {sum(x)}, not 1")
+    return strategies, x
 
 
 def detection_probability(entry: TaskPlan, compromised: Iterable[int], accuracy: float) -> float:
@@ -101,21 +112,33 @@ def detection_probability(entry: TaskPlan, compromised: Iterable[int], accuracy:
     subsets X_j and their probabilities x_j (a deterministic entry checks
     every command with x = 1); a is the detection accuracy.  Dividing by
     sum_j x_j keeps p_S exactly 1.0 when every subset catches the attack.
-    Plan files come from outside, so the vector is checked first:
-    ValueError unless it is non-negative, sums to 1 and matches the
-    strategies in length.
+    ValueError on a malformed distribution (see `_checked_distribution`).
     """
-    strategies, x = entry.distribution()
-    if len(x) != len(strategies):
-        raise ValueError(f"{len(x)} probabilities for {len(strategies)} strategies")
-    if any(v < 0.0 for v in x):
-        raise ValueError("negative probability")
-    if abs(sum(x) - 1.0) > PROBABILITY_TOL:
-        raise ValueError(f"probabilities sum to {sum(x)}, not 1")
+    strategies, x = _checked_distribution(entry)
     attacked = frozenset(compromised)
     miss = 1.0 - accuracy
     caught = sum(v * (1.0 - miss ** len(attacked.intersection(s))) for s, v in zip(strategies, x))
     return caught / sum(x)
+
+
+def catch_mass(entry: TaskPlan, accuracy: float = 1.0) -> tuple[float, ...]:
+    """Per command c, the plan's mass that catches an attack on c alone in one job.
+
+    Entry c - 1 sums x_j (1 - (1 - a)) over the checked subsets X_j that
+    hold c, in strategy order, in one pass over the strategies; 1 - (1 - a)
+    rounds as `detection_probability` does.  At a = 1 it is c's marginal
+    check probability.  Divided by sum_j x_j it is
+    `detection_probability(entry, (c,), a)` bit for bit: there a subset
+    without c adds exactly 0.0.  ValueError on a malformed distribution.
+    """
+    strategies, x = _checked_distribution(entry)
+    catch = 1.0 - (1.0 - accuracy)
+    mass = [0.0] * entry.num_commands
+    for s, v in zip(strategies, x):
+        hit = v * catch
+        for c in s:
+            mass[c - 1] += hit
+    return tuple(mass)
 
 
 def run_detection_experiment(
@@ -151,10 +174,8 @@ def run_detection_experiment(
 
     rng = np.random.default_rng(seed)
     if attack.commands == "random":
-        table = np.array(
-            [detection_probability(entry, (c,), detection_accuracy)
-             for c in range(1, entry.num_commands + 1)]
-        )
+        # p_c for every command c at once (see catch_mass).
+        table = np.array(catch_mass(entry, detection_accuracy)) / sum(entry.distribution()[1])
         p = table[rng.integers(0, entry.num_commands, size=trials)]
     else:
         p = np.full(trials, detection_probability(entry, attack.commands, detection_accuracy))
@@ -166,18 +187,22 @@ def run_detection_experiment(
     return SimResult(delays=tuple(delays.tolist()), detected=tuple(detected.tolist()))
 
 
+@functools.lru_cache(maxsize=4)
+def _rows_template(trials: int) -> str:
+    """The CSV header and `trials` numbered rows, each with two %d fields."""
+    return "trial,delay_jobs,detected\n" + "".join(f"{i},%d,%d\n" for i in range(trials))
+
+
 def result_csv(result: SimResult) -> str:
     """Trial rows plus one trailing summary row carrying mean and p99 of the
     detected trials; both fields are empty when no trial was detected."""
-    out = io.StringIO()
-    out.write("trial,delay_jobs,detected\n")
-    for i, (delay, ok) in enumerate(zip(result.delays, result.detected)):
-        out.write(f"{i},{delay},{int(ok)}\n")
-    if any(result.detected):
-        out.write(f"summary,{result.mean_delay!r},{result.p99_delay}\n")
-    else:
-        out.write("summary,,\n")
-    return out.getvalue()
+    fields = [0] * (2 * len(result.delays))
+    fields[0::2] = result.delays
+    fields[1::2] = result.detected
+    rows = _rows_template(len(result.delays)) % tuple(fields)
+    if result.detected_delays:
+        return rows + f"summary,{result.mean_delay!r},{result.p99_delay}\n"
+    return rows + "summary,,\n"
 
 
 def mean_detected_delay(catch: Sequence[float], horizon: int) -> float:
@@ -253,12 +278,3 @@ def acceptance_ratios(
             for scheme, fits in schedulable_schemes(ts).items():
                 ok[scheme] += fits
     return {scheme: count / len(tasksets) for scheme, count in ok.items()}
-
-
-def acceptance_ratio(
-    tasksets: Sequence[Taskset | Sequence[CoreColumns] | None], scheme: str
-) -> float:
-    """Fraction of the batch schedulable under one scheme (see `acceptance_ratios`)."""
-    if scheme not in SCHEME_LEVELS:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {tuple(SCHEME_LEVELS)}")
-    return acceptance_ratios(tasksets)[scheme]

@@ -148,6 +148,18 @@ def catch_probability_by_enumeration(strategies, probabilities, compromised, acc
     return total / sum(Fraction(x) for x in probabilities)
 
 
+def marginal_check_probability(entry):
+    """Per-command probability of being checked in one job under a plan
+    entry: each checked subset's probability added to each of its commands,
+    in strategy order."""
+    strategies, x = entry.distribution()
+    marginals = [0.0] * entry.num_commands
+    for xj, prob in zip(strategies, x):
+        for c in xj:
+            marginals[c - 1] += prob
+    return tuple(marginals)
+
+
 def same_core_by_rank(taskset, task, higher):
     """Brute force: the tasks on task's core ranked above (or below) it,
     highest priority first."""

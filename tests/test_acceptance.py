@@ -23,14 +23,13 @@ from selcheck.experiments import sweep_acceptance, sweep_coverage, sweep_detecti
 from selcheck.game import (
     build_game_from_weights,
     lp_for_attacker_strategy,
-    marginal_check_probability,
     solve_game,
 )
 from selcheck.lp import solve_lp
 from selcheck.model import assignment_at
 from selcheck.planner import CheckPlan, Infeasible, TaskPlan, assign_check_budgets, max_feasible_k
 from selcheck.schedulability import TIME_TOL
-from selcheck.simulator import AttackSpec, run_detection_experiment
+from selcheck.simulator import AttackSpec, catch_mass, run_detection_experiment
 from selcheck.workload import WorkloadSpec, gen_taskset, randfixedsum, taskset_rng
 
 SEED = 0
@@ -181,10 +180,10 @@ def test_criterion_06_detection_delay_geometric_oracle():
         task_id="victim", num_commands=4, k_star=2,
         strategies=game.designer_strategies, probabilities=solution.probabilities,
     )
-    marginal = marginal_check_probability(entry)[0]
+    marginal = catch_mass(entry)[0]
     plan = CheckPlan(feasible=True, tasks={"victim": entry})
     result = run_detection_experiment(
-        plan, AttackSpec(victim="victim", commands=(1,), trigger=0),
+        plan, AttackSpec(victim="victim", commands=(1,)),
         trials=10_000, seed=SEED,
     )
     assert result.undetected == 0
@@ -223,7 +222,7 @@ def test_criterion_07_case_study_delay_envelope():
         )
         plan = CheckPlan(feasible=True, tasks={"victim": entry})
         result = run_detection_experiment(
-            plan, AttackSpec(victim="victim", commands="random", trigger="random"),
+            plan, AttackSpec(victim="victim", commands="random"),
             trials=1000, seed=SEED,
         )
         assert 1.0 <= result.mean_delay <= 4.0, (n, k, result.mean_delay)

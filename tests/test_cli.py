@@ -341,6 +341,18 @@ def test_gen_with_platform_overhead_preset(tmp_path):
     assert all(t["check_overhead"] == 66_000 for t in doc["tasks"])
 
 
+def test_simulate_trigger_is_a_usage_error(tmp_path):
+    # Jobs are i.i.d., so the first attacked job never affected a delay;
+    # simulate no longer takes the option.
+    ts, plan_file, out = tmp_path / "ts.json", tmp_path / "plan.json", tmp_path / "s.csv"
+    write_taskset(ts)
+    assert run_cli("plan", "--taskset", str(ts), "--out", str(plan_file)).returncode == 0
+    res = run_cli("simulate", "--plan", str(plan_file), "--trigger", "3", "--out", str(out))
+    assert res.returncode == 1
+    assert "unrecognized arguments: --trigger 3" in res.stderr
+    assert not out.exists()
+
+
 def test_simulate_bad_plan_file(tmp_path):
     bad = tmp_path / "plan.json"
     bad.write_text("{not json")

@@ -19,13 +19,13 @@ from selcheck.game import (
     enumerate_attacker_strategies,
     enumerate_designer_strategies,
     lp_for_attacker_strategy,
-    marginal_check_probability,
     screened_out,
     solve_game,
     _solve_by_row_generation,
 )
 from selcheck.lp import FEAS_TOL, PIVOT_TOL, ConstraintBlock, LpSolution, add_rows, solve_lp
 from selcheck.planner import TaskPlan
+from selcheck.simulator import catch_mass
 
 
 def test_designer_strategies_lexicographic():
@@ -142,7 +142,7 @@ def test_solve_game_equal_weights_hand_values():
     assert sol.objective == pytest.approx(2 / 3 - 100 / 3, abs=1e-9)
     for p in sol.probabilities:
         assert p == pytest.approx(1 / 3, abs=1e-9)
-    marginals = marginal_check_probability(_entry(g, sol.probabilities))
+    marginals = catch_mass(_entry(g, sol.probabilities))
     assert marginals == pytest.approx((2 / 3,) * 3, abs=1e-9)
     # the no-attack strategy can never be the attacker's best response here
     assert sol.statuses[0] == "infeasible"
@@ -232,13 +232,13 @@ def _entry(game, probabilities):
 def test_marginal_check_probability_mappings():
     g = build_game_from_weights((1.0, 1.0, 1.0), 2)
     # X = [(1,2), (1,3), (2,3)] lexicographic
-    assert marginal_check_probability(_entry(g, (0.25, 0.5, 0.25))) == pytest.approx((0.75, 0.5, 0.75))
-    assert marginal_check_probability(_entry(g, (1 / 3,) * 3)) == pytest.approx((2 / 3,) * 3)
+    assert catch_mass(_entry(g, (0.25, 0.5, 0.25))) == pytest.approx((0.75, 0.5, 0.75))
+    assert catch_mass(_entry(g, (1 / 3,) * 3)) == pytest.approx((2 / 3,) * 3)
 
 
 def test_marginal_is_one_when_single_full_strategy():
     full = TaskPlan(task_id="t", num_commands=3, k_star=3)
-    assert marginal_check_probability(full) == (1.0, 1.0, 1.0)
+    assert catch_mass(full) == (1.0, 1.0, 1.0)
 
 
 def test_single_strategy_game_forced_distribution():

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DRAW_SPECS, drawn_tasksets, make_task, make_taskset
-from oracles import catch_probability_by_enumeration
+from oracles import catch_probability_by_enumeration, marginal_check_probability
 
-from selcheck.game import build_game_from_weights, marginal_check_probability, solve_game
+from selcheck.game import build_game_from_weights, solve_game
 from selcheck.experiments import sweep_acceptance
 from selcheck.model import OVERHEAD_PRESETS_US, Task, Taskset, assignment_at
 from selcheck.planner import CheckPlan, TaskPlan
@@ -17,8 +18,8 @@ from selcheck.simulator import (
     DEFAULT_MAX_JOBS,
     SCHEME_LEVELS,
     AttackSpec,
-    acceptance_ratio,
     acceptance_ratios,
+    catch_mass,
     coverage_ratio,
     detection_probability,
     mean_detected_delay,
@@ -57,7 +58,7 @@ def full_plan(n=3):
 
 def test_full_checking_always_detects_in_one_job():
     result = run_detection_experiment(
-        full_plan(), AttackSpec(victim="victim", commands=(2,), trigger=0), trials=50, seed=5
+        full_plan(), AttackSpec(victim="victim", commands=(2,)), trials=50, seed=5
     )
     assert result.delays == (1,) * 50
     assert result.undetected == 0
@@ -68,23 +69,23 @@ def test_full_checking_always_detects_in_one_job():
 def test_compromising_everything_detected_immediately():
     plan_, _, _ = randomized_plan(4, 2)
     result = run_detection_experiment(
-        plan_, AttackSpec(victim="victim", commands=(1, 2, 3, 4), trigger=0), trials=50, seed=5
+        plan_, AttackSpec(victim="victim", commands=(1, 2, 3, 4)), trials=50, seed=5
     )
     assert result.delays == (1,) * 50
 
 
 def test_detection_delay_matches_geometric_mean():
     plan_, _, _ = randomized_plan(4, 2)
-    marginal = marginal_check_probability(plan_.tasks["victim"])[0]
+    marginal = catch_mass(plan_.tasks["victim"])[0]
     result = run_detection_experiment(
-        plan_, AttackSpec(victim="victim", commands=(1,), trigger=0), trials=4000, seed=7
+        plan_, AttackSpec(victim="victim", commands=(1,)), trials=4000, seed=7
     )
     assert result.mean_delay == pytest.approx(1.0 / marginal, rel=0.15)
 
 
 def test_seed_determinism():
     plan_, _, _ = randomized_plan(4, 2)
-    attack = AttackSpec(victim="victim", commands="random", trigger="random")
+    attack = AttackSpec(victim="victim", commands="random")
     a = run_detection_experiment(plan_, attack, trials=200, seed=3)
     b = run_detection_experiment(plan_, attack, trials=200, seed=3)
     assert a == b
@@ -96,12 +97,12 @@ def test_one_shot_mode_records_undetected():
     plan_, _, _ = randomized_plan(4, 2)
     result = run_detection_experiment(
         plan_,
-        AttackSpec(victim="victim", commands=(1,), trigger=0, mode="one-shot"),
+        AttackSpec(victim="victim", commands=(1,), mode="one-shot"),
         trials=2000,
         seed=11,
     )
     assert 0 < result.undetected < 2000  # hit probability is 1/2 per job
-    assert result.mean_delay == 1.0  # detected one-shot attacks are caught at the trigger
+    assert result.mean_delay == 1.0  # detected one-shot attacks are caught in the attacked job
     frac = result.undetected / 2000
     assert frac == pytest.approx(0.5, abs=0.05)
 
@@ -110,7 +111,7 @@ def test_zero_accuracy_never_detects_one_shot():
     plan_, _, _ = randomized_plan(4, 2)
     result = run_detection_experiment(
         plan_,
-        AttackSpec(victim="victim", commands=(1,), trigger=0, mode="one-shot"),
+        AttackSpec(victim="victim", commands=(1,), mode="one-shot"),
         trials=100,
         seed=2,
         detection_accuracy=0.0,
@@ -120,7 +121,7 @@ def test_zero_accuracy_never_detects_one_shot():
 
 def test_imperfect_detection_stretches_delay():
     plan_, game, sol = randomized_plan(4, 2)
-    attack = AttackSpec(victim="victim", commands=(1,), trigger=0)
+    attack = AttackSpec(victim="victim", commands=(1,))
     sharp = run_detection_experiment(plan_, attack, trials=3000, seed=9)
     fuzzy = run_detection_experiment(plan_, attack, trials=3000, seed=9, detection_accuracy=0.5)
     # per-job success halves: 0.25 instead of 0.5
@@ -144,11 +145,36 @@ def test_attack_spec_validation():
 def test_single_command_catch_probability_is_accuracy_times_marginal(accuracy):
     plan_, _, _ = randomized_plan(4, 2)
     entry = plan_.tasks["victim"]
-    marginals = marginal_check_probability(entry)
+    marginals = catch_mass(entry)
     for c, marginal in enumerate(marginals, start=1):
         p = detection_probability(entry, (c,), accuracy)
         assert p == pytest.approx(accuracy * marginal, abs=1e-12)
     assert min(marginals) > 0  # positivity floor keeps every command reachable
+
+
+@st.composite
+def plan_entries(draw):
+    """A plan entry on N <= 7 commands at any K: deterministic at K = N,
+    else every K-subset with a normalised random probability."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(0, n))
+    if k == n:
+        return TaskPlan(task_id="victim", num_commands=n, k_star=n)
+    strategies = tuple(combinations(range(1, n + 1), k))
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=len(strategies), max_size=len(strategies))
+               .filter(lambda r: sum(r) > 0.0))
+    return TaskPlan(task_id="victim", num_commands=n, k_star=k, strategies=strategies,
+                    probabilities=tuple(r / sum(raw) for r in raw))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(entry=plan_entries(), accuracy=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+def test_catch_mass_is_the_per_command_detection_probability_bit_for_bit(entry, accuracy):
+    total = sum(entry.distribution()[1])
+    table = [m / total for m in catch_mass(entry, accuracy)]
+    assert table == [detection_probability(entry, (c,), accuracy)
+                     for c in range(1, entry.num_commands + 1)]
+    assert catch_mass(entry, 1.0) == marginal_check_probability(entry)
 
 
 @pytest.mark.parametrize(
@@ -198,7 +224,7 @@ def test_malformed_plan_distribution_rejected(strategies, probabilities):
     plan_ = CheckPlan(feasible=True, tasks={"victim": entry})
     with pytest.raises(ValueError):
         run_detection_experiment(
-            plan_, AttackSpec(victim="victim", commands=(1,), trigger=0), trials=10
+            plan_, AttackSpec(victim="victim", commands=(1,)), trials=10
         )
 
 
@@ -207,7 +233,7 @@ def test_never_checked_command_is_never_detected():
                      strategies=((2,), (3,)), probabilities=(0.5, 0.5))
     plan_ = CheckPlan(feasible=True, tasks={"victim": entry})
     result = run_detection_experiment(
-        plan_, AttackSpec(victim="victim", commands=(1,), trigger=0), trials=20, max_jobs=50
+        plan_, AttackSpec(victim="victim", commands=(1,)), trials=20, max_jobs=50
     )
     assert result.detected == (False,) * 20
     assert result.delays == (50,) * 20
@@ -215,14 +241,14 @@ def test_never_checked_command_is_never_detected():
         result.mean_delay
     with pytest.raises(ValueError):
         run_detection_experiment(
-            plan_, AttackSpec(victim="victim", commands=(2,), trigger=0), trials=5, max_jobs=0
+            plan_, AttackSpec(victim="victim", commands=(2,)), trials=5, max_jobs=0
         )
 
 
 def test_result_csv_layout():
     plan_, _, _ = randomized_plan(4, 2)
     result = run_detection_experiment(
-        plan_, AttackSpec(victim="victim", commands=(1,), trigger=0), trials=5, seed=1
+        plan_, AttackSpec(victim="victim", commands=(1,)), trials=5, seed=1
     )
     lines = result_csv(result).strip().splitlines()
     assert lines[0] == "trial,delay_jobs,detected"
@@ -318,16 +344,15 @@ def _underloaded_batch():
 def test_acceptance_ratio_underloaded_batch():
     batch = _underloaded_batch()
     for scheme in ("unsecured", "fine-grain", "scate"):
-        assert acceptance_ratio(batch, scheme) == 1.0
+        assert acceptance_ratios(batch)[scheme] == 1.0
 
 
 def test_acceptance_ratio_scheme_ordering():
     # checking all N commands alone busts the deadline, minimum load fits
     squeezed = make_taskset([make_task(wcet=10, period=25, n=4, n_min=1, overhead=5)])
     batch = _underloaded_batch() + [squeezed]
-    u = acceptance_ratio(batch, "unsecured")
-    s = acceptance_ratio(batch, "scate")
-    f = acceptance_ratio(batch, "fine-grain")
+    ratios = acceptance_ratios(batch)
+    u, s, f = ratios["unsecured"], ratios["scate"], ratios["fine-grain"]
     assert u >= s >= f
     assert u == 1.0
     assert f == pytest.approx(0.8)
@@ -337,18 +362,14 @@ def test_acceptance_ratio_finegrain_collapse():
     # N * C^o alone exceeds all slack: fine-grain 0.0, unsecured 1.0
     batch = [make_taskset([make_task(wcet=10, period=30, n=4, n_min=0, overhead=10)])
              for _ in range(3)]
-    assert acceptance_ratio(batch, "unsecured") == 1.0
-    assert acceptance_ratio(batch, "fine-grain") == 0.0
-    assert acceptance_ratio(batch, "scate") == 1.0
+    assert acceptance_ratios(batch) == {"unsecured": 1.0, "fine-grain": 0.0, "scate": 1.0}
 
 
 def test_acceptance_ratio_counts_unplaceable_as_unschedulable():
     batch = _underloaded_batch() + [None]
-    assert acceptance_ratio(batch, "unsecured") == pytest.approx(0.8)
+    assert acceptance_ratios(batch)["unsecured"] == pytest.approx(0.8)
     with pytest.raises(ValueError):
-        acceptance_ratio([], "unsecured")
-    with pytest.raises(ValueError):
-        acceptance_ratio(batch, "paranoid")
+        acceptance_ratios([])
 
 
 def _three_tests(ts):
@@ -394,7 +415,6 @@ def test_acceptance_ratios_count_each_scheme_over_the_batch():
     for scheme in SCHEME_LEVELS:
         fits = sum(_three_tests(ts)[scheme] for ts in batch if ts is not None)
         assert ratios[scheme] == fits / len(batch)
-        assert acceptance_ratio(batch, scheme) == ratios[scheme]
 
 
 # DRAW_SPECS (both scenarios, 1 and 4 cores, the overhead fraction and each

@@ -100,7 +100,7 @@ def _checked_distribution(entry: TaskPlan) -> tuple[tuple[tuple[int, ...], ...],
         raise ValueError(f"{len(x)} probabilities for {len(strategies)} strategies")
     if any(v < 0.0 for v in x):
         raise ValueError("negative probability")
-    if abs(sum(x) - 1.0) > PROBABILITY_TOL:
+    if not abs(sum(x) - 1.0) <= PROBABILITY_TOL:  # also true of a NaN sum
         raise ValueError(f"probabilities sum to {sum(x)}, not 1")
     return strategies, x
 
@@ -117,7 +117,9 @@ def detection_probability(entry: TaskPlan, compromised: Iterable[int], accuracy:
     strategies, x = _checked_distribution(entry)
     attacked = frozenset(compromised)
     miss = 1.0 - accuracy
-    caught = sum(v * (1.0 - miss ** len(attacked.intersection(s))) for s, v in zip(strategies, x))
+    caught = 0.0  # added left to right as in catch_mass: sum() compensates from 3.12 on
+    for s, v in zip(strategies, x):
+        caught += v * (1.0 - miss ** len(attacked.intersection(s)))
     return caught / sum(x)
 
 
@@ -135,9 +137,8 @@ def catch_mass(entry: TaskPlan, accuracy: float = 1.0) -> tuple[float, ...]:
     catch = 1.0 - (1.0 - accuracy)
     mass = [0.0] * entry.num_commands
     for s, v in zip(strategies, x):
-        hit = v * catch
         for c in s:
-            mass[c - 1] += hit
+            mass[c - 1] += v * catch
     return tuple(mass)
 
 
@@ -174,7 +175,6 @@ def run_detection_experiment(
 
     rng = np.random.default_rng(seed)
     if attack.commands == "random":
-        # p_c for every command c at once (see catch_mass).
         table = np.array(catch_mass(entry, detection_accuracy)) / sum(entry.distribution()[1])
         p = table[rng.integers(0, entry.num_commands, size=trials)]
     else:

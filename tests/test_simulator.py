@@ -215,8 +215,9 @@ def test_deterministic_entry_catch_probability(accuracy):
         (((1,), (2,)), (0.5, 0.4)),  # sums to 0.9
         (((1,), (2,)), (1.5, -0.5)),
         (((1,), (2,), (3,)), (0.5, 0.5)),  # one probability short
+        (((1,), (2,)), (math.nan, 1.0)),  # NaN compares false with every bound
     ],
-    ids=["sum-0.9", "negative", "length-mismatch"],
+    ids=["sum-0.9", "negative", "length-mismatch", "nan"],
 )
 def test_malformed_plan_distribution_rejected(strategies, probabilities):
     entry = TaskPlan(task_id="victim", num_commands=3, k_star=1,

@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import numpy as np
@@ -264,6 +265,26 @@ ORACLE_GAME_WEIGHTS = {
     "distinct-a": (0.5, 1.25, 2.0, 0.75, 3.5, 1.75, 0.3),
     "distinct-b": (2.9, 0.3, 1.7, 4.1, 0.9, 2.3, 1.1),
 }
+
+
+# sha256 of repr([(l*, probabilities, objective, statuses), ...]) of
+# solve_game over every N <= 7 (from 2) and K, in that order, at
+# epsilon = 1e-6: every byte of the distinct-weight answers.
+DISTINCT_WEIGHT_SOLUTIONS_SHA256 = {
+    "distinct-a": "687ea0b6673eb910d3474e5c2a5b1748feb340423143a1fe7a6898b42d88ab74",
+    "distinct-b": "7724fd688a03d64ac54848b4bb84d7da18d00ebbb110eda6853c2fc879bb3840",
+}
+
+
+@pytest.mark.parametrize("family", sorted(DISTINCT_WEIGHT_SOLUTIONS_SHA256))
+def test_distinct_weight_solutions_are_byte_identical(family):
+    weights = ORACLE_GAME_WEIGHTS[family]
+    answers = []
+    for n in range(2, 8):
+        for k in range(1, n):
+            sol = solve_game(build_game_from_weights(weights[:n], k), 1e-6)
+            answers.append((sol.attacker_strategy, sol.probabilities, sol.objective, sol.statuses))
+    assert hashlib.sha256(repr(answers).encode()).hexdigest() == DISTINCT_WEIGHT_SOLUTIONS_SHA256[family]
 
 
 def _assert_certified(game, sol, eps):

@@ -18,7 +18,14 @@ Each LP has 2^N - 1 best-response rows, but only about 20 bind at its
 optimum, so solve_game adds them lazily (row generation).  A row whose
 largest value over the floored simplex {x >= epsilon, sum x = 1} (a closed
 form, see screened_out) stays below the certificate's bound rules l out
-before any LP.  Otherwise, from the uniform distribution, it takes the
+before any LP.  So does the average of the rows of l's single commands,
+the attacker's mix "attack one command of l, drawn uniformly": an answer
+the certificate accepts meets each of those rows to -FEAS_TOL times its
+max-norm, so it meets their average to -FEAS_TOL times their mean
+max-norm, and an average row that peaks below that bound proves that no
+such answer exists (l is dominated by the mix; Conitzer and Sandholm,
+EC 2005).  With N <= 8 that leaves no LP to find infeasible when K >= 2.
+Otherwise, from the uniform distribution, it takes the
 SCREEN_BATCH rows most violated at the current point that it does not
 hold yet, solves the restricted LP with its objective on the rows held so
 far, and checks every row at the answer with one product; it stops when
@@ -66,8 +73,8 @@ DEFAULT_EPSILON = 1e-6
 OBJECTIVE_TIE_TOL = 10 * FEAS_TOL
 
 # Games on more commands are refused before anything is allocated.  One
-# equal-weight game took about 4 s at N = 10 (K = 5) and 19 s at N = 11 on
-# a 2-vCPU VM; each command doubles the LPs and widens each one.
+# equal-weight game took about 2.2 s at N = 10 (K = 5) and 11-15 s at
+# N = 11 on a 2-vCPU VM; each command doubles the LPs and widens each one.
 MAX_COMMANDS = 11
 
 # Rows row generation adds per round: the most violated ones not yet held.
@@ -230,20 +237,34 @@ def certified(x: np.ndarray, block: np.ndarray, norms: np.ndarray, epsilon: floa
     )
 
 
-def screened_out(block: np.ndarray, norms: np.ndarray, epsilon: float) -> bool:
-    """True when some row of `block` fails at every distribution the certificate accepts.
+def _peak(rows: np.ndarray, epsilon: float) -> np.ndarray:
+    """Each row's largest value over the distributions the certificate accepts.
 
     Over the floored simplex {x >= epsilon, sum x = s} a row r peaks at
     epsilon * sum(r) + (s - n * epsilon) * max(r): every entry at its
     floor and the rest of the mass on r's largest entry.  The certificate
     accepts sums within FEAS_TOL of one, which adds FEAS_TOL * |max(r)| to
-    the peak at s = 1; a row whose peak stays below the certificate's bound,
-    -FEAS_TOL times its max-norm, rules l out before any LP.
+    the peak at s = 1.
     """
-    n = block.shape[1]
-    top = block.max(axis=1)
-    peak = epsilon * block.sum(axis=1) + (1.0 - n * epsilon) * top + FEAS_TOL * np.abs(top)
-    return bool((peak < -FEAS_TOL * norms).any())
+    top = rows.max(axis=-1)
+    return epsilon * rows.sum(axis=-1) + (1.0 - rows.shape[-1] * epsilon) * top + FEAS_TOL * np.abs(top)
+
+
+def screened_out(block: np.ndarray, norms: np.ndarray, epsilon: float, mixed: Sequence[int] = ()) -> bool:
+    """True when no distribution the certificate accepts meets `block`'s rows.
+
+    A row whose peak (see _peak) stays below the certificate's bound,
+    -FEAS_TOL times its max-norm, rules l out.  So does the average of the
+    rows `mixed`: averaging their certified inequalities r.x >= -FEAS_TOL *
+    norm gives mean(r).x >= -FEAS_TOL * mean(norm), which no accepted x
+    meets when the average row peaks below that bound.
+    """
+    if (_peak(block, epsilon) < -FEAS_TOL * norms).any():
+        return True
+    if len(mixed) < 2:
+        return False
+    rows = list(mixed)  # a tuple would index block's axes, not its rows
+    return bool(_peak(block[rows].mean(axis=0), epsilon) < -FEAS_TOL * norms[rows].mean())
 
 
 def _solve_by_row_generation(
@@ -258,7 +279,10 @@ def _solve_by_row_generation(
     """
     block = best_response_block(game, l, cost_t)
     norms = np.abs(block).max(axis=1)
-    if screened_out(block, norms, epsilon):
+    # l's single commands, each attacked alone: a uniform mix of them
+    # dominates most infeasible l outright.
+    singles = [1 << c for c in range(game.num_commands) if l >> c & 1]
+    if screened_out(block, norms, epsilon, mixed=singles):
         return "infeasible", None
     # Zero rows (row l, and any l' that scores like l) hold everywhere.
     scale = np.where(norms > 0.0, norms, 1.0)

@@ -101,24 +101,26 @@ def game_lp_vertex_optimum(game, l, epsilon):
     )
 
 
-def highs_objectives(game, epsilon):
-    """Optimum of every attacker strategy's full LP by scipy's HiGHS, None where infeasible.
+def highs_objective(game, l, epsilon):
+    """Optimum of attacker strategy l's full LP by scipy's HiGHS, None where infeasible.
 
     The LP is rebuilt here from the cost and reward matrices, with all
     2^N - 1 best-response rows: cost[:, l'] - cost[:, l] <= 0.
     """
     num_x, num_q = game.cost.shape
-    objectives = []
-    for l in range(num_q):
-        others = np.arange(num_q) != l
-        res = linprog(
-            -game.reward[:, l],
-            A_ub=(game.cost[:, others] - game.cost[:, [l]]).T, b_ub=np.zeros(num_q - 1),
-            A_eq=np.ones((1, num_x)), b_eq=[1.0],
-            bounds=[(epsilon, None)] * num_x, method="highs",
-        )
-        objectives.append(-res.fun if res.status == 0 else None)
-    return objectives
+    others = np.arange(num_q) != l
+    res = linprog(
+        -game.reward[:, l],
+        A_ub=(game.cost[:, others] - game.cost[:, [l]]).T, b_ub=np.zeros(num_q - 1),
+        A_eq=np.ones((1, num_x)), b_eq=[1.0],
+        bounds=[(epsilon, None)] * num_x, method="highs",
+    )
+    return -res.fun if res.status == 0 else None
+
+
+def highs_objectives(game, epsilon):
+    """highs_objective of every attacker strategy, in index order."""
+    return [highs_objective(game, l, epsilon) for l in range(game.cost.shape[1])]
 
 
 def tie_rule(objectives, tol):

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_task
-from oracles import game_lp_vertex_optimum, highs_objectives, reward_cost, reward_cost_by_cases, tie_rule
+from oracles import game_lp_vertex_optimum, highs_objective, highs_objectives, reward_cost, reward_cost_by_cases, tie_rule
 
 from selcheck.game import (
     MAX_COMMANDS,
@@ -261,9 +261,9 @@ def test_all_infeasible_raises():
 # Weight families for the objective oracle: equal weights and two vectors
 # of distinct weights, of which each game takes the first N.
 ORACLE_GAME_WEIGHTS = {
-    "equal": (1.0,) * 7,
-    "distinct-a": (0.5, 1.25, 2.0, 0.75, 3.5, 1.75, 0.3),
-    "distinct-b": (2.9, 0.3, 1.7, 4.1, 0.9, 2.3, 1.1),
+    "equal": (1.0,) * 8,
+    "distinct-a": (0.5, 1.25, 2.0, 0.75, 3.5, 1.75, 0.3, 1.1),
+    "distinct-b": (2.9, 0.3, 1.7, 4.1, 0.9, 2.3, 1.1, 0.6),
 }
 
 
@@ -501,6 +501,67 @@ def test_screen_rules_out_more_strategies_than_the_negative_row_test():
         if screened_out(block, norms, eps):
             new.add(l)
     assert old < new
+
+
+def _singles(l, n):
+    """Row indices of l's single commands, each attacked alone."""
+    return [1 << c for c in range(n) if l >> c & 1]
+
+
+def test_mixture_screened_strategies_have_infeasible_highs_lps():
+    eps = 1e-6
+    screened = 0
+    for weights in ORACLE_GAME_WEIGHTS.values():
+        for n in range(2, 8):
+            for k in range(1, n):
+                game = build_game_from_weights(weights[:n], k)
+                for l in range(1 << n):
+                    block = best_response_block(game, l)
+                    norms = np.abs(block).max(axis=1)
+                    if screened_out(block, norms, eps, mixed=_singles(l, n)) and not screened_out(block, norms, eps):
+                        assert highs_objective(game, l, eps) is None, (weights, n, k, l)
+                        screened += 1
+    assert screened > 0
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["at-bound", "below-bound"])
+def test_mixture_screen_bound_is_the_mean_of_the_member_norms(below):
+    """Rows (P, -P, -t) and (-P, P, -t), max-norm P each, average to (0, 0, -t),
+    whose peak over the floored simplex at epsilon = 1/4 is -t/4.  With
+    t = 4 * FEAS_TOL * P that is exactly the bound -FEAS_TOL * P; one ulp more
+    of t puts it below.  The average row's own max-norm is t, far below P,
+    so a bound scaled by it would rule out the row at the bound too."""
+    eps, p = 0.25, 2.0 ** 10
+    t = 4 * FEAS_TOL * p
+    if below:
+        t = np.nextafter(t, np.inf)
+    block = np.array([[0.0, 0.0, 0.0], [p, -p, -t], [-p, p, -t]])
+    norms = np.abs(block).max(axis=1)
+    assert not screened_out(block, norms, eps)  # no single row fails
+    assert screened_out(block, norms, eps, mixed=[1, 2]) is below
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_GAME_WEIGHTS))
+def test_screens_leave_no_infeasible_lp_above_one_check(monkeypatch, family):
+    """Every (N, K) with N <= 8: for K >= 2 every strategy the LPs would call
+    infeasible is screened out first; for K = 1, C(N, 3) such LPs are left."""
+    statuses = []
+
+    def counted(lp):
+        sol = solve_lp(lp)
+        statuses.append(sol.status)
+        return sol
+
+    monkeypatch.setattr("selcheck.game.solve_lp", counted)
+    weights = ORACLE_GAME_WEIGHTS[family]
+    left = {}
+    for n in range(2, 9):
+        for k in range(1, n):
+            statuses.clear()
+            solve_game(build_game_from_weights(weights[:n], k), 1e-6)
+            left[n, k] = statuses.count("infeasible")
+    assert all(v == 0 for (n, k), v in left.items() if k >= 2), left
+    assert [left[n, 1] for n in range(2, 9)] == [0, 0, 4, 10, 20, 35, 56]
 
 
 @pytest.mark.parametrize("peak, sum_x, kept", [

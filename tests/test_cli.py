@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 import subprocess
@@ -389,6 +390,17 @@ def test_sweep_fig8_preserves_scheme_ordering(tmp_path):
         s = table[(b, scenario, "scate")]
         f = table[(b, scenario, "fine-grain")]
         assert u >= s >= f
+
+
+def test_golden_fig8_bytes_on_two_cores_with_a_fixed_overhead(tmp_path):
+    # 2 to 9 tasks on 2 cores: a two-task draw has a single fixed-sum level,
+    # and the freertos preset fixes every task's check overhead.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"num_cores": 2, "tasks_min": 2, "tasks_max": 9}))
+    assert main(["sweep", "--fig", "8", "--tasksets-per-bucket", "6", "--spec", str(spec),
+                 "--preset", "freertos", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "fig8_acceptance.csv").read_bytes()).hexdigest()
+    assert digest == "ddb3292ff1a30f39098c2a90bca9c62e3cb5714b239c4c3735c1c8a2095d9d01"
 
 
 @pytest.mark.parametrize(

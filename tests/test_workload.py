@@ -151,13 +151,17 @@ def test_n_fixed_overrides_scenario():
 # 4 tasksets per bucket: the single-core N = 6 spec is the benchmark's plan
 # input, the "high" spec draws per-task command counts on 4 cores (bucket 9
 # is left out: its draws almost never fit on 4 cores, so gen gives up there).
+# The "edge" spec draws 1 to 4 tasks on one core: a single task takes no
+# fixed-sum draw, and bucket 9 redraws most slots many times.
 GOLDEN_GEN_SHA256 = {
     "plan-input": "71a972d29ad12117a9a392b239eb53092d687266cbf3b2da839d65bd0ce40749",
     "high": "8f211f25e2aede8b368a5a875df8262156d348a5fab13834c96ac8c46f182b60",
+    "edge": "c99e3f927066d034015a2e6b8bfb595150cc28b1618f0ff9c3efad39674d9e61",
 }
 GEN_SPECS = {
     "plan-input": {"num_cores": 1, "n_fixed": 6, "buckets": [5]},
     "high": {"scenario": "high", "buckets": list(range(9))},
+    "edge": {"num_cores": 1, "tasks_min": 1, "tasks_max": 4, "n_fixed": 3, "buckets": [0, 4, 9]},
 }
 
 

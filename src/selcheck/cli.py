@@ -100,16 +100,14 @@ def cmd_gen(args) -> int:
     manifest = {"seed": args.seed, "scenario": scenario, "tasksets": []}
     unfilled = []
     for bucket, spec in zip(buckets, specs):
+        paths = [(args.seed, 0, scenario_idx, bucket, index)
+                 for index in range(args.tasksets_per_bucket)]
+        tasksets = workload.gen_tasksets(spec, [workload.taskset_rng(*path) for path in paths])
         missed = []
-        for index in range(args.tasksets_per_bucket):
-            path = (args.seed, 0, scenario_idx, bucket, index)
-            rng = workload.taskset_rng(*path)
-            try:
-                taskset = workload.gen_taskset(spec, rng)
-            except workload.GenerationError as exc:
+        for index, (path, taskset) in enumerate(zip(paths, tasksets)):
+            if taskset is None:
                 # A bucket near full utilization may never fit the partitioner.
                 missed.append(index)
-                reason = exc
                 continue
             name = f"taskset_{scenario}_b{bucket}_{index:04d}.json"
             save_taskset(taskset, out_dir / name)
@@ -118,6 +116,7 @@ def cmd_gen(args) -> int:
             )
         if missed:
             unfilled += [{"bucket": bucket, "index": index} for index in missed]
+            reason = workload.GenerationError(spec, workload.RETRY_BUDGET)
             _info(f"warning: bucket {bucket}: {len(missed)} of {args.tasksets_per_bucket} "
                   f"tasksets unfilled: {reason}")
     if unfilled:
@@ -209,6 +208,8 @@ def cmd_sweep(args) -> int:
         if key in doc:
             raise ValueError(f"sweep sets {key} per figure; remove it from the spec")
     base = _workload_spec(args, doc, "medium", 0)
+    for bucket in range(1, workload.NUM_BUCKETS):  # a task-count range must carry every bucket
+        _workload_spec(args, doc, "medium", bucket)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.fig == 6:
@@ -273,7 +274,8 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--out", help="output directory (default .)")
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--jobs", type=_positive_int, default=1,
-                         help="worker processes, one per bucket cell at most")
+                         help="worker processes; the bucket cells are split into one contiguous "
+                              "group per worker")
     p_sweep.add_argument("--tasksets-per-bucket", type=_positive_int, default=50)
     p_sweep.add_argument("--big-m", type=float, default=game.DEFAULT_BIG_M)
     p_sweep.add_argument("--epsilon", type=float, default=game.DEFAULT_EPSILON)

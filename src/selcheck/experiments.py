@@ -12,17 +12,20 @@ form, `simulator.mean_detected_delay`, over its plan entry's marginals.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+import numpy as np
+
 from . import game as game_mod
 from .planner import Infeasible, assign_check_budgets, plan
-from .simulator import (DEFAULT_MAX_JOBS, acceptance_ratios, catch_mass, coverage_ratio,
-                        mean_detected_delay, schedulable_schemes)
-from .workload import NUM_BUCKETS, WorkloadSpec, draw_columns, draw_taskset, taskset_rng
+from .simulator import (DEFAULT_MAX_JOBS, catch_mass, coverage_ratio, mean_detected_delay,
+                        scheme_fits, taskset_arrays)
+from .workload import NUM_BUCKETS, WorkloadSpec, draw_batches, taskset_rng
 
 SCENARIOS = ("medium", "high")
 
@@ -63,15 +66,14 @@ class SweepResult:
 
 def _cell_tasksets(
     base: WorkloadSpec, fig: int, scenario_idx: int, bucket: int, count: int, scenario: str,
-    n_fixed: int | None = None, draw=draw_taskset,
+    n_fixed: int | None = None,
 ) -> list:
-    """Generate one bucket's batch with `draw` (Tasksets, or per-core columns
-    with `draw_columns`); None marks a draw that fits on no partition."""
+    """One bucket's Tasksets, drawn as one batch; None marks a draw that fits
+    on no partition."""
     spec = replace(base, scenario=scenario, utilization_bucket=bucket, n_fixed=n_fixed)
-    return [
-        draw(spec, taskset_rng(base.seed, fig, scenario_idx, bucket, index))
-        for index in range(count)
-    ]
+    rngs = (taskset_rng(base.seed, fig, scenario_idx, bucket, index) for index in range(count))
+    return [batch.taskset(slot) for batch in draw_batches([spec] * count, rngs)
+            for slot in range(batch.slots)]
 
 
 def _coverage_cell(args) -> list[tuple[str, float, int]]:
@@ -88,15 +90,23 @@ def _coverage_cell(args) -> list[tuple[str, float, int]]:
     return [("coverage_ratio", cr_sum / feasible if feasible else 0.0, feasible)]
 
 
-def _acceptance_cell(args) -> list[tuple[str, float, int]]:
-    base, scenario_idx, bucket, count = args
-    scenario = SCENARIOS[scenario_idx]
-    # Judged on the drawn columns, with no Task built.  None entries fit on
-    # no partition: unschedulable under every scheme.
-    ratios = acceptance_ratios(
-        _cell_tasksets(base, 8, scenario_idx, bucket, count, scenario, draw=draw_columns)
-    )
-    return [(scheme, ratios[scheme], count) for scheme in ACCEPTANCE_METRICS]
+def _acceptance_cells(cells) -> list[list[tuple[str, float, int]]]:
+    """Every draw of a group of cells judged as arrays, in batches that run
+    across cells, with no Task built.  A draw that fits on no partition is
+    unschedulable under every scheme."""
+    specs, paths = [], []
+    for base, scenario_idx, bucket, count in cells:
+        specs += [replace(base, scenario=SCENARIOS[scenario_idx], utilization_bucket=bucket)] * count
+        paths += [(base.seed, 8, scenario_idx, bucket, index) for index in range(count)]
+    fits = {scheme: [] for scheme in ACCEPTANCE_METRICS}
+    for batch in draw_batches(specs, (taskset_rng(*path) for path in paths)):
+        for scheme, fit in scheme_fits(batch.tasks, batch.placed).items():
+            fits[scheme].append(fit)
+    owner = np.repeat(np.arange(len(cells)), [cell[3] for cell in cells])
+    ok = {scheme: np.bincount(owner[np.concatenate(fit)], minlength=len(cells)).tolist()
+          for scheme, fit in fits.items()}
+    return [[(scheme, ok[scheme][c] / count, count) for scheme in ACCEPTANCE_METRICS]
+            for c, (_, _, _, count) in enumerate(cells)]
 
 
 def _coverage_bin(pairs: list[tuple[int, int]]) -> int:
@@ -113,11 +123,13 @@ def _tradeoff_cell(args) -> list[tuple[int, bool, float | None]]:
     # Generated workloads share weights, so distinct (weights, K*) games are
     # few; one memo for the whole cell solves each of them once.
     games: dict = {}
-    for ts in _cell_tasksets(base, 7, 2, bucket, count, "medium", n_fixed):
+    tasksets = _cell_tasksets(base, 7, 2, bucket, count, "medium", n_fixed)
+    # The cell's full-check test, judged as one array; a planned taskset
+    # fits at min_checks, so this is its fine-grain answer.
+    fine_grain = scheme_fits(*taskset_arrays(tasksets))["fine-grain"].tolist()
+    for ts, fits_full in zip(tasksets, fine_grain):
         if ts is None or isinstance(result := plan(ts, big_m, epsilon, games), Infeasible):
             continue
-        # A planned taskset fits at min_checks, so this is its full-check test.
-        fine_grain = schedulable_schemes(ts)["fine-grain"]
         # Every task takes a turn as the victim; the taskset's delay is the
         # mean over victims of their mean detection delay.  A K* = 0 victim
         # detects nothing and is left out.
@@ -125,16 +137,27 @@ def _tradeoff_cell(args) -> list[tuple[int, bool, float | None]]:
             mean_detected_delay(catch_mass(e), DEFAULT_MAX_JOBS)
             for e in (result.tasks[t.id] for t in ts.tasks) if e.k_star > 0
         ]
-        records.append((_coverage_bin(result.coverage_pairs()), fine_grain,
+        records.append((_coverage_bin(result.coverage_pairs()), fits_full,
                         sum(delays) / len(delays) if delays else None))
     return records
 
 
-def _run_cells(worker, cells, jobs: int):
-    if jobs <= 1:
-        return [worker(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-        return list(pool.map(worker, cells))
+def _each_cell(cell_worker, cells) -> list:
+    return [cell_worker(cell) for cell in cells]
+
+
+def _run_cells(worker, cells, jobs: int) -> list:
+    """worker(group) maps a contiguous group of cells to their results; the
+    cells are split into one group per worker process, sizes differing by
+    at most one, and a single job runs them all as one group."""
+    groups = min(jobs, len(cells))
+    if groups <= 1:
+        return worker(cells)
+    size, extra = divmod(len(cells), groups)
+    edges = [g * size + min(g, extra) for g in range(groups + 1)]
+    with ProcessPoolExecutor(max_workers=groups) as pool:
+        parts = pool.map(worker, [cells[lo:hi] for lo, hi in zip(edges, edges[1:])])
+        return [result for part in parts for result in part]
 
 
 def _scenario_sweep(worker, base: WorkloadSpec, count: int, jobs: int) -> SweepResult:
@@ -152,14 +175,15 @@ def sweep_coverage(
     base: WorkloadSpec, tasksets_per_bucket: int = 50, jobs: int = 1
 ) -> SweepResult:
     """Mean coverage ratio of feasible tasksets per bucket and scenario."""
-    return _scenario_sweep(_coverage_cell, base, tasksets_per_bucket, jobs)
+    return _scenario_sweep(functools.partial(_each_cell, _coverage_cell), base,
+                           tasksets_per_bucket, jobs)
 
 
 def sweep_acceptance(
     base: WorkloadSpec, tasksets_per_bucket: int = 50, jobs: int = 1
 ) -> SweepResult:
     """Acceptance ratio per bucket for the unsecured, fine-grain and scate schemes."""
-    return _scenario_sweep(_acceptance_cell, base, tasksets_per_bucket, jobs)
+    return _scenario_sweep(_acceptance_cells, base, tasksets_per_bucket, jobs)
 
 
 def sweep_detection_tradeoff(
@@ -177,7 +201,7 @@ def sweep_detection_tradeoff(
         (base, bucket, tasksets_per_bucket, n_fixed, big_m, epsilon)
         for bucket in range(NUM_BUCKETS)
     ]
-    results = _run_cells(_tradeoff_cell, cells, jobs)
+    results = _run_cells(functools.partial(_each_cell, _tradeoff_cell), cells, jobs)
     bins: dict[int, list[tuple[bool, float | None]]] = {}
     for records in results:
         for b, fine_grain, mean_delay in records:

@@ -80,6 +80,21 @@ class CoreColumns(NamedTuple):
     min_checks: Sequence[int]
 
 
+class TaskArrays(NamedTuple):
+    """The tasks of many tasksets as (tasksets x width) integer arrays, one
+    row per taskset, in which each core's tasks appear highest priority
+    first.  `core` reads -1 on padding, which follows a row's tasks; the
+    fig 8 judge reads these, and a drawn batch comes out as them."""
+
+    core: np.ndarray
+    deadline: np.ndarray
+    period: np.ndarray
+    wcet: np.ndarray
+    overhead: np.ndarray
+    commands: np.ndarray
+    min_checks: np.ndarray
+
+
 @dataclass(frozen=True)
 class Taskset:
     """Tasks plus their platform.

@@ -22,7 +22,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 from . import game as game_mod
 from .model import CheckAssignment, Task, TaskId, Taskset, _is_int, _is_number, assignment_at
@@ -164,50 +163,6 @@ def plan(
                 objective=solution.objective,
             )
     return CheckPlan(feasible=True, tasks=entries)
-
-
-# ---------------------------------------------------------------------------
-# Partitioning for generated workloads (the draw assigns their priorities).
-# ---------------------------------------------------------------------------
-
-
-class PartitionError(RuntimeError):
-    """No core's response-bound admission test accepts a task."""
-
-
-def balanced_partition_by_response_bound(
-    periods: Sequence[int], wcets: Sequence[int], num_cores: int
-) -> list[int]:
-    """Load-balancing placement with the vanilla response bound as admission test.
-
-    Tasks are given as columns in priority order, each with its deadline
-    equal to its period, and go to the least-utilized core whose admission
-    test passes (lowest index on ties).  A newcomer is always the lowest
-    priority on its core, so only its own bound needs checking, and
-    `response_bound` sums it, so every placement this produces is
-    schedulable with checking disabled, bit for bit.  Returns the core of
-    each task, in the given order; raises PartitionError when some task's
-    bound fails on every core.
-    """
-    if num_cores < 1:
-        raise ValueError("need at least one core")
-    # The periods and wcets of each core's members, highest priority first.
-    core_periods: list[list[int]] = [[] for _ in range(num_cores)]
-    core_wcets: list[list[int]] = [[] for _ in range(num_cores)]
-    load = [0.0] * num_cores
-    placed = []
-    for rank, (period, wcet) in enumerate(zip(periods, wcets)):
-        limit = period + TIME_TOL
-        for core in sorted(range(num_cores), key=load.__getitem__):
-            if response_bound(wcet, period, core_periods[core], core_wcets[core]) <= limit:
-                core_periods[core].append(period)
-                core_wcets[core].append(wcet)
-                load[core] += wcet / period
-                placed.append(core)
-                break
-        else:
-            raise PartitionError(f"task {rank} in priority order is unschedulable on every core")
-    return placed
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,18 @@ The bound is the closed linear form
     R_i = C_i^chk + sum_{h in hp(i)} (1 + D_i / T_h) * C_h^chk
 
 with C^chk = C + k * C^o for the assigned number of checks k.  It is an
-upper bound, not the iterative fixed-point recurrence.  Every caller reads
-a core as columns (`Taskset.core_columns`, or a drawn workload's own):
-`checked_wcets` gives the core's C^chk column and `response_bound` sums
-one task's bound (own term first, then hp(i) from highest priority down)
-for placement, `is_schedulable`, `analyze`, the K* search and the fig 8
-judge.  The bound is linear in each task's k, which gives the planner its
-closed form for K*; rounding keeps it monotone non-decreasing in every k,
-which lets the planner confirm that candidate by stepping one check at a
-time.  D_i / T_h is evaluated in double precision and all deadline
+upper bound, not the iterative fixed-point recurrence.  Every scalar
+caller reads a core as columns (`Taskset.core_columns`): `checked_wcets`
+gives the core's C^chk column and `response_bound` sums one task's bound
+(own term first, then hp(i) from highest priority down) for
+`is_schedulable`, `analyze` and the K* search.  The array callers (a drawn
+batch's placement and the fig 8 judge) decide many bounds at once with
+`admits`, from the bound's other form C_i^chk + sum C_h^chk + D_i * sum
+C_h^chk / T_h, and sum `response_bound` only where rounding could change
+the answer.  The bound is linear in each task's k, which gives the planner
+its closed form for K*; rounding keeps it monotone non-decreasing in every
+k, which lets the planner confirm that candidate by stepping one check at
+a time.  D_i / T_h is evaluated in double precision and all deadline
 comparisons use an absolute tolerance.
 """
 
@@ -21,7 +24,9 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .model import CheckAssignment, CoreColumns, Task, Taskset
 
@@ -50,6 +55,28 @@ def response_bound(wcet: int, deadline: int, periods: Sequence[int], wcets: Sequ
     for period, c in zip(periods, wcets):
         r += (1.0 + deadline / period) * c
     return r
+
+
+def admits(wcet: np.ndarray, deadline: np.ndarray, held: np.ndarray, load: np.ndarray,
+           members: np.ndarray, exact: Callable[..., float],
+           among: np.ndarray | bool = True) -> np.ndarray:
+    """Elementwise `response_bound(...) <= deadline + TIME_TOL`, for tasks
+    whose `members` higher-priority tasks' execution times sum to `held` and
+    their utilizations C_h / T_h to `load`.
+
+    The bound is wcet + held + deadline * load.  Either way of summing n
+    positive terms is off from the exact value by at most about (n + 3)
+    units in the last place, so where the closed form lies within four
+    times that of the limit, `exact(*index)` (the task's `response_bound`)
+    gives the answer.  Entries outside `among` are not confirmed.
+    """
+    bound = (wcet + held) + deadline * load
+    margin = (members + 4.0) * (4.0 * np.finfo(float).eps) * bound
+    limit = deadline + TIME_TOL
+    ok = bound + margin <= limit
+    for index in zip(*np.nonzero(~ok & (bound - margin <= limit) & among)):
+        ok[index] = exact(*index) <= limit[index]
+    return ok
 
 
 def meets_deadlines(columns: CoreColumns, wcets: Sequence[int], start: int = 0) -> bool:

@@ -17,9 +17,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import CoreColumns, TaskId, Taskset
+from .model import TaskArrays, TaskId, Taskset
 from .planner import CheckPlan, TaskPlan
-from .schedulability import checked_wcets, meets_deadlines
+from .schedulability import admits, response_bound
 
 PROBABILITY_TOL = 1e-6
 
@@ -235,46 +235,77 @@ def coverage_ratio(pairs: Sequence[tuple[int, int]]) -> float:
     return sum(k / n for k, n in pairs) / len(pairs)
 
 
-def _fits(cores: Iterable[CoreColumns], level: str) -> bool:
-    """True iff every core meets its deadlines with each task at the uniform check level."""
-    for c in cores:
-        if level == "zero":
-            wcets = c.wcets
-        else:
-            wcets = checked_wcets(c, c.min_checks if level == "min" else c.num_commands)
-        if not meets_deadlines(c, wcets):
-            return False
-    return True
+def _fits_by_level(tasks: TaskArrays) -> np.ndarray:
+    """fits[l, r]: True iff every task of row r meets its deadline with each
+    task at check level l (zero, min_checks, full), all three in one pass
+    over the ranks.  `admits` decides each bound from its core's running
+    sums of the higher-priority C^chk and C^chk / T, so every answer is
+    `meets_deadlines`'s bit for bit."""
+    rows, width = tasks.core.shape
+    cores = max(int(tasks.core.max(initial=0)) + 1, 1)
+    held, load = np.zeros((2, 3, rows, cores))
+    members = np.zeros((rows, cores))
+    fits = np.ones((3, rows), dtype=bool)
+    here = np.arange(rows)
+    no_checks = np.zeros(rows, dtype=np.int64)
+    for rank in range(width):
+        live = tasks.core[:, rank] >= 0  # padding follows a row's tasks
+        if not live.any():
+            break
+        core = np.where(live, tasks.core[:, rank], 0)
+        checks = np.stack((no_checks, tasks.min_checks[:, rank], tasks.commands[:, rank]))
+        checked = tasks.wcet[:, rank] + checks * tasks.overhead[:, rank]
+
+        def exact(level, r):
+            above = np.flatnonzero(tasks.core[r, :rank] == core[r])
+            k = (0, tasks.min_checks[r, above], tasks.commands[r, above])[level]
+            wcets = tasks.wcet[r, above] + k * tasks.overhead[r, above]
+            return response_bound(int(checked[level, r]), int(tasks.deadline[r, rank]),
+                                  tasks.period[r, above].tolist(), wcets.tolist())
+
+        c = checked.astype(float)
+        fits &= admits(c, tasks.deadline[:, rank].astype(float), held[:, here, core],
+                       load[:, here, core], members[here, core], exact, live) | ~live
+        held[:, here, core] += c
+        load[:, here, core] += c / tasks.period[:, rank]
+        members[here, core] += 1.0
+    return fits
 
 
-def schedulable_schemes(placed: Taskset | Sequence[CoreColumns]) -> dict[str, bool]:
-    """Whether a valid taskset (or a drawn one's per-core columns) is
-    schedulable under each scheme, in two bound tests.
-
-    The bound is monotone in every k and 0 <= min_checks <= num_commands, so
-    a taskset that fits at min_checks fits unsecured, and one that does not
-    fits under neither scate nor fine-grain.
-    """
-    cores = placed.core_columns.values() if isinstance(placed, Taskset) else placed
-    if _fits(cores, "min"):
-        return {"unsecured": True, "fine-grain": _fits(cores, "full"), "scate": True}
-    return {"unsecured": _fits(cores, "zero"), "fine-grain": False, "scate": False}
+def scheme_fits(tasks: TaskArrays, placed: np.ndarray) -> dict[str, np.ndarray]:
+    """Per scheme, whether each row's taskset is schedulable at the scheme's
+    uniform check level; a row that is not `placed` fits under none."""
+    fits = dict(zip(("zero", "min", "full"), _fits_by_level(tasks) & placed))
+    return {scheme: fits[level] for scheme, level in SCHEME_LEVELS.items()}
 
 
-def acceptance_ratios(
-    tasksets: Sequence[Taskset | Sequence[CoreColumns] | None],
-) -> dict[str, float]:
-    """Fraction of the batch schedulable under each scheme, judging each taskset once.
+def taskset_arrays(tasksets: Sequence[Taskset | None]) -> tuple[TaskArrays, np.ndarray]:
+    """The tasksets as one row each, cores in index order, and whether each
+    is placed: a None entry stands for a draw that fits on no partition."""
+    width = max((len(ts.tasks) for ts in tasksets if ts is not None), default=0)
+    fields = np.zeros((len(TaskArrays._fields), len(tasksets), width), dtype=np.int64)
+    fields[0] = -1
+    fields[2] = 1  # padding periods: the bound divides by them
+    for row, ts in enumerate(tasksets):
+        j = 0
+        for core, col in ({} if ts is None else ts.core_columns).items():
+            n = len(col.ids)
+            fields[:, row, j : j + n] = ((core,) * n, col.deadlines, col.periods, col.wcets,
+                                        col.check_overheads, col.num_commands, col.min_checks)
+            j += n
+    return TaskArrays(*fields), np.array([ts is not None for ts in tasksets], dtype=bool)
 
-    Entries are Tasksets or drawn per-core columns; None entries stand for
-    generated workloads that fit on no partition, and count as
-    unschedulable under every scheme.
-    """
+
+def schedulable_schemes(taskset: Taskset) -> dict[str, bool]:
+    """Whether a valid taskset is schedulable under each scheme (`scheme_fits` on one row)."""
+    return {scheme: bool(fit[0]) for scheme, fit in scheme_fits(*taskset_arrays([taskset])).items()}
+
+
+def acceptance_ratios(tasksets: Sequence[Taskset | None]) -> dict[str, float]:
+    """Fraction of the batch schedulable under each scheme, judging the batch
+    as one array; None entries stand for generated workloads that fit on no
+    partition, and count as unschedulable under every scheme."""
     if not tasksets:
         raise ValueError("empty batch")
-    ok = dict.fromkeys(SCHEME_LEVELS, 0)
-    for ts in tasksets:
-        if ts is not None:
-            for scheme, fits in schedulable_schemes(ts).items():
-                ok[scheme] += fits
-    return {scheme: count / len(tasksets) for scheme, count in ok.items()}
+    return {scheme: int(fit.sum()) / len(tasksets)
+            for scheme, fit in scheme_fits(*taskset_arrays(tasksets)).items()}

@@ -11,27 +11,40 @@ bound admits them, so generated tasksets are always schedulable before any
 checking overhead; packing cores to capacity instead would leave the
 loaded cores no headroom for checks at all.
 
-Every `gen` and `sweep` taskset takes one fixed-sum sample.  That draw runs
-in Python floats over only the table columns its walk can reach (k + 1 of
-them, k = floor(total utilization) <= core count), takes every level's
-root from one vector power, and evaluates the walk's transition
-probability only at the state it visits.  It is byte-identical to the
-batched numpy sampler, which stays the path for many samples at once and
-the reference in tests.
-
-A draw first yields placed per-core columns (`draw_columns`): for each
-core, in priority order, each task's id, period (= deadline), wcet, check
-overhead, command count and min_checks.  Fig 8 judges those columns
-directly; `draw_taskset` and `gen_taskset` build the Task and Taskset
-objects from them for `gen`, figs 6 and 7 and library callers.  Both come
-from the same generator draws, so a seed gives the same workload either
-way.
+Tasksets are drawn in batches (`draw_batch`), one slot per taskset, each
+slot with its own generator.  A slot's generator makes these draws, in
+this order: the task count m (`integers`), the total utilization
+(`uniform`), for m >= 2 the fixed-sum sample's 3m - 2 uniforms (`random`:
+the walk's transitions, its positions inside the simplex, then the
+permutation keys), the m log-periods (`uniform`) and, unless n_fixed is
+set, the m command counts (`integers`).  The rest runs as numpy
+elementwise operations over (slots x tasks) arrays: Stafford's table and
+walk, the periods, wcets and overheads, the rate-monotonic order and the
+least-loaded placement.  Each element gets the IEEE operations of a
+one-slot draw in the same order, so a slot's bytes do not depend on the
+batch it is drawn in:
+- the table is built for every slot at once, but a slot's walk reads only
+  its own columns 0..k+1 (k = floor of its total), which no padding
+  column feeds;
+- every level's root comes from one power over the batch, except level
+  2's, which is a sqrt, as `x ** 0.5` on an array is;
+- each group of slots with one task count sorts its permutation keys with
+  one argsort;
+- placement decides each admission from running per-core sums of C and
+  C / T, and sums the left-to-right `response_bound` only where the
+  closed form lies within its proven rounding margin of the deadline.
+`draw_taskset`, `gen_taskset` and `randfixedsum` are batches of one slot
+(or of one slot per sample); fig 8 judges a batch's arrays directly, and
+`DrawBatch.taskset` builds the Task and Taskset objects of one slot for
+`gen`, figs 6 and 7 and library callers.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,12 +53,13 @@ from .model import (
     CoreColumns,
     Platform,
     Task,
+    TaskArrays,
     TaskId,
     Taskset,
     _is_int,
     _is_number,
 )
-from .planner import PartitionError, balanced_partition_by_response_bound
+from .schedulability import admits, response_bound
 
 SCENARIO_COMMANDS = {"medium": (3, 5), "high": (8, 10)}
 
@@ -53,9 +67,21 @@ NUM_BUCKETS = 10
 
 RETRY_BUDGET = 100
 
+# Slots drawn as one batch at most: one `sweep --fig 8` call at 20 tasksets
+# per bucket (400 slots) is one batch, and a paper-scale sweep's arrays stay
+# small.
+MAX_BATCH = 256
+
+# Periods and wcets are exact integers in a double up to this bound.
+MAX_PERIOD_US = 2**53
+
 
 class GenerationError(RuntimeError):
     """Retry budget exhausted without producing an acceptable taskset."""
+
+    def __init__(self, spec: WorkloadSpec, retry_budget: int):
+        super().__init__(f"no acceptable taskset in {retry_budget} draws "
+                         f"(bucket {spec.utilization_bucket}, scenario {spec.scenario})")
 
 
 @dataclass(frozen=True)
@@ -86,10 +112,14 @@ class WorkloadSpec:
             raise ValueError(f"n_fixed must be null or an integer >= 1, got {self.n_fixed!r}")
         if not all(v is None or _is_int(v) for v in (self.tasks_min, self.tasks_max)):
             raise ValueError("tasks_min and tasks_max must be null or integers")
-        self.task_count_range()
+        tasks_min = self.task_count_range()[0]
+        top = self.utilization_range()[1]
+        if tasks_min < top:
+            raise ValueError(f"tasks_min {tasks_min} is below bucket {self.utilization_bucket}'s "
+                             f"top utilization {top!r}: a task carries at most 1")
         periods = (self.period_min_us, self.period_max_us)
-        if not (all(map(_is_int, periods)) and 0 < periods[0] <= periods[1]):
-            raise ValueError(f"bad period range {periods!r}")
+        if not (all(map(_is_int, periods)) and 0 < periods[0] <= periods[1] <= MAX_PERIOD_US):
+            raise ValueError(f"bad period range {periods!r}: need 0 < min <= max <= 2**53")
         for name in ("min_checks_fraction", "overhead_fraction"):
             if not (_is_number(getattr(self, name)) and 0 <= getattr(self, name) <= 1):
                 raise ValueError(f"{name} must be a number in [0, 1], got {getattr(self, name)!r}")
@@ -110,110 +140,75 @@ class WorkloadSpec:
         return lo, hi
 
 
-def _stafford(n: int, s: float, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m samples uniform over {x in [0,1]^n : sum(x) = s}, per Stafford's construction."""
-    k = int(max(min(math.floor(s), n - 1), 0))
-    s = max(min(s, k + 1.0), float(k))
+def _stafford_rows(n: np.ndarray, s: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Row r: Stafford's sample of n[r] coordinates in [0, 1] summing to s[r],
+    made from draws[r, :3n[r] - 2] (the walk's n - 1 transitions, its n - 1
+    positions inside the simplex, then n permutation keys); a one-coordinate
+    row is s itself.  Returns one column per permutation key that draws can
+    hold, zero past each row's n."""
+    out = np.zeros((len(n), (draws.shape[1] + 2) // 3))
+    out[n == 1, 0] = s[n == 1]
+    order = np.argsort(-n, kind="stable")  # longest walks first: the walking rows are a prefix
+    order = order[: np.count_nonzero(n > 1)]
+    if not order.size:
+        return out
+    n, s = n[order], s[order]
+    width = int(n[0])
+    k = np.clip(np.floor(s), 0, n - 1).astype(np.int64)
+    s = np.maximum(np.minimum(s, k + 1.0), k)
+    cols = np.arange(k.max() + 1)
+    s1 = s[:, None] - (k[:, None] - cols)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # w[i - 1, r] is row r's table row at level i.  A column past k + 1
+        # holds junk in some rows; it feeds only columns past k + 1.
+        w = np.zeros((width - 1, order.size, cols.size + 1))
+        w[0, :, 1] = np.finfo(float).max
+        for i in range(2, width):
+            s2 = (k[:, None] + i - cols) - s[:, None]
+            w[i - 1, :, 1:] = w[i - 2, :, 1:] * s1 / i + w[i - 2, :, :-1] * s2 / i
 
-    s1 = s - np.arange(k, k - n, -1.0)
-    s2 = np.arange(k + n, k, -1.0) - s
-    tiny = np.finfo(float).tiny
-    huge = np.finfo(float).max
-
-    # w[i-1, j] carries the (unnormalized) volume of the sub-polytope at
-    # level i, column j; t holds the chain's probability of taking the
-    # "large coordinate" branch (column moves down) out of each state.
-    w = np.zeros((n, n + 1))
-    w[0, 1] = huge
-    t = np.zeros((n - 1, n))
-    for i in range(2, n + 1):
-        tmp1 = w[i - 2, 1 : i + 1] * s1[:i] / i
-        tmp2 = w[i - 2, 0:i] * s2[n - i : n] / i
-        w[i - 1, 1 : i + 1] = tmp1 + tmp2
-        tmp3 = w[i - 1, 1 : i + 1] + tiny
-        # Both branches compute tmp2/(tmp1+tmp2); the arrangement picks the
-        # numerically safe form per side and, when a state has zero volume,
-        # defaults to 0 on the left edge and 1 (forced move) on the right.
-        tmp4 = s2[n - i : n] > s1[:i]
-        t[i - 2, 0:i] = np.where(tmp4, tmp2 / tmp3, 1.0 - tmp1 / tmp3)
-
-    x = np.zeros((n, m))
-    rt = rng.random((n - 1, m))  # simplex-type transitions
-    rs = rng.random((n - 1, m))  # position inside the simplex
-    sv = np.full(m, s)
-    jv = np.full(m, k, dtype=int)
-    sm = np.zeros(m)
-    pr = np.ones(m)
-    for i in range(n - 1, 0, -1):
-        e = (rt[n - i - 1] < t[i - 1, jv]).astype(float)
-        sx = rs[n - i - 1] ** (1.0 / i)
-        sm = sm + (1.0 - sx) * pr * sv / (i + 1)
-        pr = sx * pr
-        x[n - i - 1] = sm + pr * e
-        sv = sv - e
-        jv = np.maximum(jv - e.astype(int), 0)
-    x[n - 1] = sm + pr * sv
-
-    # The construction fills coordinates in a fixed order; permute per sample.
-    perm = np.argsort(rng.random((n, m)), axis=0)
-    return np.take_along_axis(x, perm, axis=0).T
-
-
-def _stafford_one(n: int, s: float, rng: np.random.Generator) -> np.ndarray:
-    """_stafford(n, s, 1, rng)[0] bit for bit, in Python floats.
-
-    The walk starts in column k and only moves left, so only columns 0..k+1
-    of w are built, and t is computed only at the one state the walk visits
-    per level.  Byte identity with the numpy path rests on three rules:
-    - every table entry is computed in numpy's order, (w * s1) / i;
-    - s2 > s1 picks the branch, as np.where did;
-    - the roots come from one vector power over all levels, except level 2's:
-      `x ** 0.5` on an array takes numpy's sqrt path, which rounds differently
-      from the vector power on some draws (and Python's `**` on most).
-    """
-    k = int(max(min(math.floor(s), n - 1), 0))
-    s = max(min(s, k + 1.0), float(k))
-    tiny = np.finfo(float).tiny
-    s1 = [s - (k - j) for j in range(k + 1)]
-
-    # ws[i-1] is w's row at level i; t's row at level i+1 is read off it.
-    w = [0.0] * (k + 2)
-    w[1] = np.finfo(float).max
-    ws = [w]
-    for i in range(2, n):
-        row = [0.0] * (k + 2)
-        for j in range(min(i, k + 1)):
-            row[j + 1] = w[j + 1] * s1[j] / i + w[j] * ((k + i - j) - s) / i
-        w = row
-        ws.append(w)
-
-    draws = rng.random(3 * n - 2)  # the transitions, positions and permutation keys
-    rt, rs = draws[: n - 1].tolist(), draws[n - 1 : 2 * n - 2]
-    roots = np.power(rs, 1.0 / np.arange(n - 1, 0, -1.0)).tolist()  # [n-i-1] is level i's
-    if n >= 3:
-        roots[n - 3] = (rs[n - 3 : n - 2] ** 0.5).item()  # the sqrt path, as in _stafford
-    x = []
-    sv, j, sm, pr = s, k, 0.0, 1.0
-    for i, r, sx, w in zip(range(n - 1, 0, -1), rt, roots, reversed(ws)):
-        move = False  # numpy's t is 0 (no move) beyond column i
-        if j <= i:  # t at level i+1, column j
-            s2 = (k + i + 1 - j) - s
-            tmp1 = w[j + 1] * s1[j] / (i + 1)
-            tmp2 = w[j] * s2 / (i + 1)
+        active = np.count_nonzero(n > np.arange(1, width + 1)[:, None], axis=1).tolist()
+        sv, j, sm, pr = s.copy(), k.copy(), np.zeros(order.size), np.ones(order.size)
+        tiny = np.finfo(float).tiny
+        for t in range(width - 1):
+            a = active[t]
+            rows, here = order[:a], np.arange(a)
+            i, jj = n[:a] - 1 - t, j[:a]
+            f = i + 1
+            # The transition probability at level i + 1, column j, taken as a
+            # move only while j <= i (numpy's table is 0 beyond column i).
+            s1j = s1[here, jj]
+            s2 = (k[:a] + f - jj) - s[:a]
+            tmp1 = w[i - 1, here, jj + 1] * s1j / f
+            tmp2 = w[i - 1, here, jj] * s2 / f
             tmp3 = (tmp1 + tmp2) + tiny
-            move = r < (tmp2 / tmp3 if s2 > s1[j] else 1.0 - tmp1 / tmp3)
-        sm = sm + (1.0 - sx) * pr * sv / (i + 1)
-        pr = sx * pr
-        # numpy's sm + pr * e, with e = 1.0 on a move and 0.0 otherwise; both
-        # products are exact, so they are left out.
-        if move:
-            x.append(sm + pr)
-            sv = sv - 1.0
-            j = max(j - 1, 0)
-        else:
-            x.append(sm)
-    x.append(sm + pr * sv)
-    return np.array(x)[np.argsort(draws[2 * n - 2 :])]
+            move = (jj <= i) & (draws[rows, t] < np.where(s2 > s1j, tmp2 / tmp3,
+                                                          1.0 - tmp1 / tmp3))
+            # Level i's root of its position draw; level 2's is a sqrt, as
+            # `x ** 0.5` on an array is.
+            rs = draws[rows, n[:a] - 1 + t]
+            root = np.power(rs, 1.0 / i.astype(float))
+            two = i == 2
+            root[two] = np.sqrt(rs[two])
+            sm[:a] = sm[:a] + (1.0 - root) * pr[:a] * sv[:a] / f
+            pr[:a] = root * pr[:a]
+            # sm + pr * e, with e = 1.0 on a move and 0.0 otherwise; both
+            # products are exact, so they are left out.
+            out[rows, t] = np.where(move, sm[:a] + pr[:a], sm[:a])
+            sv[:a] -= move
+            j[:a] = np.maximum(jj - move, 0)
+            done = slice(active[t + 1], a)  # the rows whose last level this was
+            out[order[done], t + 1] = sm[done] + pr[done] * sv[done]
+
+    # The construction fills coordinates in a fixed order; each row takes its
+    # permutation from its own keys, sorted with the rows of its length.
+    starts = [0, *(np.flatnonzero(np.diff(n)) + 1).tolist(), order.size]
+    for lo, hi in itertools.pairwise(starts):
+        m = int(n[lo])
+        rows = order[lo:hi]
+        perm = np.argsort(draws[rows, 2 * m - 2 : 3 * m - 2], axis=1)
+        out[rows, :m] = np.take_along_axis(out[rows, :m], perm, axis=1)
+    return out
 
 
 def randfixedsum(
@@ -226,7 +221,9 @@ def randfixedsum(
 ) -> np.ndarray:
     """Draw vectors uniform over {x in [lo, hi]^n : sum(x) = total}.
 
-    Returns shape (n,) by default, or (size, n) when size is given.
+    Returns shape (n,) by default, or (size, n) when size is given.  With
+    size, the generator gives every sample's transitions, then every
+    sample's positions, then every sample's permutation keys.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -240,70 +237,203 @@ def randfixedsum(
         x01 = np.full((m, n), 0.0)
     elif n == 1:
         x01 = np.full((m, 1), (total - lo) / span)
-    elif size is None:
-        x01 = _stafford_one(n, (total - n * lo) / span, rng)[np.newaxis]
     else:
-        x01 = _stafford(n, (total - n * lo) / span, m, rng)
+        parts = [rng.random((n - 1, m)), rng.random((n - 1, m)), rng.random((n, m))]
+        draws = np.ascontiguousarray(np.concatenate(parts).T)
+        x01 = _stafford_rows(np.full(m, n), np.full(m, (total - n * lo) / span), draws)
     out = x01 * span + lo
     return out[0] if size is None else out
+
+
+def _periods(logs: np.ndarray, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Periods from log-uniform draws: exp, rounded half to even, clipped to [lo, hi]."""
+    out = np.exp(logs, out=out)
+    return np.clip(np.rint(out, out=out), lo, hi, out=out)
 
 
 def gen_periods(n: int, lo: int, hi: int, rng: np.random.Generator) -> list[int]:
     """n log-uniform periods in [lo, hi], rounded to integer time units."""
     if not 0 < lo <= hi:
         raise ValueError("bad period range")
-    raw = np.exp(rng.uniform(math.log(lo), math.log(hi), size=n)).tolist()
-    return [int(min(max(round(v), lo), hi)) for v in raw]
+    return _periods(rng.uniform(math.log(lo), math.log(hi), size=n), lo, hi).astype(int).tolist()
 
 
-def _draw_columns(spec: WorkloadSpec, rng: np.random.Generator) -> list[CoreColumns]:
-    """One placed draw as per-core columns; PartitionError when it fits on no partition."""
-    tmin, tmax = spec.task_count_range()
-    m = int(rng.integers(tmin, tmax + 1))
-    u_lo, u_hi = spec.utilization_range()
-    total_u = float(rng.uniform(u_lo, u_hi))
-    utils = randfixedsum(m, total_u, 0.0, 1.0, rng).tolist()
-    periods = gen_periods(m, spec.period_min_us, spec.period_max_us, rng)
-    if spec.n_fixed is not None:
-        counts = [spec.n_fixed] * m
-    else:
+def _place(period: np.ndarray, wcet: np.ndarray, count: np.ndarray,
+           num_cores: int) -> tuple[np.ndarray, np.ndarray]:
+    """Least-loaded placement of each slot's tasks, given in priority order
+    with deadlines equal to their periods, under the vanilla response bound.
+
+    Each task goes to the least-utilized core whose admission test passes
+    (lowest index on ties).  A newcomer is the lowest priority on its core,
+    so only its own bound needs checking, and every placement is schedulable
+    with checking disabled, bit for bit: `admits` decides each test from the
+    core's running sums of C and C / T.  Returns each task's core (-1 from
+    an unplaceable task on) and whether each slot was placed.
+    """
+    slots, width = period.shape
+    cores = np.arange(min(num_cores, width))  # the least-loaded rule fills cores in index order
+    load, held, members = (np.zeros((slots, cores.size)) for _ in range(3))
+    core = np.full((slots, width), -1)
+    placed = np.ones(slots, dtype=bool)
+    for rank in range(width):
+        live = placed & (count > rank)
+        if not live.any():
+            break
+
+        def exact(s, q):
+            above = core[s, :rank] == q
+            return response_bound(wcet[s, rank], period[s, rank], period[s, :rank][above].tolist(),
+                                  wcet[s, :rank][above].tolist())
+
+        t, c = period[:, rank, None], wcet[:, rank, None]
+        fits = admits(c, t, held, load, members, exact, live[:, None])
+        placed &= fits.any(axis=1) | ~live
+        live &= placed
+        best = np.where(fits, load, np.inf).argmin(axis=1)
+        core[:, rank] = np.where(live, best, -1)
+        # Adding 0.0 to the other cores' sums leaves them as they are.
+        chosen = (cores == best[:, None]) & live[:, None]
+        load += chosen * (c / t)
+        held += chosen * c
+        members += chosen
+    return core, placed
+
+
+@dataclass(frozen=True)
+class DrawBatch:
+    """Drawn tasksets, one per slot, as (slots x tasks) arrays in each slot's
+    rate-monotonic order, highest priority first; padding follows a slot's
+    `count` tasks.  `index` is each task's draw index, which names it.  The
+    deadlines are the periods.  In `tasks.core`, padding and every task from
+    the first one that fit on no core on read -1; such a slot is not
+    `placed`."""
+
+    num_cores: int
+    count: np.ndarray
+    index: np.ndarray
+    tasks: TaskArrays
+    placed: np.ndarray
+
+    @property
+    def slots(self) -> int:
+        return len(self.count)
+
+    def columns(self, slot: int) -> list[CoreColumns] | None:
+        """The slot's per-core columns, None when it fits on no partition."""
+        if not self.placed[slot]:
+            return None
+        m = int(self.count[slot])
+        width = len(str(m - 1))
+        t = self.tasks
+        fields = (self.index, t.period, t.wcet, t.overhead, t.commands, t.min_checks)
+        columns = []
+        for _ in range(self.num_cores):
+            core_periods = []  # drawn deadlines equal the periods: both columns are this list
+            columns.append(CoreColumns([], [], core_periods, core_periods, [], [], [], []))
+        rows = zip(t.core[slot, :m].tolist(), *(a[slot, :m].tolist() for a in fields))
+        for rank, (core, i, period, wcet, overhead, n_cmd, min_checks) in enumerate(rows):
+            ids, ranks, _, core_periods, core_wcets, core_overheads, core_counts, core_min = (
+                columns[core])
+            ids.append(f"t{i:0{width}d}")
+            ranks.append(rank)
+            core_periods.append(period)
+            core_wcets.append(wcet)
+            core_overheads.append(overhead)
+            core_counts.append(n_cmd)
+            core_min.append(min_checks)
+        return columns
+
+    def taskset(self, slot: int) -> Taskset | None:
+        """The slot's Taskset, None when it fits on no partition."""
+        columns = self.columns(slot)
+        return None if columns is None else _taskset_from_columns(columns)
+
+
+def _shape(spec: WorkloadSpec) -> WorkloadSpec:
+    """The spec with the fields a slot draws by itself cleared."""
+    return replace(spec, utilization_bucket=0, scenario="", n_fixed=None, seed=0)
+
+
+def draw_batch(specs: Sequence[WorkloadSpec], rngs: Iterable[np.random.Generator]) -> DrawBatch:
+    """One draw with no retry per slot: slot i from specs[i] and the i-th generator.
+
+    The specs may differ in bucket, scenario and n_fixed only; ValueError
+    otherwise or on an invalid spec.  Sweep experiments count unplaceable
+    draws as unschedulable tasksets instead of redrawing, so the
+    acceptance-ratio denominator stays the number of generated tasksets.
+    """
+    params = {}
+    for spec in specs:
+        if spec not in params:
+            spec.check()
+            n_range = SCENARIO_COMMANDS[spec.scenario] if spec.n_fixed is None else None
+            params[spec] = (*spec.task_count_range(), *spec.utilization_range(), n_range,
+                            spec.n_fixed)
+    if len({_shape(spec) for spec in params}) > 1:
+        raise ValueError("a batch's specs may differ in bucket, scenario and n_fixed only")
+    base = specs[0]
+    width = max(p[1] for p in params.values())
+    slots = len(specs)
+    count = np.zeros(slots, dtype=np.int64)
+    total = np.zeros(slots)
+    draws = np.zeros((slots, 3 * width - 2))
+    log_lo, log_hi = math.log(base.period_min_us), math.log(base.period_max_us)
+    logs = np.full((slots, width), log_lo)
+    commands = np.zeros((slots, width), dtype=np.int64)
+    drawn = 0
+    for slot, (spec, rng) in enumerate(zip(specs, rngs)):
+        tasks_min, tasks_max, u_lo, u_hi, n_range, n_fixed = params[spec]
+        m = int(rng.integers(tasks_min, tasks_max + 1))
+        count[slot] = m
+        total[slot] = rng.uniform(u_lo, u_hi)
+        if m > 1:
+            rng.random(out=draws[slot, : 3 * m - 2])
+        logs[slot, :m] = rng.uniform(log_lo, log_hi, size=m)
         # One batched draw gives the values and the generator state of m
         # scalar draws: PCG64 serves both from the same buffered 32-bit stream.
-        n_lo, n_hi = SCENARIO_COMMANDS[spec.scenario]
-        counts = rng.integers(n_lo, n_hi + 1, size=m).tolist()
+        commands[slot, :m] = n_fixed if n_range is None else rng.integers(
+            n_range[0], n_range[1] + 1, size=m)
+        drawn += 1
+    if drawn != slots:
+        raise ValueError(f"{slots} specs but {drawn} generators")
 
-    wcets = [max(1, round(u * period)) for u, period in zip(utils, periods)]
-    fixed_overhead = OVERHEAD_PRESETS_US.get(spec.overhead_preset)  # None: a share of wcet
+    periods = _periods(logs, base.period_min_us, base.period_max_us, out=logs)
+    del logs
+    utils = _stafford_rows(count, total, draws)
+    del draws
+    # Rate-monotonic priorities: shorter period first, ties by draw index
+    # (a stable sort); padding sorts last.  Arrays are updated in place.
+    real = np.arange(width) < count[:, None]
+    order = np.argsort(np.where(real, periods, np.inf), axis=1, kind="stable")
+    period = np.take_along_axis(periods, order, axis=1)
+    wcet = np.take_along_axis(utils, order, axis=1)
+    del periods, utils
+    np.multiply(wcet, period, out=wcet)
+    np.maximum(np.rint(wcet, out=wcet), 1.0, out=wcet)
+    fixed_overhead = OVERHEAD_PRESETS_US.get(base.overhead_preset)  # None: a share of wcet
     if fixed_overhead is None:
-        overhead_fraction = spec.overhead_fraction
-        overheads = [max(1, round(overhead_fraction * wcet)) for wcet in wcets]
+        overhead = np.rint(base.overhead_fraction * wcet)
+        overhead = np.maximum(overhead, 1.0, out=overhead).astype(np.int64)
     else:
-        overheads = [fixed_overhead] * m
-    min_checks = {n_cmd: math.ceil(spec.min_checks_fraction * n_cmd) for n_cmd in set(counts)}
+        overhead = np.full(wcet.shape, fixed_overhead, dtype=np.int64)
+    commands = np.take_along_axis(commands, order, axis=1)
+    min_checks = np.ceil(base.min_checks_fraction * commands).astype(np.int64)
+    core, placed = _place(period, wcet, count, base.num_cores)
+    period, wcet = period.astype(np.int64), wcet.astype(np.int64)
+    tasks = TaskArrays(core, period, period, wcet, overhead, commands, min_checks)
+    return DrawBatch(base.num_cores, count, order, tasks, placed)
 
-    # Rate-monotonic priorities: shorter period first, ties by id.  Ids are
-    # zero-padded draw indices, so the id order is the index order that the
-    # stable sort keeps.
-    order = sorted(range(m), key=periods.__getitem__)
-    placed = balanced_partition_by_response_bound(
-        [periods[i] for i in order], [wcets[i] for i in order], spec.num_cores
-    )
-    width = len(str(m - 1))
-    columns = []
-    for _ in range(spec.num_cores):
-        core_periods = []  # drawn deadlines equal the periods: both columns are this list
-        columns.append(CoreColumns([], [], core_periods, core_periods, [], [], [], []))
-    for rank, (i, core) in enumerate(zip(order, placed)):
-        ids, ranks, _, core_periods, core_wcets, core_overheads, core_counts, core_min = (
-            columns[core])
-        ids.append(f"t{i:0{width}d}")
-        ranks.append(rank)
-        core_periods.append(periods[i])
-        core_wcets.append(wcets[i])
-        core_overheads.append(overheads[i])
-        core_counts.append(counts[i])
-        core_min.append(min_checks[counts[i]])
-    return columns
+
+def draw_batches(specs: Sequence[WorkloadSpec],
+                 rngs: Iterable[np.random.Generator]) -> Iterator[DrawBatch]:
+    """`draw_batch` over consecutive runs of slots, as few as MAX_BATCH
+    allows and of even sizes; each generator is taken from `rngs` only when
+    its run is drawn."""
+    rngs = iter(rngs)
+    runs = -(-len(specs) // MAX_BATCH)
+    edges = [len(specs) * r // runs for r in range(runs + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        yield draw_batch(specs[lo:hi], itertools.islice(rngs, hi - lo))
 
 
 def _taskset_from_columns(columns: list[CoreColumns]) -> Taskset:
@@ -326,24 +456,34 @@ def _taskset_from_columns(columns: list[CoreColumns]) -> Taskset:
     return Taskset(tasks=tuple(tasks), platform=platform)
 
 
-def draw_columns(spec: WorkloadSpec, rng: np.random.Generator) -> list[CoreColumns] | None:
-    """One draw with no retry, as per-core columns: None when it fits on no partition.
-
-    Sweep experiments count unplaceable draws as unschedulable tasksets
-    instead of redrawing, so the acceptance-ratio denominator stays the
-    number of generated tasksets.
-    """
-    spec.check()
-    try:
-        return _draw_columns(spec, rng)
-    except PartitionError:
-        return None
-
-
 def draw_taskset(spec: WorkloadSpec, rng: np.random.Generator) -> Taskset | None:
-    """`draw_columns`'s draw as a Taskset (the same generator draws)."""
-    columns = draw_columns(spec, rng)
-    return None if columns is None else _taskset_from_columns(columns)
+    """One draw with no retry: None when it fits on no partition."""
+    return draw_batch([spec], [rng]).taskset(0)
+
+
+def gen_tasksets(
+    spec: WorkloadSpec,
+    rngs: Sequence[np.random.Generator],
+    retry_budget: int = RETRY_BUDGET,
+) -> list[Taskset | None]:
+    """One taskset per generator, None where retry_budget draws all failed.
+
+    Placement admits tasks by the vanilla response bound, so anything
+    returned is schedulable with checking disabled.  The slots whose draw
+    fits on no core are redrawn together, each from its own generator, in
+    up to retry_budget rounds.
+    """
+    out: list[Taskset | None] = [None] * len(rngs)
+    pending = list(range(len(rngs)))
+    for _ in range(retry_budget):
+        if not pending:
+            break
+        drawn = (batch.taskset(slot) for batch in draw_batches(
+            [spec] * len(pending), (rngs[i] for i in pending)) for slot in range(batch.slots))
+        for i, taskset in zip(pending, drawn):
+            out[i] = taskset
+        pending = [i for i in pending if out[i] is None]
+    return out
 
 
 def gen_taskset(
@@ -351,22 +491,13 @@ def gen_taskset(
     rng: np.random.Generator,
     retry_budget: int = RETRY_BUDGET,
 ) -> Taskset:
-    """One random taskset for the spec's bucket and scenario.
-
-    Placement admits tasks by the vanilla response bound, so anything
-    returned is schedulable with checking disabled; draws whose tasks fit
-    on no core are retried up to retry_budget times.
-    """
+    """One random taskset for the spec's bucket and scenario (`gen_tasksets`
+    for one generator); GenerationError when every draw fails."""
     spec.check()
-    for _ in range(retry_budget):
-        try:
-            return _taskset_from_columns(_draw_columns(spec, rng))
-        except PartitionError:
-            continue
-    raise GenerationError(
-        f"no acceptable taskset in {retry_budget} draws "
-        f"(bucket {spec.utilization_bucket}, scenario {spec.scenario})"
-    )
+    taskset = gen_tasksets(spec, [rng], retry_budget)[0]
+    if taskset is None:
+        raise GenerationError(spec, retry_budget)
+    return taskset
 
 
 def taskset_rng(seed: int, *path: int) -> np.random.Generator:

@@ -7,9 +7,13 @@ per-job catch probabilities are summed over every checked subset and
 detection outcome, game optima are taken from scipy's HiGHS on the
 full LPs (every best-response row) of every attacker strategy, and
 response bounds are summed from Task fields over same-core rank filters
-instead of the per-core columns.
+instead of the per-core columns.  A taskset draw is redone one slot at a
+time in Python floats: Stafford's sampler for many samples in numpy and
+for one sample in scalars, the periods, the least-loaded placement with
+each admission bound summed left to right, and the per-scheme tests.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -17,6 +21,10 @@ import numpy as np
 from scipy.optimize import linprog
 
 from selcheck.game import DEFAULT_BIG_M, Strategy
+from selcheck.model import OVERHEAD_PRESETS_US, CoreColumns
+from selcheck.workload import SCENARIO_COMMANDS
+
+TIME_TOL = 1e-9
 
 
 def reward_cost(
@@ -189,3 +197,193 @@ def response_bounds_by_rank(taskset, tasks, assignment):
             r += (1.0 + task.deadline / h.period) * checked(h)
         bounds[task.id] = r
     return bounds
+
+
+def stafford(n, s, m, rng):
+    """m samples uniform over {x in [0,1]^n : sum(x) = s}, per Stafford's
+    construction, as numpy arrays over the samples: every transition draw,
+    then every position draw, then every permutation key."""
+    k = int(max(min(math.floor(s), n - 1), 0))
+    s = max(min(s, k + 1.0), float(k))
+
+    s1 = s - np.arange(k, k - n, -1.0)
+    s2 = np.arange(k + n, k, -1.0) - s
+    tiny = np.finfo(float).tiny
+    huge = np.finfo(float).max
+
+    # w[i-1, j] carries the (unnormalized) volume of the sub-polytope at
+    # level i, column j; t holds the chain's probability of taking the
+    # "large coordinate" branch (column moves down) out of each state.
+    w = np.zeros((n, n + 1))
+    w[0, 1] = huge
+    t = np.zeros((n - 1, n))
+    for i in range(2, n + 1):
+        tmp1 = w[i - 2, 1 : i + 1] * s1[:i] / i
+        tmp2 = w[i - 2, 0:i] * s2[n - i : n] / i
+        w[i - 1, 1 : i + 1] = tmp1 + tmp2
+        tmp3 = w[i - 1, 1 : i + 1] + tiny
+        tmp4 = s2[n - i : n] > s1[:i]
+        t[i - 2, 0:i] = np.where(tmp4, tmp2 / tmp3, 1.0 - tmp1 / tmp3)
+
+    x = np.zeros((n, m))
+    rt = rng.random((n - 1, m))
+    rs = rng.random((n - 1, m))
+    sv = np.full(m, s)
+    jv = np.full(m, k, dtype=int)
+    sm = np.zeros(m)
+    pr = np.ones(m)
+    for i in range(n - 1, 0, -1):
+        e = (rt[n - i - 1] < t[i - 1, jv]).astype(float)
+        sx = rs[n - i - 1] ** (1.0 / i)
+        sm = sm + (1.0 - sx) * pr * sv / (i + 1)
+        pr = sx * pr
+        x[n - i - 1] = sm + pr * e
+        sv = sv - e
+        jv = np.maximum(jv - e.astype(int), 0)
+    x[n - 1] = sm + pr * sv
+
+    perm = np.argsort(rng.random((n, m)), axis=0)
+    return np.take_along_axis(x, perm, axis=0).T
+
+
+def stafford_one(n, s, rng):
+    """stafford(n, s, 1, rng)[0] bit for bit, in Python floats.
+
+    Only the table columns 0..k+1 the walk can reach are built, and the
+    transition probability is computed only at the state the walk visits.
+    Every table entry is computed in numpy's order, (w * s1) / i; s2 > s1
+    picks the branch, as np.where does; the roots come from one vector
+    power over all levels, except level 2's, which takes numpy's sqrt path
+    as `x ** 0.5` on an array does.
+    """
+    k = int(max(min(math.floor(s), n - 1), 0))
+    s = max(min(s, k + 1.0), float(k))
+    tiny = np.finfo(float).tiny
+    s1 = [s - (k - j) for j in range(k + 1)]
+
+    w = [0.0] * (k + 2)
+    w[1] = np.finfo(float).max
+    ws = [w]
+    for i in range(2, n):
+        row = [0.0] * (k + 2)
+        for j in range(min(i, k + 1)):
+            row[j + 1] = w[j + 1] * s1[j] / i + w[j] * ((k + i - j) - s) / i
+        w = row
+        ws.append(w)
+
+    draws = rng.random(3 * n - 2)
+    rt, rs = draws[: n - 1].tolist(), draws[n - 1 : 2 * n - 2]
+    roots = np.power(rs, 1.0 / np.arange(n - 1, 0, -1.0)).tolist()
+    if n >= 3:
+        roots[n - 3] = (rs[n - 3 : n - 2] ** 0.5).item()
+    x = []
+    sv, j, sm, pr = s, k, 0.0, 1.0
+    for i, r, sx, w in zip(range(n - 1, 0, -1), rt, roots, reversed(ws)):
+        move = False
+        if j <= i:
+            s2 = (k + i + 1 - j) - s
+            tmp1 = w[j + 1] * s1[j] / (i + 1)
+            tmp2 = w[j] * s2 / (i + 1)
+            tmp3 = (tmp1 + tmp2) + tiny
+            move = r < (tmp2 / tmp3 if s2 > s1[j] else 1.0 - tmp1 / tmp3)
+        sm = sm + (1.0 - sx) * pr * sv / (i + 1)
+        pr = sx * pr
+        if move:
+            x.append(sm + pr)
+            sv = sv - 1.0
+            j = max(j - 1, 0)
+        else:
+            x.append(sm)
+    x.append(sm + pr * sv)
+    return np.array(x)[np.argsort(draws[2 * n - 2 :])]
+
+
+def bound_left_to_right(wcet, deadline, periods, wcets):
+    """A task's response bound: its own wcet, then (1 + D / T_h) * C_h over
+    its higher-priority tasks, highest priority first."""
+    r = float(wcet)
+    for period, c in zip(periods, wcets):
+        r += (1.0 + deadline / period) * c
+    return r
+
+
+class PartitionError(RuntimeError):
+    """No core's response-bound admission test accepts a task."""
+
+
+def balanced_partition_by_response_bound(periods, wcets, num_cores):
+    """Each task, in priority order with its deadline equal to its period,
+    goes to the least-utilized core whose admission bound passes (lowest
+    index on ties); the core of each task, or PartitionError."""
+    core_periods = [[] for _ in range(num_cores)]
+    core_wcets = [[] for _ in range(num_cores)]
+    load = [0.0] * num_cores
+    placed = []
+    for rank, (period, wcet) in enumerate(zip(periods, wcets)):
+        limit = period + TIME_TOL
+        for core in sorted(range(num_cores), key=load.__getitem__):
+            if bound_left_to_right(wcet, period, core_periods[core], core_wcets[core]) <= limit:
+                core_periods[core].append(period)
+                core_wcets[core].append(wcet)
+                load[core] += wcet / period
+                placed.append(core)
+                break
+        else:
+            raise PartitionError(f"task {rank} in priority order is unschedulable on every core")
+    return placed
+
+
+def draw_columns_by_slot(spec, rng):
+    """One draw of `spec` from `rng`, one task at a time in Python values:
+    its per-core columns, or None when it fits on no partition."""
+    tmin = 3 * spec.num_cores if spec.tasks_min is None else spec.tasks_min
+    tmax = 10 * spec.num_cores if spec.tasks_max is None else spec.tasks_max
+    m = int(rng.integers(tmin, tmax + 1))
+    i = spec.utilization_bucket
+    total_u = float(rng.uniform((0.01 + 0.1 * i) * spec.num_cores, (0.1 + 0.1 * i) * spec.num_cores))
+    utils = [total_u] if m == 1 else (stafford_one(m, total_u, rng) * 1.0 + 0.0).tolist()
+    lo, hi = spec.period_min_us, spec.period_max_us
+    raw = np.exp(rng.uniform(math.log(lo), math.log(hi), size=m)).tolist()
+    periods = [int(min(max(round(v), lo), hi)) for v in raw]
+    if spec.n_fixed is not None:
+        counts = [spec.n_fixed] * m
+    else:
+        n_lo, n_hi = SCENARIO_COMMANDS[spec.scenario]
+        counts = rng.integers(n_lo, n_hi + 1, size=m).tolist()
+    wcets = [max(1, round(u * period)) for u, period in zip(utils, periods)]
+    fixed = OVERHEAD_PRESETS_US.get(spec.overhead_preset)
+    overheads = ([max(1, round(spec.overhead_fraction * c)) for c in wcets] if fixed is None
+                 else [fixed] * m)
+    order = sorted(range(m), key=periods.__getitem__)
+    try:
+        placed = balanced_partition_by_response_bound(
+            [periods[i] for i in order], [wcets[i] for i in order], spec.num_cores)
+    except PartitionError:
+        return None
+    width = len(str(m - 1))
+    columns = []
+    for _ in range(spec.num_cores):
+        core_periods = []
+        columns.append(CoreColumns([], [], core_periods, core_periods, [], [], [], []))
+    for rank, (i, core) in enumerate(zip(order, placed)):
+        col = columns[core]
+        col.ids.append(f"t{i:0{width}d}")
+        col.priorities.append(rank)
+        col.periods.append(periods[i])
+        col.wcets.append(wcets[i])
+        col.check_overheads.append(overheads[i])
+        col.num_commands.append(counts[i])
+        col.min_checks.append(math.ceil(spec.min_checks_fraction * counts[i]))
+    return columns
+
+
+def fits_at_level(cores, level):
+    """True iff every core meets its deadlines with each task at the uniform
+    check level ("zero", "min" or "full"), each bound summed left to right."""
+    for c in cores:
+        checks = {"zero": [0] * len(c.ids), "min": c.min_checks, "full": c.num_commands}[level]
+        wcets = [w + k * o for w, k, o in zip(c.wcets, checks, c.check_overheads)]
+        for j, deadline in enumerate(c.deadlines):
+            if bound_left_to_right(wcets[j], deadline, c.periods, wcets[:j]) > deadline + TIME_TOL:
+                return False
+    return True

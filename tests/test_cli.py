@@ -125,6 +125,24 @@ def test_malformed_spec_is_an_error_line(tmp_path, capsys, doc, verb):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb, doc, bucket", [
+    (["gen"], {"tasks_min": 3, "tasks_max": 3, "buckets": [5, 9]}, 9),
+    (["sweep", "--fig", "8"], {"tasks_min": 3, "tasks_max": 3}, 7),
+])
+def test_a_task_count_range_below_a_bucket_utilization_is_an_error(tmp_path, capsys, verb, doc,
+                                                                     bucket):
+    # Each task carries a utilization of at most 1, so 3 tasks cannot carry
+    # bucket 7's (0.1 + 0.7) * 4 or bucket 9's 4.0; nothing is written.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([*verb, "--spec", str(spec), "--out", str(out), "--tasksets-per-bucket", "2"]) == 1
+    top = (0.1 + 0.1 * bucket) * 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: tasks_min 3 ") and f"bucket {bucket}" in err and repr(top) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fig", ["6", "7", "8"])
 def test_sweep_rejects_n_fixed_in_the_spec(tmp_path, capsys, fig):
     # Every figure sets these keys itself, so they would be ignored.

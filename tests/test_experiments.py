@@ -109,6 +109,54 @@ def test_parallel_jobs_match_sequential():
         assert seq == par
 
 
+def _fig_bytes(tmp_path, fig, jobs):
+    from selcheck.cli import main
+
+    out = tmp_path / f"fig{fig}-jobs{jobs}"
+    assert main(["sweep", "--fig", str(fig), "--seed", "4", "--tasksets-per-bucket", "3",
+                 "--jobs", str(jobs), "--out", str(out)]) == 0
+    return [path.read_bytes() for path in out.iterdir()]
+
+
+def test_worker_groups_of_cells_give_the_sequential_bytes(tmp_path, monkeypatch):
+    """Each worker takes one contiguous group of cells; any split gives the
+    bytes of one group with every cell."""
+    sequential = {fig: _fig_bytes(tmp_path, fig, 1) for fig in (6, 7, 8)}
+    for fig in (6, 7, 8):  # real worker processes, groups of 7, 7 and 6 cells (4, 3, 3 for fig 7)
+        assert _fig_bytes(tmp_path, fig, 3) == sequential[fig]
+
+    workers, groups = [], []
+
+    class InProcessPool:
+        """Runs each group in this process and records the pool size and groups."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, parts):
+            parts = list(parts)
+            # A cell's (scenario, bucket), or fig 7's (bucket, count): ascending in cell order.
+            groups.append([[cell[1:3] for cell in part] for part in parts])
+            return map(fn, parts)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    for jobs in (3, 10**6):
+        for fig in (6, 7, 8):
+            assert _fig_bytes(tmp_path, fig, jobs) == sequential[fig]
+    sizes = [[len(part) for part in split] for split in groups]
+    assert sizes == [[7, 7, 6], [4, 3, 3], [7, 7, 6], [1] * 20, [1] * 10, [1] * 20]
+    assert workers == [len(split) for split in sizes]
+    for split in groups:  # contiguous groups that cover every cell once, in order
+        cells = [cell for part in split for cell in part]
+        assert cells == sorted(set(cells))
+
+
 def test_pool_gets_at_most_one_worker_per_cell(monkeypatch):
     sizes = []
 

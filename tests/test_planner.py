@@ -5,15 +5,14 @@ import math
 import pytest
 
 from conftest import make_task, make_taskset, task_by_id
-from oracles import response_bounds_by_rank, same_core_by_rank
+from oracles import (PartitionError, balanced_partition_by_response_bound,
+                     response_bounds_by_rank, same_core_by_rank)
 
 from selcheck.model import assignment_at
 from selcheck.planner import (
     CheckPlan,
     Infeasible,
-    PartitionError,
     assign_check_budgets,
-    balanced_partition_by_response_bound,
     load_plan,
     max_feasible_k,
     plan,

@@ -26,12 +26,13 @@ from selcheck.simulator import (
     result_csv,
     run_detection_experiment,
     schedulable_schemes,
+    scheme_fits,
 )
 from selcheck.schedulability import is_schedulable
 from selcheck.workload import (
     SCENARIO_COMMANDS,
     WorkloadSpec,
-    draw_columns,
+    draw_batch,
     draw_taskset,
     taskset_rng,
 )
@@ -463,7 +464,8 @@ def test_drawn_columns_match_the_drawn_taskset_and_its_judge():
     placed = unplaceable = 0
     for spec_idx, spec in enumerate(SPLIT_SPECS):
         for index in range(3):
-            columns = draw_columns(spec, taskset_rng(spec.seed, spec_idx, index))
+            batch = draw_batch([spec], [taskset_rng(spec.seed, spec_idx, index)])
+            columns = batch.columns(0)
             ts = draw_taskset(spec, taskset_rng(spec.seed, spec_idx, index))
             assert (columns is None) == (ts is None), (spec, index)
             if ts is None:
@@ -478,7 +480,7 @@ def test_drawn_columns_match_the_drawn_taskset_and_its_judge():
                        t.min_checks, part[t.id], prio[t.id])
                 for t in ts.tasks
             }
-            verdict = schedulable_schemes(columns)
+            verdict = {s: bool(fit[0]) for s, fit in scheme_fits(batch.tasks, batch.placed).items()}
             assert verdict == _three_tests(ts) == schedulable_schemes(ts)
             seen.add((verdict["unsecured"], verdict["scate"], verdict["fine-grain"]))
     assert placed > len(SPLIT_SPECS) and unplaceable > 0

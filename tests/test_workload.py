@@ -9,17 +9,21 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from conftest import DRAW_SPECS, drawn_tasksets
+from oracles import draw_columns_by_slot, fits_at_level
+from oracles import stafford as _stafford
 
 from selcheck.model import assignment_at, validate
 from selcheck.schedulability import is_schedulable
+from selcheck.simulator import scheme_fits
 from selcheck.workload import (
     SCENARIO_COMMANDS,
     GenerationError,
     WorkloadSpec,
-    _stafford,
+    draw_batch,
     draw_taskset,
     gen_periods,
     gen_taskset,
+    gen_tasksets,
     randfixedsum,
     taskset_rng,
 )
@@ -247,3 +251,81 @@ def test_every_draw_is_schedulable_with_checking_disabled():
     assert len(batch) > len(DRAW_SPECS)
     for ts in batch:
         assert is_schedulable(ts, assignment_at(ts, "zero"))
+
+
+@pytest.mark.parametrize("n, s, m", [(2, 0.7, 30), (5, 1.7, 200), (12, 3.2, 64), (40, 3.9, 16)])
+def test_many_samples_match_the_numpy_sampler(n, s, m):
+    """size=m gives the per-sample numpy sampler's bytes and generator state."""
+    one, many = np.random.default_rng(n), np.random.default_rng(n)
+    assert randfixedsum(n, s, 0.0, 1.0, one, size=m).tobytes() == _stafford(n, s, m, many).tobytes()
+    assert one.random() == many.random()
+
+
+@st.composite
+def batch_cases(draw):
+    """A batch of slots for one shape of spec: 1-4 cores, a task-count range
+    that may start at 1 or 2, a period range, an overhead source and
+    min_checks share, and per slot a bucket and a scenario or n_fixed."""
+    cores = draw(st.integers(1, 4))
+    tasks_max = draw(st.integers(1, 9 * cores))
+    tasks_min = draw(st.integers(max(1, cores), max(cores, tasks_max)))
+    period_min = draw(st.sampled_from([10, 10_000, 50_000]))
+    shape = dict(num_cores=cores, tasks_min=tasks_min, tasks_max=max(tasks_min, tasks_max),
+                 period_min_us=period_min,
+                 period_max_us=draw(st.sampled_from([period_min, 1_000_000])),
+                 overhead_preset=draw(st.sampled_from([None, "linux-optee", "freertos"])),
+                 overhead_fraction=draw(st.sampled_from([0.1, 0.25, 1])),
+                 min_checks_fraction=draw(st.sampled_from([0.2, 0.0, 1])))
+    slot = st.builds(lambda bucket, scenario, n_fixed: WorkloadSpec(
+        utilization_bucket=bucket, scenario=scenario, n_fixed=n_fixed, **shape),
+        st.integers(0, 9), st.sampled_from(sorted(SCENARIO_COMMANDS)),
+        st.one_of(st.none(), st.integers(1, 12)))
+    return draw(st.lists(slot, min_size=1, max_size=12)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(case=batch_cases())
+def test_batched_draw_matches_the_draw_of_each_slot(case):
+    """Every slot of a batch gives the per-slot reference draw's columns, or
+    its None when unplaceable, and leaves its generator in the same state."""
+    specs, seed = case
+    rngs = [taskset_rng(seed, slot) for slot in range(len(specs))]
+    refs = [taskset_rng(seed, slot) for slot in range(len(specs))]
+    batch = draw_batch(specs, rngs)
+    for slot, (spec, rng, ref) in enumerate(zip(specs, rngs, refs)):
+        assert batch.columns(slot) == draw_columns_by_slot(spec, ref), (slot, spec)
+        assert rng.random() == ref.random()
+
+
+def test_every_placed_draw_fits_at_zero_checks():
+    """Placement admits each task by its bound at zero checks, so every
+    placed draw fits unsecured: fig 8's unsecured count is its placed count."""
+    placed_count = unplaced = 0
+    shapes = sorted({(spec.num_cores, str(spec.overhead_preset)) for spec in DRAW_SPECS})
+    for shape_idx, shape in enumerate(shapes):
+        specs = [spec for spec in DRAW_SPECS
+                 if (spec.num_cores, str(spec.overhead_preset)) == shape for _ in range(3)]
+        rngs = [taskset_rng(5, 9, shape_idx, slot) for slot in range(len(specs))]
+        batch = draw_batch(specs, rngs)
+        placed = batch.placed.tolist()
+        for slot, ok in enumerate(placed):
+            assert not ok or fits_at_level(batch.columns(slot), "zero")
+        assert scheme_fits(batch.tasks, batch.placed)["unsecured"].tolist() == placed
+        placed_count += sum(placed)
+        unplaced += len(placed) - sum(placed)
+    assert placed_count > len(DRAW_SPECS) and unplaced > 0
+
+
+def test_gen_tasksets_redraws_each_slot_from_its_own_generator():
+    """A batch of slots retried in rounds gives each slot what gen_taskset
+    gives it alone, and None where every draw of the budget failed."""
+    spec = WorkloadSpec(num_cores=1, tasks_min=1, tasks_max=4, n_fixed=3, utilization_bucket=9)
+    batch = gen_tasksets(spec, [taskset_rng(4, i) for i in range(8)], retry_budget=6)
+    alone = []
+    for i in range(8):
+        try:
+            alone.append(gen_taskset(spec, taskset_rng(4, i), retry_budget=6))
+        except GenerationError:
+            alone.append(None)
+    assert batch == alone
+    assert None in alone and any(alone)

@@ -72,7 +72,7 @@ def admits(wcet: np.ndarray, deadline: np.ndarray, held: np.ndarray, load: np.nd
     """
     bound = (wcet + held) + deadline * load
     margin = (members + 4.0) * (4.0 * np.finfo(float).eps) * bound
-    limit = deadline + TIME_TOL
+    limit = np.broadcast_to(deadline + TIME_TOL, bound.shape)
     ok = bound + margin <= limit
     for index in zip(*np.nonzero(~ok & (bound - margin <= limit) & among)):
         ok[index] = exact(*index) <= limit[index]

@@ -405,6 +405,19 @@ HAND_BUILT = {
 }
 
 
+@pytest.mark.parametrize("case", range(3))
+def test_judge_answers_as_the_left_to_right_bound_on_rounding_edges(case):
+    from test_workload import ROUNDING_EDGES
+
+    wcet, deadline, periods, wcets, fits = ROUNDING_EDGES[case]
+    above = [make_task(tid=f"h{i}", wcet=c, period=t, n=3, n_min=0, overhead=0)
+             for i, (t, c) in enumerate(zip(periods, wcets))]
+    ts = make_taskset([*above, make_task(tid="edge", wcet=wcet, period=deadline, n=3, n_min=0,
+                                         overhead=0)])
+    assert is_schedulable(ts, assignment_at(ts, "zero")) == fits
+    assert schedulable_schemes(ts) == _three_tests(ts) == dict.fromkeys(SCHEME_LEVELS, fits)
+
+
 @pytest.mark.parametrize("name", sorted(HAND_BUILT))
 def test_one_pass_judge_equals_three_tests_on_hand_built_tasksets(name):
     ts = HAND_BUILT[name]

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from conftest import DRAW_SPECS, drawn_tasksets
-from oracles import draw_columns_by_slot, fits_at_level
+from oracles import (PartitionError, balanced_partition_by_response_bound, draw_columns_by_slot,
+                     fits_at_level, stafford_one)
 from oracles import stafford as _stafford
 
 from selcheck.model import assignment_at, validate
@@ -19,6 +20,8 @@ from selcheck.workload import (
     SCENARIO_COMMANDS,
     GenerationError,
     WorkloadSpec,
+    _place,
+    _stafford_rows,
     draw_batch,
     draw_taskset,
     gen_periods,
@@ -261,6 +264,52 @@ def test_many_samples_match_the_numpy_sampler(n, s, m):
     assert one.random() == many.random()
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(rows=st.lists(root_cases(), min_size=1, max_size=24))
+@example(rows=[(3, 1.5, 7), (2, 0.5, 0), (4, 2.3, 14), (3, 2.0, 8), (45, 3.7, 5), (3, 0.3, 18)])
+def test_batched_stafford_rows_match_the_one_sample_draw(rows):
+    """Rows of different lengths and totals, drawn as one batch, each give
+    the one-sample draw's bytes from the same 3n - 2 uniforms."""
+    n = np.array([r[0] for r in rows])
+    draws = np.zeros((len(rows), 3 * n.max() - 2))
+    for row, (m, _, seed) in enumerate(rows):
+        draws[row, : 3 * m - 2] = np.random.default_rng(seed).random(3 * m - 2)
+    batch = _stafford_rows(n, np.array([r[1] for r in rows]), draws)
+    for row, (m, s, seed) in enumerate(rows):
+        ref = stafford_one(m, s, np.random.default_rng(seed))
+        assert batch[row, :m].tobytes() == ref.tobytes()
+        assert not batch[row, m:].any()
+
+
+# One core: tasks whose periods and wcets put the last task's exact bound
+# within rounding of its deadline, where the bound's closed form and its
+# left-to-right sum (the answer) disagree.  (wcet, deadline, periods above,
+# wcets above, whether the left-to-right sum admits it.)
+ROUNDING_EDGES = [
+    (2869276112802, 2880181107199, [1614199068200, 641520498349, 1174998491364, 1870156389091],
+     [826022951, 735707363, 863046666, 625099645], True),
+    (3113548338708, 3121355315748, [722872125300, 772772277002, 2056834217620],
+     [756688330, 730328846, 40780556], False),
+    (2211734105688, 2219590645669,
+     [1217880393156, 625295300183, 1825107749032, 834379008310, 1033682007325],
+     [36516647, 381635901, 4982149, 1055993314, 680272259], True),
+]
+
+
+@pytest.mark.parametrize("wcet, deadline, periods, wcets, fits", ROUNDING_EDGES)
+def test_placement_admits_by_the_left_to_right_bound(wcet, deadline, periods, wcets, fits):
+    period = np.array([[*periods, deadline]], dtype=np.int64)
+    cost = np.array([[*wcets, wcet]], dtype=np.int64)
+    try:
+        balanced_partition_by_response_bound(period[0].tolist(), cost[0].tolist(), 1)
+        expected = True
+    except PartitionError:
+        expected = False
+    assert expected == fits
+    core, placed = _place(period.astype(float), cost.astype(float), np.array([len(periods) + 1]), 1)
+    assert placed.tolist() == [fits]
+
+
 @st.composite
 def batch_cases(draw):
     """A batch of slots for one shape of spec: 1-4 cores, a task-count range
@@ -272,7 +321,7 @@ def batch_cases(draw):
     period_min = draw(st.sampled_from([10, 10_000, 50_000]))
     shape = dict(num_cores=cores, tasks_min=tasks_min, tasks_max=max(tasks_min, tasks_max),
                  period_min_us=period_min,
-                 period_max_us=draw(st.sampled_from([period_min, 1_000_000])),
+                 period_max_us=draw(st.sampled_from([period_min, period_min + 1, 1_000_000])),
                  overhead_preset=draw(st.sampled_from([None, "linux-optee", "freertos"])),
                  overhead_fraction=draw(st.sampled_from([0.1, 0.25, 1])),
                  min_checks_fraction=draw(st.sampled_from([0.2, 0.0, 1])))

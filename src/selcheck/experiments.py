@@ -25,7 +25,7 @@ from . import game as game_mod
 from .planner import Infeasible, assign_check_budgets, plan
 from .simulator import (DEFAULT_MAX_JOBS, catch_mass, coverage_ratio, mean_detected_delay,
                         scheme_fits, taskset_arrays)
-from .workload import NUM_BUCKETS, WorkloadSpec, draw_batches, taskset_rng
+from .workload import NUM_BUCKETS, DrawBatch, WorkloadSpec, draw_batches, taskset_rng
 
 SCENARIOS = ("medium", "high")
 
@@ -72,8 +72,8 @@ def _cell_tasksets(
     on no partition."""
     spec = replace(base, scenario=scenario, utilization_bucket=bucket, n_fixed=n_fixed)
     rngs = (taskset_rng(base.seed, fig, scenario_idx, bucket, index) for index in range(count))
-    return [batch.taskset(slot) for batch in draw_batches([spec] * count, rngs)
-            for slot in range(batch.slots)]
+    return [ts for batch in map(DrawBatch.tasksets, draw_batches([spec] * count, rngs))
+            for ts in batch]
 
 
 def _coverage_cell(args) -> list[tuple[str, float, int]]:
@@ -98,13 +98,12 @@ def _acceptance_cells(cells) -> list[list[tuple[str, float, int]]]:
     for base, scenario_idx, bucket, count in cells:
         specs += [replace(base, scenario=SCENARIOS[scenario_idx], utilization_bucket=bucket)] * count
         paths += [(base.seed, 8, scenario_idx, bucket, index) for index in range(count)]
-    fits = {scheme: [] for scheme in ACCEPTANCE_METRICS}
-    for batch in draw_batches(specs, (taskset_rng(*path) for path in paths)):
-        for scheme, fit in scheme_fits(batch.tasks, batch.placed).items():
-            fits[scheme].append(fit)
+    # map drops each batch once judged, before the next is drawn.
+    judged = list(map(lambda batch: scheme_fits(batch.tasks, batch.placed),
+                      draw_batches(specs, (taskset_rng(*path) for path in paths))))
     owner = np.repeat(np.arange(len(cells)), [cell[3] for cell in cells])
-    ok = {scheme: np.bincount(owner[np.concatenate(fit)], minlength=len(cells)).tolist()
-          for scheme, fit in fits.items()}
+    ok = {scheme: np.bincount(owner[np.concatenate([fits[scheme] for fits in judged])],
+                              minlength=len(cells)).tolist() for scheme in ACCEPTANCE_METRICS}
     return [[(scheme, ok[scheme][c] / count, count) for scheme in ACCEPTANCE_METRICS]
             for c, (_, _, _, count) in enumerate(cells)]
 
@@ -153,8 +152,7 @@ def _run_cells(worker, cells, jobs: int) -> list:
     groups = min(jobs, len(cells))
     if groups <= 1:
         return worker(cells)
-    size, extra = divmod(len(cells), groups)
-    edges = [g * size + min(g, extra) for g in range(groups + 1)]
+    edges = [len(cells) * g // groups for g in range(groups + 1)]
     with ProcessPoolExecutor(max_workers=groups) as pool:
         parts = pool.map(worker, [cells[lo:hi] for lo, hi in zip(edges, edges[1:])])
         return [result for part in parts for result in part]

@@ -26,17 +26,20 @@ batch it is drawn in:
 - the table is built for every slot at once, but a slot's walk reads only
   its own columns 0..k+1 (k = floor of its total), which no padding
   column feeds;
-- every level's root comes from one power over the batch, except level
-  2's, which is a sqrt, as `x ** 0.5` on an array is;
-- each group of slots with one task count sorts its permutation keys with
-  one argsort;
-- placement decides each admission from running per-core sums of C and
-  C / T, and sums the left-to-right `response_bound` only where the
-  closed form lies within its proven rounding margin of the deadline.
-`draw_taskset`, `gen_taskset` and `randfixedsum` are batches of one slot
-(or of one slot per sample); fig 8 judges a batch's arrays directly, and
-`DrawBatch.taskset` builds the Task and Taskset objects of one slot for
-`gen`, figs 6 and 7 and library callers.
+- the walk takes one level per step, the slots of the longest walks first;
+  numpy's power and sqrt round each element alike in any layout, and
+  level 2's root is a sqrt, as `x ** 0.5` on an array is;
+- the slots of one task count sort their permutation keys in one argsort,
+  row by row as a single sample's are sorted;
+- the rate-monotonic sort is stable, as `sorted` is;
+- placement decides each admission with `schedulability.admits`, which
+  sums the left-to-right `response_bound` wherever the closed form lies
+  within its rounding margin of the deadline.
+`draw_batches` splits a long run of slots into even batches of at most
+MAX_BATCH.  `draw_taskset`, `gen_taskset` and `randfixedsum` are batches
+of one slot (or of one slot per sample); fig 8 judges a batch's arrays
+directly, and `DrawBatch.taskset` builds the Task and Taskset objects of
+one slot for `gen`, figs 6 and 7 and library callers.
 """
 
 from __future__ import annotations
@@ -67,9 +70,9 @@ NUM_BUCKETS = 10
 
 RETRY_BUDGET = 100
 
-# Slots drawn as one batch at most: one `sweep --fig 8` call at 20 tasksets
-# per bucket (400 slots) is one batch, and a paper-scale sweep's arrays stay
-# small.
+# Slots drawn as one batch at most.  A batch's numpy call count is fixed, so
+# bigger batches draw faster, but its arrays grow with it: one `sweep --fig
+# 8` call at 20 tasksets per bucket (400 slots) is two batches of 200.
 MAX_BATCH = 256
 
 # Periods and wcets are exact integers in a double up to this bound.
@@ -158,16 +161,23 @@ def _stafford_rows(n: np.ndarray, s: np.ndarray, draws: np.ndarray) -> np.ndarra
     s = np.maximum(np.minimum(s, k + 1.0), k)
     cols = np.arange(k.max() + 1)
     s1 = s[:, None] - (k[:, None] - cols)
+    # active[i]: the rows whose walk reaches level i (n > i), a prefix.
+    active = np.count_nonzero(n > np.arange(width + 1)[:, None], axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        # w[i - 1, r] is row r's table row at level i.  A column past k + 1
-        # holds junk in some rows; it feeds only columns past k + 1.
-        w = np.zeros((width - 1, order.size, cols.size + 1))
-        w[0, :, 1] = np.finfo(float).max
+        # w[at[i] + r] is row r's table row at level i, kept for the rows
+        # that reach level i only.  A column past k + 1 holds junk in some
+        # rows; it feeds only columns past k + 1.
+        at = np.zeros(width + 1, dtype=np.int64)
+        at[2:] = np.cumsum(active[1:width])
+        w = np.zeros((at[width], cols.size + 1))
+        w[: active[1], 1] = np.finfo(float).max
         for i in range(2, width):
-            s2 = (k[:, None] + i - cols) - s[:, None]
-            w[i - 1, :, 1:] = w[i - 2, :, 1:] * s1 / i + w[i - 2, :, :-1] * s2 / i
+            a = active[i]
+            prev = w[at[i - 1] : at[i - 1] + a]
+            s2 = (k[:a, None] + i - cols) - s[:a, None]
+            w[at[i] : at[i] + a, 1:] = prev[:, 1:] * s1[:a] / i + prev[:, :-1] * s2 / i
 
-        active = np.count_nonzero(n > np.arange(1, width + 1)[:, None], axis=1).tolist()
+        active = active[1:].tolist()  # active[t]: the rows that walk a step t
         sv, j, sm, pr = s.copy(), k.copy(), np.zeros(order.size), np.ones(order.size)
         tiny = np.finfo(float).tiny
         for t in range(width - 1):
@@ -179,8 +189,9 @@ def _stafford_rows(n: np.ndarray, s: np.ndarray, draws: np.ndarray) -> np.ndarra
             # move only while j <= i (numpy's table is 0 beyond column i).
             s1j = s1[here, jj]
             s2 = (k[:a] + f - jj) - s[:a]
-            tmp1 = w[i - 1, here, jj + 1] * s1j / f
-            tmp2 = w[i - 1, here, jj] * s2 / f
+            row = at[i] + here
+            tmp1 = w[row, jj + 1] * s1j / f
+            tmp2 = w[row, jj] * s2 / f
             tmp3 = (tmp1 + tmp2) + tiny
             move = (jj <= i) & (draws[rows, t] < np.where(s2 > s1j, tmp2 / tmp3,
                                                           1.0 - tmp1 / tmp3))
@@ -348,6 +359,10 @@ class DrawBatch:
         columns = self.columns(slot)
         return None if columns is None else _taskset_from_columns(columns)
 
+    def tasksets(self) -> list[Taskset | None]:
+        """Every slot's `taskset`, in slot order."""
+        return [self.taskset(slot) for slot in range(self.slots)]
+
 
 def _shape(spec: WorkloadSpec) -> WorkloadSpec:
     """The spec with the fields a slot draws by itself cleared."""
@@ -478,8 +493,8 @@ def gen_tasksets(
     for _ in range(retry_budget):
         if not pending:
             break
-        drawn = (batch.taskset(slot) for batch in draw_batches(
-            [spec] * len(pending), (rngs[i] for i in pending)) for slot in range(batch.slots))
+        drawn = (ts for batch in map(DrawBatch.tasksets, draw_batches(
+            [spec] * len(pending), (rngs[i] for i in pending))) for ts in batch)
         for i, taskset in zip(pending, drawn):
             out[i] = taskset
         pending = [i for i in pending if out[i] is None]

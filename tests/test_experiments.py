@@ -122,7 +122,7 @@ def test_worker_groups_of_cells_give_the_sequential_bytes(tmp_path, monkeypatch)
     """Each worker takes one contiguous group of cells; any split gives the
     bytes of one group with every cell."""
     sequential = {fig: _fig_bytes(tmp_path, fig, 1) for fig in (6, 7, 8)}
-    for fig in (6, 7, 8):  # real worker processes, groups of 7, 7 and 6 cells (4, 3, 3 for fig 7)
+    for fig in (6, 7, 8):  # real worker processes, groups of 6, 7 and 7 cells (3, 3, 4 for fig 7)
         assert _fig_bytes(tmp_path, fig, 3) == sequential[fig]
 
     workers, groups = [], []
@@ -150,7 +150,7 @@ def test_worker_groups_of_cells_give_the_sequential_bytes(tmp_path, monkeypatch)
         for fig in (6, 7, 8):
             assert _fig_bytes(tmp_path, fig, jobs) == sequential[fig]
     sizes = [[len(part) for part in split] for split in groups]
-    assert sizes == [[7, 7, 6], [4, 3, 3], [7, 7, 6], [1] * 20, [1] * 10, [1] * 20]
+    assert sizes == [[6, 7, 7], [3, 3, 4], [6, 7, 7], [1] * 20, [1] * 10, [1] * 20]
     assert workers == [len(split) for split in sizes]
     for split in groups:  # contiguous groups that cover every cell once, in order
         cells = [cell for part in split for cell in part]

@@ -242,7 +242,7 @@ def _fits_by_level(tasks: TaskArrays) -> np.ndarray:
     sums of the higher-priority C^chk and C^chk / T, so every answer is
     `meets_deadlines`'s bit for bit."""
     rows, width = tasks.core.shape
-    cores = max(int(tasks.core.max(initial=0)) + 1, 1)
+    cores = int(tasks.core.max(initial=0)) + 1
     held, load = np.zeros((2, 3, rows, cores))
     members = np.zeros((rows, cores))
     fits = np.ones((3, rows), dtype=bool)

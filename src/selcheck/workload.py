@@ -446,8 +446,8 @@ def draw_batches(specs: Sequence[WorkloadSpec],
     its run is drawn."""
     rngs = iter(rngs)
     runs = -(-len(specs) // MAX_BATCH)
-    edges = [len(specs) * r // runs for r in range(runs + 1)]
-    for lo, hi in zip(edges, edges[1:]):
+    for run in range(runs):
+        lo, hi = len(specs) * run // runs, len(specs) * (run + 1) // runs
         yield draw_batch(specs[lo:hi], itertools.islice(rngs, hi - lo))
 
 

@@ -41,6 +41,23 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _commands(text: str) -> tuple[int, ...] | str:
+    """'random', or a comma-separated list of command numbers."""
+    if text == "random":
+        return text
+    try:
+        return tuple(int(c) for c in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'random' or comma-separated command numbers, got {text!r}") from None
+
+
 def _check_game_options(args) -> None:
     """--big-m and --epsilon must be usable even when no task needs a game."""
     for name in ("big_m", "epsilon"):
@@ -153,12 +170,6 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _parse_commands(text: str):
-    if text == "random":
-        return "random"
-    return tuple(int(c) for c in text.split(","))
-
-
 def cmd_simulate(args) -> int:
     plan = planner.load_plan(args.plan)
     victim = args.victim
@@ -180,7 +191,7 @@ def cmd_simulate(args) -> int:
         victim = matches[0]
     attack = simulator.AttackSpec(
         victim=victim,
-        commands=_parse_commands(args.commands),
+        commands=args.commands,
         mode=args.mode,
     )
     result = simulator.run_detection_experiment(
@@ -239,7 +250,7 @@ def build_parser() -> _Parser:
     p_gen = sub.add_parser("gen", help="generate random taskset files")
     p_gen.add_argument("--spec", help="workload spec JSON (cores, scenario, buckets, ...)")
     p_gen.add_argument("--out", required=True, help="output directory")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_non_negative_int, default=0)
     p_gen.add_argument("--tasksets-per-bucket", type=_positive_int, default=50)
     p_gen.add_argument("--preset", choices=["linux-optee", "freertos", "custom"], default="custom",
                        help="per-command overhead: platform constant, or 'custom' for 10%% of wcet")
@@ -256,14 +267,14 @@ def build_parser() -> _Parser:
     p_sim = sub.add_parser("simulate", help="run attack-injection trials against a plan")
     p_sim.add_argument("--plan", required=True, help="plan JSON file")
     p_sim.add_argument("--victim", help="victim task id (default: first randomized task)")
-    p_sim.add_argument("--commands", default="random",
+    p_sim.add_argument("--commands", type=_commands, default="random",
                        help="compromised commands, e.g. '1,3', or 'random' (default)")
     p_sim.add_argument("--mode", choices=["persistent", "one-shot"], default="persistent")
     p_sim.add_argument("--trials", type=_positive_int, default=1000)
     p_sim.add_argument("--max-jobs", type=_positive_int, default=simulator.DEFAULT_MAX_JOBS)
     p_sim.add_argument("--accuracy", type=float, default=1.0,
                        help="per-command detection probability (default 1.0)")
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_non_negative_int, default=0)
     p_sim.add_argument("--out", help="result CSV output (default stdout)")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -272,7 +283,7 @@ def build_parser() -> _Parser:
                          help="6 coverage, 7 delay tradeoff, 8 acceptance ratio")
     p_sweep.add_argument("--spec", help="workload spec JSON overriding defaults")
     p_sweep.add_argument("--out", help="output directory (default .)")
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--seed", type=_non_negative_int, default=0)
     p_sweep.add_argument("--jobs", type=_positive_int, default=1,
                          help="worker processes; the bucket cells are split into one contiguous "
                               "group per worker")

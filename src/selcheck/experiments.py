@@ -18,19 +18,23 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import attrgetter
+from typing import Iterator
 
 import numpy as np
 
 from . import game as game_mod
+from .model import Taskset
 from .planner import Infeasible, assign_check_budgets, plan
-from .simulator import (DEFAULT_MAX_JOBS, catch_mass, coverage_ratio, mean_detected_delay,
-                        scheme_fits, taskset_arrays)
-from .workload import NUM_BUCKETS, DrawBatch, WorkloadSpec, draw_batches, taskset_rng
+from .simulator import DEFAULT_MAX_JOBS, catch_mass, coverage_ratio, mean_detected_delay
+from .workload import NUM_BUCKETS, WorkloadSpec, draw_batches, taskset_rng
 
 SCENARIOS = ("medium", "high")
 
-# fig 8 schemes, in CSV row order.
-ACCEPTANCE_METRICS = ("unsecured", "scate", "fine-grain")
+# fig 8 schemes, in CSV row order, each with the uniform check level it must
+# fit at.  scate needs only min_checks: the planner finds a K* for every
+# taskset schedulable there.
+SCHEME_LEVELS = {"unsecured": "zero", "scate": "min", "fine-grain": "full"}
 
 # Coverage-ratio bins for the tradeoff sweep: width 0.1 over [0.2, 1.0].
 CR_BIN_EDGES = [0.2 + 0.1 * i for i in range(9)]
@@ -64,16 +68,16 @@ class SweepResult:
         raise KeyError((bin_, scenario, metric))
 
 
-def _cell_tasksets(
+def _cell_draws(
     base: WorkloadSpec, fig: int, scenario_idx: int, bucket: int, count: int, scenario: str,
     n_fixed: int | None = None,
-) -> list:
-    """One bucket's Tasksets, drawn as one batch; None marks a draw that fits
-    on no partition."""
+) -> Iterator[tuple[Taskset | None, bool]]:
+    """One bucket's draws, drawn in batches: each draw's Taskset, None when
+    it fits on no partition, and whether it fits with every command checked."""
     spec = replace(base, scenario=scenario, utilization_bucket=bucket, n_fixed=n_fixed)
     rngs = (taskset_rng(base.seed, fig, scenario_idx, bucket, index) for index in range(count))
-    return [ts for batch in map(DrawBatch.tasksets, draw_batches([spec] * count, rngs))
-            for ts in batch]
+    for batch in draw_batches([spec] * count, rngs):
+        yield from zip(batch.tasksets(), batch.fits["full"].tolist())
 
 
 def _coverage_cell(args) -> list[tuple[str, float, int]]:
@@ -81,7 +85,7 @@ def _coverage_cell(args) -> list[tuple[str, float, int]]:
     scenario = SCENARIOS[scenario_idx]
     feasible = 0
     cr_sum = 0.0
-    for ts in _cell_tasksets(base, 6, scenario_idx, bucket, count, scenario):
+    for ts, _ in _cell_draws(base, 6, scenario_idx, bucket, count, scenario):
         if ts is None or isinstance(budgets := assign_check_budgets(ts), Infeasible):
             continue
         pairs = [(budgets[t.id], t.num_commands) for t in ts.tasks if t.num_commands > 0]
@@ -91,20 +95,20 @@ def _coverage_cell(args) -> list[tuple[str, float, int]]:
 
 
 def _acceptance_cells(cells) -> list[list[tuple[str, float, int]]]:
-    """Every draw of a group of cells judged as arrays, in batches that run
-    across cells, with no Task built.  A draw that fits on no partition is
-    unschedulable under every scheme."""
+    """Every draw of a group of cells counted by the verdicts its placement
+    gives, in batches that run across cells, with no Task built.  A draw
+    that fits on no partition is unschedulable under every scheme."""
     specs, paths = [], []
     for base, scenario_idx, bucket, count in cells:
         specs += [replace(base, scenario=SCENARIOS[scenario_idx], utilization_bucket=bucket)] * count
         paths += [(base.seed, 8, scenario_idx, bucket, index) for index in range(count)]
-    # map drops each batch once judged, before the next is drawn.
-    judged = list(map(lambda batch: scheme_fits(batch.tasks, batch.placed),
-                      draw_batches(specs, (taskset_rng(*path) for path in paths))))
+    # map keeps each batch's verdicts and drops the batch before the next is drawn.
+    judged = list(map(attrgetter("fits"), draw_batches(specs, (taskset_rng(*p) for p in paths))))
     owner = np.repeat(np.arange(len(cells)), [cell[3] for cell in cells])
-    ok = {scheme: np.bincount(owner[np.concatenate([fits[scheme] for fits in judged])],
-                              minlength=len(cells)).tolist() for scheme in ACCEPTANCE_METRICS}
-    return [[(scheme, ok[scheme][c] / count, count) for scheme in ACCEPTANCE_METRICS]
+    ok = {scheme: np.bincount(owner[np.concatenate([fits[level] for fits in judged])],
+                              minlength=len(cells)).tolist()
+          for scheme, level in SCHEME_LEVELS.items()}
+    return [[(scheme, ok[scheme][c] / count, count) for scheme in SCHEME_LEVELS]
             for c, (_, _, _, count) in enumerate(cells)]
 
 
@@ -122,11 +126,9 @@ def _tradeoff_cell(args) -> list[tuple[int, bool, float | None]]:
     # Generated workloads share weights, so distinct (weights, K*) games are
     # few; one memo for the whole cell solves each of them once.
     games: dict = {}
-    tasksets = _cell_tasksets(base, 7, 2, bucket, count, "medium", n_fixed)
-    # The cell's full-check test, judged as one array; a planned taskset
-    # fits at min_checks, so this is its fine-grain answer.
-    fine_grain = scheme_fits(*taskset_arrays(tasksets))["fine-grain"].tolist()
-    for ts, fits_full in zip(tasksets, fine_grain):
+    # A planned taskset fits at min_checks, so its fit at full checks is
+    # its fine-grain answer.
+    for ts, fits_full in _cell_draws(base, 7, 2, bucket, count, "medium", n_fixed):
         if ts is None or isinstance(result := plan(ts, big_m, epsilon, games), Infeasible):
             continue
         # Every task takes a turn as the victim; the taskset's delay is the

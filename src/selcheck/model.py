@@ -15,6 +15,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Sequence, Union
 
+import numpy as np
+
 TaskId = Union[str, int]
 
 TIME_UNIT = "us"
@@ -63,12 +65,8 @@ class Platform:
 
 
 class CoreColumns(NamedTuple):
-    """One core's tasks, highest priority first, as parallel columns.
-
-    The schedulability test reads these, so a drawn workload can be judged
-    without building a Task per task; `Taskset.core_columns` gives the same
-    view of a Taskset.
-    """
+    """One core's tasks, highest priority first, as parallel columns: the
+    view of a core that every scalar bound reads (`Taskset.core_columns`)."""
 
     ids: Sequence[TaskId]
     priorities: Sequence[int]
@@ -83,11 +81,10 @@ class CoreColumns(NamedTuple):
 class TaskArrays(NamedTuple):
     """The tasks of many tasksets as (tasksets x width) integer arrays, one
     row per taskset, in which each core's tasks appear highest priority
-    first.  `core` reads -1 on padding, which follows a row's tasks; the
-    fig 8 judge reads these, and a drawn batch comes out as them."""
+    first, with deadlines equal to their periods.  `core` reads -1 on
+    padding, which follows a row's tasks; a drawn batch comes out as them."""
 
     core: np.ndarray
-    deadline: np.ndarray
     period: np.ndarray
     wcet: np.ndarray
     overhead: np.ndarray

@@ -9,11 +9,11 @@ upper bound, not the iterative fixed-point recurrence.  Every scalar
 caller reads a core as columns (`Taskset.core_columns`): `checked_wcets`
 gives the core's C^chk column and `response_bound` sums one task's bound
 (own term first, then hp(i) from highest priority down) for
-`is_schedulable`, `analyze` and the K* search.  The array callers (a drawn
-batch's placement and the fig 8 judge) decide many bounds at once with
-`admits`, from the bound's other form C_i^chk + sum C_h^chk + D_i * sum
-C_h^chk / T_h, and sum `response_bound` only where rounding could change
-the answer.  The bound is linear in each task's k, which gives the planner
+`is_schedulable`, `analyze` and the K* search.  A drawn batch's placement
+walk, which also gives fig 8 and fig 7 their verdicts, decides many bounds
+at once with `admits`, from the bound's other form C_i^chk + sum C_h^chk +
+D_i * sum C_h^chk / T_h, and sums `response_bound` only where rounding
+could change the answer.  The bound is linear in each task's k, which gives the planner
 its closed form for K*; rounding keeps it monotone non-decreasing in every
 k, which lets the planner confirm that candidate by stepping one check at
 a time.  D_i / T_h is evaluated in double precision and all deadline

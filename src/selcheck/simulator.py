@@ -17,25 +17,20 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import TaskArrays, TaskId, Taskset
+from .model import TaskId
 from .planner import CheckPlan, TaskPlan
-from .schedulability import admits, response_bound
 
 PROBABILITY_TOL = 1e-6
 
 # Jobs a persistent attack runs before it counts as undetected.
 DEFAULT_MAX_JOBS = 100_000
 
-# The uniform check level each scheme must fit at.  scate needs only
-# min_checks: the planner finds a K* for every taskset schedulable there.
-SCHEME_LEVELS = {"unsecured": "zero", "fine-grain": "full", "scate": "min"}
-
 
 @dataclass(frozen=True)
 class AttackSpec:
     """What the adversary tampers with.
 
-    commands is a fixed non-empty subset of the victim's command indices,
+    commands is a fixed non-empty set of distinct command indices of the victim,
     or "random" for one uniformly drawn command per trial.  persistent mode
     re-injects on every job from the first attacked one; one-shot touches
     only that job.  Jobs are i.i.d., so the job the attack starts at does
@@ -55,6 +50,8 @@ class AttackSpec:
                 raise ValueError("compromised command set must be non-empty")
             if any(not 1 <= c <= num_commands for c in self.commands):
                 raise ValueError("compromised command outside 1..N")
+            if len(set(self.commands)) != len(self.commands):
+                raise ValueError(f"compromised commands {self.commands!r} are not distinct")
         if self.mode not in ("persistent", "one-shot"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -233,79 +230,3 @@ def coverage_ratio(pairs: Sequence[tuple[int, int]]) -> float:
     if not pairs:
         raise ValueError("no tasks issue commands")
     return sum(k / n for k, n in pairs) / len(pairs)
-
-
-def _fits_by_level(tasks: TaskArrays) -> np.ndarray:
-    """fits[l, r]: True iff every task of row r meets its deadline with each
-    task at check level l (zero, min_checks, full), all three in one pass
-    over the ranks.  `admits` decides each bound from its core's running
-    sums of the higher-priority C^chk and C^chk / T, so every answer is
-    `meets_deadlines`'s bit for bit."""
-    rows, width = tasks.core.shape
-    cores = int(tasks.core.max(initial=0)) + 1
-    held, load = np.zeros((2, 3, rows, cores))
-    members = np.zeros((rows, cores))
-    fits = np.ones((3, rows), dtype=bool)
-    here = np.arange(rows)
-    no_checks = np.zeros(rows, dtype=np.int64)
-    for rank in range(width):
-        live = tasks.core[:, rank] >= 0  # padding follows a row's tasks
-        if not live.any():
-            break
-        core = np.where(live, tasks.core[:, rank], 0)
-        checks = np.stack((no_checks, tasks.min_checks[:, rank], tasks.commands[:, rank]))
-        checked = tasks.wcet[:, rank] + checks * tasks.overhead[:, rank]
-
-        def exact(level, r):
-            above = np.flatnonzero(tasks.core[r, :rank] == core[r])
-            k = (0, tasks.min_checks[r, above], tasks.commands[r, above])[level]
-            wcets = tasks.wcet[r, above] + k * tasks.overhead[r, above]
-            return response_bound(int(checked[level, r]), int(tasks.deadline[r, rank]),
-                                  tasks.period[r, above].tolist(), wcets.tolist())
-
-        c = checked.astype(float)
-        fits &= admits(c, tasks.deadline[:, rank].astype(float), held[:, here, core],
-                       load[:, here, core], members[here, core], exact, live) | ~live
-        held[:, here, core] += c
-        load[:, here, core] += c / tasks.period[:, rank]
-        members[here, core] += 1.0
-    return fits
-
-
-def scheme_fits(tasks: TaskArrays, placed: np.ndarray) -> dict[str, np.ndarray]:
-    """Per scheme, whether each row's taskset is schedulable at the scheme's
-    uniform check level; a row that is not `placed` fits under none."""
-    fits = dict(zip(("zero", "min", "full"), _fits_by_level(tasks) & placed))
-    return {scheme: fits[level] for scheme, level in SCHEME_LEVELS.items()}
-
-
-def taskset_arrays(tasksets: Sequence[Taskset | None]) -> tuple[TaskArrays, np.ndarray]:
-    """The tasksets as one row each, cores in index order, and whether each
-    is placed: a None entry stands for a draw that fits on no partition."""
-    width = max((len(ts.tasks) for ts in tasksets if ts is not None), default=0)
-    fields = np.zeros((len(TaskArrays._fields), len(tasksets), width), dtype=np.int64)
-    fields[0] = -1
-    fields[2] = 1  # padding periods: the bound divides by them
-    for row, ts in enumerate(tasksets):
-        j = 0
-        for core, col in ({} if ts is None else ts.core_columns).items():
-            n = len(col.ids)
-            fields[:, row, j : j + n] = ((core,) * n, col.deadlines, col.periods, col.wcets,
-                                        col.check_overheads, col.num_commands, col.min_checks)
-            j += n
-    return TaskArrays(*fields), np.array([ts is not None for ts in tasksets], dtype=bool)
-
-
-def schedulable_schemes(taskset: Taskset) -> dict[str, bool]:
-    """Whether a valid taskset is schedulable under each scheme (`scheme_fits` on one row)."""
-    return {scheme: bool(fit[0]) for scheme, fit in scheme_fits(*taskset_arrays([taskset])).items()}
-
-
-def acceptance_ratios(tasksets: Sequence[Taskset | None]) -> dict[str, float]:
-    """Fraction of the batch schedulable under each scheme, judging the batch
-    as one array; None entries stand for generated workloads that fit on no
-    partition, and count as unschedulable under every scheme."""
-    if not tasksets:
-        raise ValueError("empty batch")
-    return {scheme: int(fit.sum()) / len(tasksets)
-            for scheme, fit in scheme_fits(*taskset_arrays(tasksets)).items()}

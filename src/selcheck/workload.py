@@ -34,12 +34,14 @@ batch it is drawn in:
 - the rate-monotonic sort is stable, as `sorted` is;
 - placement decides each admission with `schedulability.admits`, which
   sums the left-to-right `response_bound` wherever the closed form lies
-  within its rounding margin of the deadline.
+  within its rounding margin of the deadline.  The same walk decides each
+  placed task's bound at min_checks and at N checks on its core, so a
+  batch carries every slot's verdict at the three uniform check levels.
 `draw_batches` splits a long run of slots into even batches of at most
 MAX_BATCH.  `draw_taskset`, `gen_taskset` and `randfixedsum` are batches
-of one slot (or of one slot per sample); fig 8 judges a batch's arrays
+of one slot (or of one slot per sample); fig 8 counts a batch's verdicts
 directly, and `DrawBatch.taskset` builds the Task and Taskset objects of
-one slot for `gen`, figs 6 and 7 and library callers.
+one slot from its rows for `gen`, figs 6 and 7 and library callers.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ import numpy as np
 
 from .model import (
     OVERHEAD_PRESETS_US,
-    CoreColumns,
     Platform,
     Task,
     TaskArrays,
@@ -269,45 +270,66 @@ def gen_periods(n: int, lo: int, hi: int, rng: np.random.Generator) -> list[int]
     return _periods(rng.uniform(math.log(lo), math.log(hi), size=n), lo, hi).astype(int).tolist()
 
 
-def _place(period: np.ndarray, wcet: np.ndarray, count: np.ndarray,
-           num_cores: int) -> tuple[np.ndarray, np.ndarray]:
-    """Least-loaded placement of each slot's tasks, given in priority order
-    with deadlines equal to their periods, under the vanilla response bound.
+# The uniform check levels every drawn slot is judged at: no checks, each
+# task's min_checks and every command, named as `model.assignment_at` names them.
+CHECK_LEVELS = ("zero", "min", "full")
+
+
+def _place(period: np.ndarray, wcet: np.ndarray, overhead: np.ndarray, commands: np.ndarray,
+           min_checks: np.ndarray, count: np.ndarray,
+           num_cores: int) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Least-loaded placement of each slot's tasks, given as integer arrays
+    in priority order with deadlines equal to their periods, judged at every
+    check level of CHECK_LEVELS in the same walk over the ranks.
 
     Each task goes to the least-utilized core whose admission test passes
-    (lowest index on ties).  A newcomer is the lowest priority on its core,
-    so only its own bound needs checking, and every placement is schedulable
-    with checking disabled, bit for bit: `admits` decides each test from the
-    core's running sums of C and C / T.  Returns each task's core (-1 from
-    an unplaceable task on) and whether each slot was placed.
+    with no checks (lowest index on ties).  A newcomer is the lowest
+    priority on its core, so only its own bound needs checking: every
+    placement is schedulable with checking disabled, and the same test on
+    the chosen core at min_checks and at N checks decides the slot's other
+    two verdicts.  `admits` decides every test from the core's running sums
+    of C^chk and C^chk / T at each level, so each verdict is the
+    left-to-right bound's, bit for bit.  Returns each task's core (-1 from
+    an unplaceable task on) and, per level, whether each slot fits there;
+    at "zero" that is whether it was placed, and an unplaced slot fits at
+    no level.
     """
     slots, width = period.shape
     cores = np.arange(min(num_cores, width))  # the least-loaded rule fills cores in index order
-    load, held, members = (np.zeros((slots, cores.size)) for _ in range(3))
+    held, load = np.zeros((2, len(CHECK_LEVELS), slots, cores.size))
+    members = np.zeros((slots, cores.size))
     core = np.full((slots, width), -1)
-    placed = np.ones(slots, dtype=bool)
+    fits = np.ones((len(CHECK_LEVELS), slots), dtype=bool)
+    here = np.arange(slots)
+    no_checks = np.zeros(slots, dtype=np.int64)
     for rank in range(width):
-        live = placed & (count > rank)
+        live = fits[0] & (count > rank)
         if not live.any():
             break
+        checked = wcet[:, rank] + np.stack(
+            (no_checks, min_checks[:, rank], commands[:, rank])) * overhead[:, rank]
 
-        def exact(s, q):
-            above = core[s, :rank] == q
-            return response_bound(wcet[s, rank], period[s, rank], period[s, :rank][above].tolist(),
-                                  wcet[s, :rank][above].tolist())
+        def exact(level, s, q):
+            above = np.flatnonzero(core[s, :rank] == q)
+            k = (0, min_checks[s, above], commands[s, above])[level]
+            return response_bound(int(checked[level, s]), int(period[s, rank]),
+                                  period[s, above].tolist(),
+                                  (wcet[s, above] + k * overhead[s, above]).tolist())
 
-        t, c = period[:, rank, None], wcet[:, rank, None]
-        fits = admits(c, t, held, load, members, exact, live[:, None])
-        placed &= fits.any(axis=1) | ~live
-        live &= placed
-        best = np.where(fits, load, np.inf).argmin(axis=1)
+        c = checked[:, :, None].astype(float)
+        t = period[:, rank, None].astype(float)
+        ok = admits(c, t, held, load, members, exact, live[:, None])
+        best = np.where(ok[0], load[0], np.inf).argmin(axis=1)
+        fits &= ok[:, here, best] | ~live
+        live &= fits[0]
         core[:, rank] = np.where(live, best, -1)
         # Adding 0.0 to the other cores' sums leaves them as they are.
         chosen = (cores == best[:, None]) & live[:, None]
-        load += chosen * (c / t)
         held += chosen * c
+        load += chosen * (c / t)
         members += chosen
-    return core, placed
+    fits[1:] &= fits[0]
+    return core, dict(zip(CHECK_LEVELS, fits))
 
 
 @dataclass(frozen=True)
@@ -317,47 +339,50 @@ class DrawBatch:
     `count` tasks.  `index` is each task's draw index, which names it.  The
     deadlines are the periods.  In `tasks.core`, padding and every task from
     the first one that fit on no core on read -1; such a slot is not
-    `placed`."""
+    `placed`.  `fits[level]` tells, per slot, whether every task meets its
+    deadline with each task at that check level (see `_place`)."""
 
     num_cores: int
     count: np.ndarray
     index: np.ndarray
     tasks: TaskArrays
-    placed: np.ndarray
+    fits: dict[str, np.ndarray]
 
     @property
     def slots(self) -> int:
         return len(self.count)
 
-    def columns(self, slot: int) -> list[CoreColumns] | None:
-        """The slot's per-core columns, None when it fits on no partition."""
+    @property
+    def placed(self) -> np.ndarray:
+        """Whether each slot fits on a partition: its verdict at zero checks."""
+        return self.fits["zero"]
+
+    def taskset(self, slot: int) -> Taskset | None:
+        """The slot's Taskset, None when it fits on no partition: tasks in
+        id order, equal command weights."""
         if not self.placed[slot]:
             return None
         m = int(self.count[slot])
         width = len(str(m - 1))
         t = self.tasks
-        fields = (self.index, t.period, t.wcet, t.overhead, t.commands, t.min_checks)
-        columns = []
-        for _ in range(self.num_cores):
-            core_periods = []  # drawn deadlines equal the periods: both columns are this list
-            columns.append(CoreColumns([], [], core_periods, core_periods, [], [], [], []))
-        rows = zip(t.core[slot, :m].tolist(), *(a[slot, :m].tolist() for a in fields))
-        for rank, (core, i, period, wcet, overhead, n_cmd, min_checks) in enumerate(rows):
-            ids, ranks, _, core_periods, core_wcets, core_overheads, core_counts, core_min = (
-                columns[core])
-            ids.append(f"t{i:0{width}d}")
-            ranks.append(rank)
-            core_periods.append(period)
-            core_wcets.append(wcet)
-            core_overheads.append(overhead)
-            core_counts.append(n_cmd)
-            core_min.append(min_checks)
-        return columns
-
-    def taskset(self, slot: int) -> Taskset | None:
-        """The slot's Taskset, None when it fits on no partition."""
-        columns = self.columns(slot)
-        return None if columns is None else _taskset_from_columns(columns)
+        fields = (self.index, t.core, t.period, t.wcet, t.overhead, t.commands, t.min_checks)
+        weights: dict[int, tuple[float, ...]] = {}
+        tasks = []
+        partition: dict[TaskId, int] = {}
+        priority: dict[TaskId, int] = {}
+        rows = zip(*(a[slot, :m].tolist() for a in fields))
+        for rank, (i, core, period, wcet, overhead, n_cmd, min_checks) in enumerate(rows):
+            tid = f"t{i:0{width}d}"
+            if n_cmd not in weights:
+                weights[n_cmd] = (1.0,) * n_cmd
+            tasks.append(Task(id=tid, wcet=wcet, period=period, deadline=period,
+                              num_commands=n_cmd, min_checks=min_checks,
+                              weights=weights[n_cmd], check_overhead=overhead))
+            partition[tid] = core
+            priority[tid] = rank
+        tasks.sort(key=lambda task: task.id)  # zero-padded draw indices: the draw order
+        platform = Platform(num_cores=self.num_cores, partition=partition, priority=priority)
+        return Taskset(tasks=tuple(tasks), platform=platform)
 
     def tasksets(self) -> list[Taskset | None]:
         """Every slot's `taskset`, in slot order."""
@@ -433,10 +458,10 @@ def draw_batch(specs: Sequence[WorkloadSpec], rngs: Iterable[np.random.Generator
         overhead = np.full(wcet.shape, fixed_overhead, dtype=np.int64)
     commands = np.take_along_axis(commands, order, axis=1)
     min_checks = np.ceil(base.min_checks_fraction * commands).astype(np.int64)
-    core, placed = _place(period, wcet, count, base.num_cores)
     period, wcet = period.astype(np.int64), wcet.astype(np.int64)
-    tasks = TaskArrays(core, period, period, wcet, overhead, commands, min_checks)
-    return DrawBatch(base.num_cores, count, order, tasks, placed)
+    core, fits = _place(period, wcet, overhead, commands, min_checks, count, base.num_cores)
+    tasks = TaskArrays(core, period, wcet, overhead, commands, min_checks)
+    return DrawBatch(base.num_cores, count, order, tasks, fits)
 
 
 def draw_batches(specs: Sequence[WorkloadSpec],
@@ -449,26 +474,6 @@ def draw_batches(specs: Sequence[WorkloadSpec],
     for run in range(runs):
         lo, hi = len(specs) * run // runs, len(specs) * (run + 1) // runs
         yield draw_batch(specs[lo:hi], itertools.islice(rngs, hi - lo))
-
-
-def _taskset_from_columns(columns: list[CoreColumns]) -> Taskset:
-    """The Taskset of a drawn workload: tasks in id order, equal command weights."""
-    weights: dict[int, tuple[float, ...]] = {}
-    tasks = []
-    partition: dict[TaskId, int] = {}
-    priority: dict[TaskId, int] = {}
-    for core, col in enumerate(columns):
-        for tid, rank, deadline, period, wcet, overhead, n_cmd, min_checks in zip(*col):
-            if n_cmd not in weights:
-                weights[n_cmd] = (1.0,) * n_cmd
-            tasks.append(Task(id=tid, wcet=wcet, period=period, deadline=deadline,
-                              num_commands=n_cmd, min_checks=min_checks,
-                              weights=weights[n_cmd], check_overhead=overhead))
-            partition[tid] = core
-            priority[tid] = rank
-    tasks.sort(key=lambda t: t.id)  # zero-padded draw indices: the draw order
-    platform = Platform(num_cores=len(columns), partition=partition, priority=priority)
-    return Taskset(tasks=tuple(tasks), platform=platform)
 
 
 def draw_taskset(spec: WorkloadSpec, rng: np.random.Generator) -> Taskset | None:

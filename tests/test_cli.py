@@ -337,6 +337,37 @@ def test_non_positive_counts_are_usage_errors(tmp_path, argv, out_name):
     assert not (tmp_path / "out" / out_name).exists()
 
 
+@pytest.mark.parametrize("argv", [["gen"], ["sweep", "--fig", "8"],
+                                  ["simulate", "--plan", "plan.json"]])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1", "--out", str(out)])
+    assert exc.value.code == 1
+    assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("commands, message", [
+    ("1,1", "error: compromised commands (1, 1) are not distinct"),
+    (",,", "argument --commands: expected 'random' or comma-separated command numbers, got ',,'"),
+])
+def test_simulate_rejects_repeated_or_missing_commands(tmp_path, capsys, commands, message):
+    ts = tmp_path / "ts.json"
+    write_taskset(ts)
+    plan_file = tmp_path / "plan.json"
+    assert main(["plan", "--taskset", str(ts), "--out", str(plan_file)]) == 0
+    out = tmp_path / "s.csv"
+    try:
+        code = main(["simulate", "--plan", str(plan_file), "--commands", commands,
+                     "--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_rejects_zero_max_jobs(tmp_path):
     ts = tmp_path / "ts.json"
     write_taskset(ts)

@@ -8,9 +8,18 @@ from selcheck.experiments import (
     sweep_coverage,
     sweep_detection_tradeoff,
 )
+from selcheck.model import assignment_at
+from selcheck.schedulability import is_schedulable
 from selcheck.workload import WorkloadSpec
 
 SMALL = 8  # tasksets per bucket for module-level sweeps
+
+
+def _draws(*tasksets):
+    """A stand-in for `experiments._cell_draws`: every cell draws these
+    Tasksets, each with its verdict at full checks."""
+    return lambda *args, **kwargs: [(ts, is_schedulable(ts, assignment_at(ts, "full")))
+                                    for ts in tasksets]
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +210,7 @@ def test_tradeoff_taskset_without_a_checking_victim_has_no_delay(monkeypatch):
     # the underloaded taskset checks everything (coverage 1, bin 0.9).
     blind = make_taskset([make_task(wcet=10, period=15, n=3, n_min=0, overhead=10)])
     full = make_taskset([make_task(wcet=1, period=1000, n=3, n_min=1, overhead=1)])
-    monkeypatch.setattr(experiments, "_cell_tasksets", lambda *args, **kwargs: [blind, full])
+    monkeypatch.setattr(experiments, "_cell_draws", _draws(blind, full))
     result = sweep_detection_tradeoff(WorkloadSpec(seed=0), tasksets_per_bucket=1)
     assert [(r.bin, r.metric, r.value, r.samples) for r in result.rows] == [
         ("0.2", "sched_gain", 1.0, 10),
@@ -214,7 +223,7 @@ def test_tradeoff_bins_a_coverage_on_a_bin_edge_exactly(monkeypatch):
     # K* = 3 of 5 is a coverage of exactly 0.6, though (0.6 - 0.2) / 0.1
     # is 3.9999999999999996 in floats.
     edge = make_taskset([make_task(wcet=1, period=10, n=5, n_min=1, overhead=3)])
-    monkeypatch.setattr(experiments, "_cell_tasksets", lambda *args, **kwargs: [edge])
+    monkeypatch.setattr(experiments, "_cell_draws", _draws(edge))
     result = sweep_detection_tradeoff(WorkloadSpec(seed=0), tasksets_per_bucket=1)
     assert [(r.bin, r.metric, r.samples) for r in result.rows] == [
         ("0.6", "sched_gain", 10),

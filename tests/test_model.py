@@ -1,3 +1,6 @@
+import typing
+
+import numpy as np
 import pytest
 from conftest import make_task, make_taskset
 from hypothesis import assume, given, settings
@@ -8,6 +11,7 @@ from selcheck.model import (
     OVERHEAD_PRESETS_US,
     Platform,
     Task,
+    TaskArrays,
     Taskset,
     assignment_at,
     load_taskset,
@@ -65,6 +69,10 @@ def test_duplicate_priority_on_core_flagged():
     a, b = make_task(tid="a"), make_task(tid="b")
     ts = make_taskset([a, b], cores={"a": 0, "b": 0}, priorities={"a": 0, "b": 0})
     assert any(v.field == "priority" for v in validate(ts))
+
+
+def test_task_arrays_type_hints_resolve():
+    assert typing.get_type_hints(TaskArrays) == dict.fromkeys(TaskArrays._fields, np.ndarray)
 
 
 def test_commandless_task_satisfies_invariants():

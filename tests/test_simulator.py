@@ -7,33 +7,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DRAW_SPECS, drawn_tasksets, make_task, make_taskset
-from oracles import catch_probability_by_enumeration, marginal_check_probability
+from conftest import DRAW_SPECS, make_task, make_taskset
+from oracles import (catch_probability_by_enumeration, draw_columns_by_slot,
+                     marginal_check_probability)
 
+from selcheck import workload
 from selcheck.game import build_game_from_weights, solve_game
-from selcheck.experiments import sweep_acceptance
+from selcheck.experiments import (SCENARIOS, SCHEME_LEVELS, _acceptance_cells, _cell_draws,
+                                  sweep_acceptance)
 from selcheck.model import OVERHEAD_PRESETS_US, Task, Taskset, assignment_at
 from selcheck.planner import CheckPlan, TaskPlan
 from selcheck.simulator import (
     DEFAULT_MAX_JOBS,
-    SCHEME_LEVELS,
     AttackSpec,
-    acceptance_ratios,
     catch_mass,
     coverage_ratio,
     detection_probability,
     mean_detected_delay,
     result_csv,
     run_detection_experiment,
-    schedulable_schemes,
-    scheme_fits,
 )
 from selcheck.schedulability import is_schedulable
 from selcheck.workload import (
     SCENARIO_COMMANDS,
     WorkloadSpec,
+    _place,
     draw_batch,
-    draw_taskset,
     taskset_rng,
 )
 
@@ -136,6 +135,10 @@ def test_attack_spec_validation():
         run_detection_experiment(plan_, AttackSpec(victim="victim", commands=()), trials=10)
     with pytest.raises(ValueError):
         run_detection_experiment(plan_, AttackSpec(victim="victim", commands=(9,)), trials=10)
+    with pytest.raises(ValueError, match="not distinct"):
+        run_detection_experiment(plan_, AttackSpec(victim="victim", commands=(1, 1)), trials=10)
+    with pytest.raises(ValueError):
+        run_detection_experiment(plan_, AttackSpec(victim="victim", commands=",,"), trials=10)
     with pytest.raises(ValueError):
         run_detection_experiment(plan_, AttackSpec(victim="victim", mode="sometimes"), trials=10)
     with pytest.raises(KeyError):
@@ -335,6 +338,27 @@ def test_coverage_ratio_ignores_commandless_tasks():
         coverage_ratio(CheckPlan(feasible=True, tasks={}).coverage_pairs())
 
 
+def _walk(tasksets):
+    """Each one-core taskset's verdict per scheme from the placement walk;
+    the tasks are given in priority order with deadlines equal to their
+    periods."""
+    width = max(len(ts.tasks) for ts in tasksets)
+    rows = np.ones((5, len(tasksets), width), dtype=np.int64)
+    for row, ts in enumerate(tasksets):
+        assert ts.platform.num_cores == 1 and ts.priority_ordered() == ts.tasks
+        for rank, t in enumerate(ts.tasks):
+            assert t.deadline == t.period
+            rows[:, row, rank] = t.period, t.wcet, t.check_overhead, t.num_commands, t.min_checks
+    _, fits = _place(*rows, np.array([len(ts.tasks) for ts in tasksets]), 1)
+    return [{scheme: bool(fits[level][row]) for scheme, level in SCHEME_LEVELS.items()}
+            for row in range(len(tasksets))]
+
+
+def _ratios(verdicts):
+    """Fraction of the verdicts that fit, per scheme."""
+    return {scheme: sum(v[scheme] for v in verdicts) / len(verdicts) for scheme in SCHEME_LEVELS}
+
+
 def _underloaded_batch():
     out = []
     for i in range(4):
@@ -344,52 +368,71 @@ def _underloaded_batch():
 
 
 def test_acceptance_ratio_underloaded_batch():
-    batch = _underloaded_batch()
-    for scheme in ("unsecured", "fine-grain", "scate"):
-        assert acceptance_ratios(batch)[scheme] == 1.0
+    assert _ratios(_walk(_underloaded_batch())) == dict.fromkeys(SCHEME_LEVELS, 1.0)
 
 
 def test_acceptance_ratio_scheme_ordering():
     # checking all N commands alone busts the deadline, minimum load fits
     squeezed = make_taskset([make_task(wcet=10, period=25, n=4, n_min=1, overhead=5)])
-    batch = _underloaded_batch() + [squeezed]
-    ratios = acceptance_ratios(batch)
-    u, s, f = ratios["unsecured"], ratios["scate"], ratios["fine-grain"]
-    assert u >= s >= f
-    assert u == 1.0
-    assert f == pytest.approx(0.8)
+    verdicts = _walk(_underloaded_batch() + [squeezed])
+    for v in verdicts:
+        assert v["unsecured"] >= v["scate"] >= v["fine-grain"]
+    ratios = _ratios(verdicts)
+    assert ratios["unsecured"] == ratios["scate"] == 1.0
+    assert ratios["fine-grain"] == pytest.approx(0.8)
 
 
 def test_acceptance_ratio_finegrain_collapse():
     # N * C^o alone exceeds all slack: fine-grain 0.0, unsecured 1.0
     batch = [make_taskset([make_task(wcet=10, period=30, n=4, n_min=0, overhead=10)])
              for _ in range(3)]
-    assert acceptance_ratios(batch) == {"unsecured": 1.0, "fine-grain": 0.0, "scate": 1.0}
+    assert _ratios(_walk(batch)) == {"unsecured": 1.0, "scate": 1.0, "fine-grain": 0.0}
 
 
 def test_acceptance_ratio_counts_unplaceable_as_unschedulable():
-    batch = _underloaded_batch() + [None]
-    assert acceptance_ratios(batch)["unsecured"] == pytest.approx(0.8)
-    with pytest.raises(ValueError):
-        acceptance_ratios([])
+    # "fails-at-zero" fits on no core, so it is unschedulable under every scheme.
+    verdicts = _walk(_underloaded_batch() + [HAND_BUILT["fails-at-zero"]])
+    assert verdicts[-1] == dict.fromkeys(SCHEME_LEVELS, False)
+    assert _ratios(verdicts)["unsecured"] == pytest.approx(0.8)
+    unplaced = 0
+    for batch in _drawn_batches():
+        for level in ("min", "full"):
+            assert not (batch.fits[level] & ~batch.placed).any()
+        unplaced += int((~batch.placed).sum())
+    assert unplaced > 0
 
 
 def _three_tests(ts):
-    """One is_schedulable call per scheme, at its uniform check level."""
+    """One is_schedulable call per scheme, at its uniform check level; a
+    None taskset (an unplaceable draw) fits under none."""
+    if ts is None:
+        return dict.fromkeys(SCHEME_LEVELS, False)
     return {scheme: is_schedulable(ts, assignment_at(ts, level))
             for scheme, level in SCHEME_LEVELS.items()}
 
 
+def _drawn_batches():
+    """The draws of `drawn_tasksets`, one batch per (cores, preset) shape."""
+    shapes = {}
+    for spec_idx, spec in enumerate(DRAW_SPECS):
+        shape = shapes.setdefault((spec.num_cores, spec.overhead_preset), ([], []))
+        for index in range(3):
+            shape[0].append(spec)
+            shape[1].append(taskset_rng(spec.seed, spec_idx, index))
+    return [draw_batch(specs, rngs) for specs, rngs in shapes.values()]
+
+
 def test_one_pass_judge_equals_three_tests_on_drawn_tasksets():
     seen = set()
-    for ts in drawn_tasksets():
-        if ts is not None:
-            verdict = schedulable_schemes(ts)
-            assert verdict == _three_tests(ts)
+    for batch in _drawn_batches():
+        for slot in np.flatnonzero(batch.placed):
+            verdict = {scheme: bool(batch.fits[level][slot])
+                       for scheme, level in SCHEME_LEVELS.items()}
+            assert verdict == _three_tests(batch.taskset(slot))
             seen.add((verdict["unsecured"], verdict["scate"], verdict["fine-grain"]))
     # Placed draws always fit unsecured; every other outcome the monotone order
     # allows shows up, including a taskset that fits unsecured but not at
-    # min_checks (the case where the judge's second test is the zero test).
+    # min_checks.
     assert seen == {(True, True, True), (True, True, False), (True, False, False)}
 
 
@@ -415,21 +458,37 @@ def test_judge_answers_as_the_left_to_right_bound_on_rounding_edges(case):
     ts = make_taskset([*above, make_task(tid="edge", wcet=wcet, period=deadline, n=3, n_min=0,
                                          overhead=0)])
     assert is_schedulable(ts, assignment_at(ts, "zero")) == fits
-    assert schedulable_schemes(ts) == _three_tests(ts) == dict.fromkeys(SCHEME_LEVELS, fits)
+    assert _walk([ts]) == [_three_tests(ts)] == [dict.fromkeys(SCHEME_LEVELS, fits)]
+    # The same edge at each scheme's level: every wcet less that level's k
+    # checks of one unit each, so the levels below fit and those above miss.
+    for edge_scheme, level in SCHEME_LEVELS.items():
+        k = {"zero": 0, "min": 1, "full": 3}[level]
+        shifted = make_taskset([replace(t, wcet=t.wcet - k, min_checks=1, check_overhead=1)
+                                for t in ts.tasks])
+        verdict = _walk([shifted])[0]
+        assert verdict == _three_tests(shifted)
+        assert verdict[edge_scheme] == fits
+        assert list(verdict.values()) == sorted(verdict.values(), reverse=True)
 
 
 @pytest.mark.parametrize("name", sorted(HAND_BUILT))
 def test_one_pass_judge_equals_three_tests_on_hand_built_tasksets(name):
     ts = HAND_BUILT[name]
-    assert schedulable_schemes(ts) == _three_tests(ts)
+    assert _walk([ts]) == [_three_tests(ts)]
 
 
-def test_acceptance_ratios_count_each_scheme_over_the_batch():
-    batch = [*drawn_tasksets(per_spec=1), *HAND_BUILT.values(), None]
-    ratios = acceptance_ratios(batch)
-    for scheme in SCHEME_LEVELS:
-        fits = sum(_three_tests(ts)[scheme] for ts in batch if ts is not None)
-        assert ratios[scheme] == fits / len(batch)
+def test_acceptance_ratios_count_each_scheme_over_the_batch(monkeypatch):
+    """Fig 8's count over a group of cells of unequal sizes, drawn in
+    batches whose edges fall inside a cell, is the count of is_schedulable
+    verdicts on each cell's Tasksets."""
+    monkeypatch.setattr(workload, "MAX_BATCH", 4)
+    base = WorkloadSpec(seed=3)
+    cells = [(base, 0, 2, 3), (base, 1, 9, 5), (base, 0, 8, 2)]
+    for cell, rows in zip(cells, _acceptance_cells(cells)):
+        _, si, bucket, count = cell
+        verdicts = [_three_tests(ts) for ts, _ in
+                    _cell_draws(base, 8, si, bucket, count, SCENARIOS[si])]
+        assert rows == [(scheme, fits, count) for scheme, fits in _ratios(verdicts).items()]
 
 
 # DRAW_SPECS (both scenarios, 1 and 4 cores, the overhead fraction and each
@@ -473,19 +532,20 @@ def _follows_the_spec(ts, spec):
 
 
 def test_drawn_columns_match_the_drawn_taskset_and_its_judge():
+    from test_workload import core_columns_by_core
+
     seen = set()
     placed = unplaceable = 0
     for spec_idx, spec in enumerate(SPLIT_SPECS):
         for index in range(3):
             batch = draw_batch([spec], [taskset_rng(spec.seed, spec_idx, index)])
-            columns = batch.columns(0)
-            ts = draw_taskset(spec, taskset_rng(spec.seed, spec_idx, index))
-            assert (columns is None) == (ts is None), (spec, index)
+            columns = draw_columns_by_slot(spec, taskset_rng(spec.seed, spec_idx, index))
+            ts = batch.taskset(0)
+            assert core_columns_by_core(ts, spec.num_cores) == columns, (spec, index)
             if ts is None:
                 unplaceable += 1
                 continue
             placed += 1
-            assert len(columns) == spec.num_cores
             _follows_the_spec(ts, spec)
             part, prio = ts.platform.partition, ts.platform.priority
             assert _column_rows(columns) == {
@@ -493,8 +553,9 @@ def test_drawn_columns_match_the_drawn_taskset_and_its_judge():
                        t.min_checks, part[t.id], prio[t.id])
                 for t in ts.tasks
             }
-            verdict = {s: bool(fit[0]) for s, fit in scheme_fits(batch.tasks, batch.placed).items()}
-            assert verdict == _three_tests(ts) == schedulable_schemes(ts)
+            verdict = {scheme: bool(batch.fits[level][0])
+                       for scheme, level in SCHEME_LEVELS.items()}
+            assert verdict == _three_tests(ts)
             seen.add((verdict["unsecured"], verdict["scate"], verdict["fine-grain"]))
     assert placed > len(SPLIT_SPECS) and unplaceable > 0
     assert seen == {(True, True, True), (True, True, False), (True, False, False)}

@@ -13,9 +13,8 @@ from oracles import (PartitionError, balanced_partition_by_response_bound, draw_
                      fits_at_level, stafford_one)
 from oracles import stafford as _stafford
 
-from selcheck.model import assignment_at, validate
+from selcheck.model import CoreColumns, assignment_at, validate
 from selcheck.schedulability import is_schedulable
-from selcheck.simulator import scheme_fits
 from selcheck.workload import (
     SCENARIO_COMMANDS,
     GenerationError,
@@ -306,8 +305,19 @@ def test_placement_admits_by_the_left_to_right_bound(wcet, deadline, periods, wc
     except PartitionError:
         expected = False
     assert expected == fits
-    core, placed = _place(period.astype(float), cost.astype(float), np.array([len(periods) + 1]), 1)
-    assert placed.tolist() == [fits]
+    no_checks = np.zeros_like(period)
+    _, verdicts = _place(period, cost, no_checks, no_checks, no_checks,
+                         np.array([len(periods) + 1]), 1)
+    assert verdicts["zero"].tolist() == [fits]
+
+
+def core_columns_by_core(ts, num_cores):
+    """A drawn Taskset's `core_columns` as the oracle draw lays them out: one
+    CoreColumns of lists per core, None for no Taskset."""
+    if ts is None:
+        return None
+    empty = CoreColumns(*[()] * len(CoreColumns._fields))
+    return [CoreColumns(*map(list, ts.core_columns.get(core, empty))) for core in range(num_cores)]
 
 
 @st.composite
@@ -336,13 +346,18 @@ def batch_cases(draw):
 @given(case=batch_cases())
 def test_batched_draw_matches_the_draw_of_each_slot(case):
     """Every slot of a batch gives the per-slot reference draw's columns, or
-    its None when unplaceable, and leaves its generator in the same state."""
+    its None when unplaceable, and its verdicts at min_checks and at full
+    checks, and leaves its generator in the same state."""
     specs, seed = case
     rngs = [taskset_rng(seed, slot) for slot in range(len(specs))]
     refs = [taskset_rng(seed, slot) for slot in range(len(specs))]
     batch = draw_batch(specs, rngs)
     for slot, (spec, rng, ref) in enumerate(zip(specs, rngs, refs)):
-        assert batch.columns(slot) == draw_columns_by_slot(spec, ref), (slot, spec)
+        columns = draw_columns_by_slot(spec, ref)
+        assert core_columns_by_core(batch.taskset(slot), spec.num_cores) == columns, (slot, spec)
+        for level in ("min", "full"):
+            expected = columns is not None and fits_at_level(columns, level)
+            assert batch.fits[level][slot] == expected, (slot, spec, level)
         assert rng.random() == ref.random()
 
 
@@ -358,8 +373,7 @@ def test_every_placed_draw_fits_at_zero_checks():
         batch = draw_batch(specs, rngs)
         placed = batch.placed.tolist()
         for slot, ok in enumerate(placed):
-            assert not ok or fits_at_level(batch.columns(slot), "zero")
-        assert scheme_fits(batch.tasks, batch.placed)["unsecured"].tolist() == placed
+            assert not ok or fits_at_level(batch.taskset(slot).core_columns.values(), "zero")
         placed_count += sum(placed)
         unplaced += len(placed) - sum(placed)
     assert placed_count > len(DRAW_SPECS) and unplaced > 0

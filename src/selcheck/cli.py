@@ -78,12 +78,17 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _read_spec(args) -> dict:
-    """The --spec document ({} without one): an object whose `scenario` is a
-    string and `buckets` a list of distinct integers; WorkloadSpec.check
-    checks the rest."""
+    """The --spec document ({} without one): an object with keys from
+    SPEC_FIELDS, `scenario` and `buckets` only, whose `scenario` is a string
+    and `buckets` a list of distinct integers; WorkloadSpec.check checks the
+    rest."""
     doc = json.loads(Path(args.spec).read_text()) if args.spec else {}
     if not isinstance(doc, dict):
         raise ValueError(f"a workload spec must be a JSON object, got {type(doc).__name__}")
+    unknown = [key for key in doc if key not in (*SPEC_FIELDS, "scenario", "buckets")]
+    if unknown:
+        raise ValueError(f"unknown spec key {unknown[0]!r}; a spec may set "
+                         f"{', '.join(SPEC_FIELDS)}, scenario and buckets")
     if not isinstance(doc.get("scenario", ""), str):
         raise ValueError(f"spec scenario must be a string, got {doc['scenario']!r}")
     buckets = doc.get("buckets", [])
@@ -119,7 +124,7 @@ def cmd_gen(args) -> int:
     for bucket, spec in zip(buckets, specs):
         paths = [(args.seed, 0, scenario_idx, bucket, index)
                  for index in range(args.tasksets_per_bucket)]
-        tasksets = workload.gen_tasksets(spec, [workload.taskset_rng(*path) for path in paths])
+        tasksets = workload.gen_tasksets(spec, list(workload.taskset_rngs(paths)))
         missed = []
         for index, (path, taskset) in enumerate(zip(paths, tasksets)):
             if taskset is None:

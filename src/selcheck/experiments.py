@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import io
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import attrgetter
@@ -27,7 +26,7 @@ from . import game as game_mod
 from .model import Taskset
 from .planner import Infeasible, assign_check_budgets, plan
 from .simulator import DEFAULT_MAX_JOBS, catch_mass, coverage_ratio, mean_detected_delay
-from .workload import NUM_BUCKETS, WorkloadSpec, draw_batches, taskset_rng
+from .workload import NUM_BUCKETS, WorkloadSpec, draw_batches, taskset_rngs
 
 SCENARIOS = ("medium", "high")
 
@@ -75,7 +74,7 @@ def _cell_draws(
     """One bucket's draws, drawn in batches: each draw's Taskset, None when
     it fits on no partition, and whether it fits with every command checked."""
     spec = replace(base, scenario=scenario, utilization_bucket=bucket, n_fixed=n_fixed)
-    rngs = (taskset_rng(base.seed, fig, scenario_idx, bucket, index) for index in range(count))
+    rngs = taskset_rngs((base.seed, fig, scenario_idx, bucket, index) for index in range(count))
     for batch in draw_batches([spec] * count, rngs):
         yield from zip(batch.tasksets(), batch.fits["full"].tolist())
 
@@ -103,7 +102,7 @@ def _acceptance_cells(cells) -> list[list[tuple[str, float, int]]]:
         specs += [replace(base, scenario=SCENARIOS[scenario_idx], utilization_bucket=bucket)] * count
         paths += [(base.seed, 8, scenario_idx, bucket, index) for index in range(count)]
     # map keeps each batch's verdicts and drops the batch before the next is drawn.
-    judged = list(map(attrgetter("fits"), draw_batches(specs, (taskset_rng(*p) for p in paths))))
+    judged = list(map(attrgetter("fits"), draw_batches(specs, taskset_rngs(paths))))
     owner = np.repeat(np.arange(len(cells)), [cell[3] for cell in cells])
     ok = {scheme: np.bincount(owner[np.concatenate([fits[level] for fits in judged])],
                               minlength=len(cells)).tolist()
@@ -154,6 +153,8 @@ def _run_cells(worker, cells, jobs: int) -> list:
     groups = min(jobs, len(cells))
     if groups <= 1:
         return worker(cells)
+    from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
+
     edges = [len(cells) * g // groups for g in range(groups + 1)]
     with ProcessPoolExecutor(max_workers=groups) as pool:
         parts = pool.map(worker, [cells[lo:hi] for lo, hi in zip(edges, edges[1:])])

@@ -42,12 +42,20 @@ MAX_BATCH.  `draw_taskset`, `gen_taskset` and `randfixedsum` are batches
 of one slot (or of one slot per sample); fig 8 counts a batch's verdicts
 directly, and `DrawBatch.taskset` builds the Task and Taskset objects of
 one slot from its rows for `gen`, figs 6 and 7 and library callers.
+
+A slot's generator comes from its (seed, figure, ...) path: `taskset_rngs`
+gives each path the PCG64 state `SeedSequence(path)` would seed, bit for
+bit, but hashes MAX_BATCH paths at a time as uint32 array operations
+(SeedSequence's hash runs the same constants for every entropy of one
+word count) and hands each state to numpy's own PCG64 seeding through the
+`ISeedSequence` interface.  `taskset_rng` is its one-path call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
@@ -520,6 +528,106 @@ def gen_taskset(
     return taskset
 
 
+# numpy's SeedSequence hash: a pool of four 32-bit words, the entropy mixed
+# in with the A constants, the state drawn out with the B constants.  A
+# PCG64 seeds itself from generate_state(4, np.uint64).
+_POOL_WORDS = 4
+_PCG64_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _entropy_words(path: Iterable[int]) -> list[int]:
+    """The uint32 entropy words SeedSequence makes of a path of ints: each
+    int's little-endian 32-bit words, 0 as one word; ValueError on a
+    negative int."""
+    words = []
+    for value in map(operator.index, path):
+        if value < 0:
+            raise ValueError(f"seed path entries must be non-negative, got {value}")
+        words.append(value & _MASK32)
+        while value := value >> 32:
+            words.append(value & _MASK32)
+    return words
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """`SeedSequence(row).generate_state(4, np.uint64)` for each row of a
+    (rows x w) uint32 entropy array, w >= 4.  Shorter entropy is
+    padded with zero words: SeedSequence mixes 0 into the pool's free words.
+    The hash constants run through the same sequence for every row, so each
+    step is one uint32 array operation, which wraps as SeedSequence's
+    uint32_t arithmetic does."""
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ h
+        h = h * _MULT_A & _MASK32
+        value *= h
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = x * _MIX_L - y * _MIX_R
+        return value ^ (value >> 16)
+
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_WORDS, entropy.shape[1]):
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    h = _INIT_B
+    state = np.empty((len(entropy), 2 * _PCG64_WORDS), dtype="<u4")
+    for i in range(2 * _PCG64_WORDS):
+        value = pool[i % _POOL_WORDS] ^ h
+        h = h * _MULT_B & _MASK32
+        value *= h
+        state[:, i] = value ^ (value >> 16)
+    return state.view("<u8").astype(np.uint64)
+
+
+class _SeedState:
+    """A seed sequence whose one answer is known: the state a PCG64 asks of
+    it.  `taskset_rngs` registers it as numpy's ISeedSequence, so that
+    importing this module leaves numpy.random unloaded."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != _PCG64_WORDS or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
+            raise ValueError("holds the 4 uint64 words of one PCG64 seed only")
+        return self.state
+
+
+def taskset_rngs(paths: Iterable[Iterable[int]]) -> Iterator[np.random.Generator]:
+    """One generator per (seed, ...) path, each in the state
+    `Generator(PCG64(SeedSequence(path)))` starts in.  The paths are taken
+    MAX_BATCH at a time and each chunk's seed states are hashed together,
+    one array pass per entropy word count; a generator is built only when
+    it is taken.  ValueError on a negative path entry."""
+    np.random.bit_generator.ISeedSequence.register(_SeedState)  # a no-op once registered
+    paths = iter(paths)
+    while chunk := [_entropy_words(path) for path in itertools.islice(paths, MAX_BATCH)]:
+        groups: dict[int, list[int]] = {}
+        for row, words in enumerate(chunk):
+            groups.setdefault(max(len(words), _POOL_WORDS), []).append(row)
+        state = np.empty((len(chunk), _PCG64_WORDS), dtype=np.uint64)
+        for width, rows in groups.items():
+            entropy = np.array([chunk[row] + [0] * (width - len(chunk[row])) for row in rows],
+                               dtype=np.uint32)
+            state[rows] = _seed_states(entropy)
+        for row in state:
+            yield np.random.Generator(np.random.PCG64(_SeedState(row)))
+
+
 def taskset_rng(seed: int, *path: int) -> np.random.Generator:
     """Deterministic generator for one (seed, ...) derivation path."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *path))))
+    return next(taskset_rngs([(seed, *path)]))

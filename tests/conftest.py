@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from selcheck.model import Platform, Task, Taskset
-from selcheck.workload import SCENARIO_COMMANDS, WorkloadSpec, draw_taskset, taskset_rng
+from selcheck.workload import SCENARIO_COMMANDS, WorkloadSpec, draw_taskset, taskset_rngs
 
 
 def make_task(tid="t0", wcet=2, period=10, deadline=None, n=3, n_min=1,
@@ -52,8 +52,7 @@ DRAW_SPECS = [
 
 def drawn_tasksets(per_spec=3):
     """per_spec draws for each of DRAW_SPECS; None marks an unplaceable draw."""
-    return [
-        draw_taskset(spec, taskset_rng(spec.seed, spec_idx, index))
-        for spec_idx, spec in enumerate(DRAW_SPECS)
-        for index in range(per_spec)
-    ]
+    specs = [spec for spec in DRAW_SPECS for _ in range(per_spec)]
+    paths = [(spec.seed, spec_idx, index)
+             for spec_idx, spec in enumerate(DRAW_SPECS) for index in range(per_spec)]
+    return [draw_taskset(spec, rng) for spec, rng in zip(specs, taskset_rngs(paths))]

@@ -157,6 +157,30 @@ def test_sweep_rejects_n_fixed_in_the_spec(tmp_path, capsys, fig):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("verb, doc, key", [
+    (["gen"], {"num_core": 1, "scenarios": "high", "buckets": [5]}, "num_core"),
+    (["sweep", "--fig", "8"], {"seed": 5}, "seed"),
+    (["sweep", "--fig", "6"], {"num_cores": 2, "utilization_bucket": 3}, "utilization_bucket"),
+])
+def test_an_unknown_spec_key_is_an_error_naming_it(tmp_path, capsys, verb, doc, key):
+    # A misspelt or unsupported key would otherwise fall back to its default.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([*verb, "--spec", str(spec), "--out", str(out), "--tasksets-per-bucket", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown spec key {key!r}")
+    assert not out.exists()
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # Only a sweep with more than one worker needs it.
+    code = "import sys, selcheck.cli; print('concurrent.futures.process' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
+
+
 def test_gen_honours_n_fixed(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"n_fixed": 8, "buckets": [2]}))

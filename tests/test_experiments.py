@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import pytest
 
 from conftest import make_task, make_taskset
@@ -154,7 +156,7 @@ def test_worker_groups_of_cells_give_the_sequential_bytes(tmp_path, monkeypatch)
             groups.append([[cell[1:3] for cell in part] for part in parts])
             return map(fn, parts)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     for jobs in (3, 10**6):
         for fig in (6, 7, 8):
             assert _fig_bytes(tmp_path, fig, jobs) == sequential[fig]
@@ -184,7 +186,7 @@ def test_pool_gets_at_most_one_worker_per_cell(monkeypatch):
         def map(self, fn, cells):
             return map(fn, cells)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     spec = WorkloadSpec(seed=3)
     assert sweep_acceptance(spec, tasksets_per_bucket=1, jobs=10**6) == sweep_acceptance(
         spec, tasksets_per_bucket=1

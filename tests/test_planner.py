@@ -150,6 +150,9 @@ GOLDEN_SHA256 = {
     "fig8_acceptance.csv": "f468c6753d1d10f559c1d69791e07c5a26b2df4601e6a4ea150792c733621090",
     # The same fig 8 run under the fixed-overhead preset.
     "freertos/fig8_acceptance.csv": "ff126c2404d5f2e8654e81d129c959d07206276c576a97bad5bebe9f7e810db8",
+    # fig 8 at a seed of three 32-bit entropy words (2**64 + 1).
+    "seed2**64+1/fig8_acceptance.csv":
+        "21774c31a1af5155411f2e945eb8195c2f9c64d90758572f70dae3720291a062",
     "plan.json": "060074dccf0bb79ee661f871e429cf365c800bc46b45112539ab52a8014634d4",
     "report.csv": "2e47766b4676ac6db5fa89b394a8a0ea0ba31a4e6c8370222f65ff1e04be60fe",
 }
@@ -165,6 +168,8 @@ def test_golden_sweep_and_plan_bytes(tmp_path):
                      "--out", str(tmp_path)]) == 0
     assert main(["sweep", "--fig", "8", "--seed", "3", "--tasksets-per-bucket", "4",
                  "--preset", "freertos", "--out", str(tmp_path / "freertos")]) == 0
+    assert main(["sweep", "--fig", "8", "--seed", str(2**64 + 1), "--tasksets-per-bucket", "4",
+                 "--out", str(tmp_path / "seed2**64+1")]) == 0
     assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "batch"), "--seed", "11",
                  "--tasksets-per-bucket", "1"]) == 0
     assert main(["plan", "--taskset", str(tmp_path / "batch" / "taskset_medium_b5_0000.json"),

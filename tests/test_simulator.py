@@ -34,6 +34,7 @@ from selcheck.workload import (
     _place,
     draw_batch,
     taskset_rng,
+    taskset_rngs,
 )
 
 
@@ -418,8 +419,8 @@ def _drawn_batches():
         shape = shapes.setdefault((spec.num_cores, spec.overhead_preset), ([], []))
         for index in range(3):
             shape[0].append(spec)
-            shape[1].append(taskset_rng(spec.seed, spec_idx, index))
-    return [draw_batch(specs, rngs) for specs, rngs in shapes.values()]
+            shape[1].append((spec.seed, spec_idx, index))
+    return [draw_batch(specs, taskset_rngs(paths)) for specs, paths in shapes.values()]
 
 
 def test_one_pass_judge_equals_three_tests_on_drawn_tasksets():

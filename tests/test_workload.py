@@ -16,6 +16,7 @@ from oracles import stafford as _stafford
 from selcheck.model import CoreColumns, assignment_at, validate
 from selcheck.schedulability import is_schedulable
 from selcheck.workload import (
+    MAX_BATCH,
     SCENARIO_COMMANDS,
     GenerationError,
     WorkloadSpec,
@@ -28,6 +29,7 @@ from selcheck.workload import (
     gen_tasksets,
     randfixedsum,
     taskset_rng,
+    taskset_rngs,
 )
 
 
@@ -349,8 +351,8 @@ def test_batched_draw_matches_the_draw_of_each_slot(case):
     its None when unplaceable, and its verdicts at min_checks and at full
     checks, and leaves its generator in the same state."""
     specs, seed = case
-    rngs = [taskset_rng(seed, slot) for slot in range(len(specs))]
-    refs = [taskset_rng(seed, slot) for slot in range(len(specs))]
+    rngs = list(taskset_rngs((seed, slot) for slot in range(len(specs))))
+    refs = list(taskset_rngs((seed, slot) for slot in range(len(specs))))
     batch = draw_batch(specs, rngs)
     for slot, (spec, rng, ref) in enumerate(zip(specs, rngs, refs)):
         columns = draw_columns_by_slot(spec, ref)
@@ -369,7 +371,7 @@ def test_every_placed_draw_fits_at_zero_checks():
     for shape_idx, shape in enumerate(shapes):
         specs = [spec for spec in DRAW_SPECS
                  if (spec.num_cores, str(spec.overhead_preset)) == shape for _ in range(3)]
-        rngs = [taskset_rng(5, 9, shape_idx, slot) for slot in range(len(specs))]
+        rngs = taskset_rngs((5, 9, shape_idx, slot) for slot in range(len(specs)))
         batch = draw_batch(specs, rngs)
         placed = batch.placed.tolist()
         for slot, ok in enumerate(placed):
@@ -392,3 +394,52 @@ def test_gen_tasksets_redraws_each_slot_from_its_own_generator():
             alone.append(None)
     assert batch == alone
     assert None in alone and any(alone)
+
+
+# Path entries at the edges of SeedSequence's 32-bit entropy words: one
+# word, two words, three words and more.
+WORD_EDGES = [0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64 - 1, 2**64, 2**64 + 1, 10**30]
+SEED_PATHS = st.lists(st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2**70)),
+                      min_size=1, max_size=6).map(tuple)
+
+
+def _seed_sequence_state(path):
+    return np.random.PCG64(np.random.SeedSequence(path)).state
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(paths=st.lists(SEED_PATHS, min_size=1, max_size=8))
+def test_taskset_rngs_start_in_the_seed_sequence_state(paths):
+    # One call mixes paths of different word counts.
+    rngs = list(taskset_rngs(paths))
+    assert [rng.bit_generator.state for rng in rngs] == list(map(_seed_sequence_state, paths))
+
+
+def test_taskset_rngs_hash_a_chunk_at_a_time_across_the_chunk_edge():
+    paths = [(2**64 + 1, 8, 1, bucket, index) for bucket in range(3) for index in range(171)]
+    assert len(paths) > 2 * MAX_BATCH
+    taken = []
+
+    def recorded():
+        for path in paths:
+            taken.append(path)
+            yield path
+
+    rngs = taskset_rngs(recorded())
+    first = next(rngs)
+    assert len(taken) == MAX_BATCH  # the first chunk only
+    states = [first.bit_generator.state] + [rng.bit_generator.state for rng in rngs]
+    assert states == list(map(_seed_sequence_state, paths))
+    assert taskset_rng(*paths[-1]).bit_generator.state == states[-1]
+
+
+def test_taskset_rngs_of_no_path_is_empty():
+    assert list(taskset_rngs([])) == []
+
+
+@pytest.mark.parametrize("path", [(-1,), (3, 0, -2), (2**64, -(2**40))])
+def test_a_negative_seed_path_entry_is_a_value_error(path):
+    with pytest.raises(ValueError, match="non-negative"):
+        list(taskset_rngs([(1, 2), path]))
+    with pytest.raises(ValueError, match="non-negative"):
+        taskset_rng(*path)

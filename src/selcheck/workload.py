@@ -629,5 +629,7 @@ def taskset_rngs(paths: Iterable[Iterable[int]]) -> Iterator[np.random.Generator
 
 
 def taskset_rng(seed: int, *path: int) -> np.random.Generator:
-    """Deterministic generator for one (seed, ...) derivation path."""
+    """Deterministic generator for one (seed, ...) derivation path: the
+    one-path `taskset_rngs`.  Its array pass costs about as much for one
+    path as for MAX_BATCH, so draw many slots through `taskset_rngs`."""
     return next(taskset_rngs([(seed, *path)]))

@@ -24,7 +24,6 @@ from .lp import LinearProgram, LpSolution, solve_lp
 from .game import (
     GameInstance,
     GameSolution,
-    build_game,
     enumerate_attacker_strategies,
     enumerate_designer_strategies,
     lp_for_attacker_strategy,
@@ -39,7 +38,7 @@ from .planner import (
     max_feasible_k,
     plan,
 )
-from .workload import WorkloadSpec, draw_taskset, gen_periods, gen_taskset, randfixedsum
+from .workload import WorkloadSpec, gen_tasksets, randfixedsum, taskset_rngs
 from .simulator import (
     AttackSpec,
     SimResult,

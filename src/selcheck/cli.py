@@ -60,10 +60,9 @@ def _commands(text: str) -> tuple[int, ...] | str:
 
 def _check_game_options(args) -> None:
     """--big-m and --epsilon must be usable even when no task needs a game."""
-    for name in ("big_m", "epsilon"):
-        value = getattr(args, name)
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    game.check_big_m(args.big_m)
+    if not (math.isfinite(args.epsilon) and args.epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {args.epsilon!r}")
 
 
 def _info(msg: str) -> None:
@@ -138,9 +137,9 @@ def cmd_gen(args) -> int:
             )
         if missed:
             unfilled += [{"bucket": bucket, "index": index} for index in missed]
-            reason = workload.GenerationError(spec, workload.RETRY_BUDGET)
             _info(f"warning: bucket {bucket}: {len(missed)} of {args.tasksets_per_bucket} "
-                  f"tasksets unfilled: {reason}")
+                  f"tasksets unfilled: no acceptable taskset in {workload.RETRY_BUDGET} draws "
+                  f"(bucket {bucket}, scenario {scenario})")
     if unfilled:
         manifest["unfilled"] = unfilled
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -312,8 +311,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, OverflowError, ValueError, KeyError, json.JSONDecodeError,
-            workload.GenerationError, game.GameInfeasibleError) as exc:
+    except (OSError, OverflowError, ValueError, KeyError, game.GameInfeasibleError) as exc:
         _info(f"error: {exc}")
         return EXIT_ERROR
 

@@ -46,14 +46,13 @@ before that, l is solved again from the start with cold rounds only, and
 that answer must pass instead.
 
 The solved strategy is the distribution of the lowest l whose objective
-is within OBJECTIVE_TIE_TOL of the best certified one.  Tied strategies
-(symmetric ones, say) agree only to the LPs' accuracy, so a tolerance
-far below that would let roundoff pick the winner.
+is within OBJECTIVE_TIE_TOL, scaled up with big_m, of the best certified
+one.  Tied strategies (symmetric ones, say) agree only to the LPs'
+accuracy, so a tolerance far below that would let roundoff pick the winner.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
@@ -61,16 +60,21 @@ from itertools import combinations
 import numpy as np
 
 from .lp import FEAS_TOL, ConstraintBlock, LinearProgram, LpSolution, add_rows, solve_lp
-from .model import Task
 
 DEFAULT_BIG_M = 100.0
 DEFAULT_EPSILON = 1e-6
 
-# Objectives closer than this are tied; ties break toward the lower index.
-# On 428 games (N = 2..8, equal and distinct weights) certified objectives
-# were within 7e-9 of HiGHS's, and no strategy came closer to the best
-# than 7e-5 unless tied with it to 1e-14.
+# Objectives closer than this, times big_m / DEFAULT_BIG_M above 1 (their
+# roundoff grows with big_m), are tied; ties break toward the lower index.
+# On 428 games (N = 2..8, equal and distinct weights, big_m = 100) certified
+# objectives were within 7e-9 of HiGHS's, and no strategy came closer to
+# the best than 7e-5 unless tied with it to 1e-14.
 OBJECTIVE_TIE_TOL = 10 * FEAS_TOL
+
+# The largest big_m a game takes: best-response cells reach 2 * big_m and a
+# row's floored-simplex peak sums up to C(11, 5) = 462 of them, which
+# overflows near 1e308; at 1e150 even a product of two such sums is finite.
+MAX_BIG_M = 1e150
 
 # Games on more commands are refused before anything is allocated.  One
 # equal-weight game took about 2.2 s at N = 10 (K = 5) and 11-15 s at
@@ -85,6 +89,12 @@ Strategy = tuple[int, ...]  # 1-based command indices, ascending
 
 class GameInfeasibleError(RuntimeError):
     """Raised when no attacker strategy admits a feasible checker LP."""
+
+
+def check_big_m(big_m: float) -> None:
+    """ValueError unless 0 < big_m <= MAX_BIG_M."""
+    if not 0 < big_m <= MAX_BIG_M:  # False for NaN
+        raise ValueError(f"big_m must be finite and positive, at most MAX_BIG_M = {MAX_BIG_M:g}; got {big_m!r}")
 
 
 def enumerate_designer_strategies(n: int, k: int) -> list[Strategy]:
@@ -131,8 +141,7 @@ def build_game_from_weights(
         raise ValueError("need at least one command")
     if not 1 <= k < n:
         raise ValueError(f"k={k} must satisfy 1 <= k < {n} (k = n needs no game)")
-    if not (math.isfinite(big_m) and big_m > 0):
-        raise ValueError(f"big_m must be finite and positive, got {big_m!r}")
+    check_big_m(big_m)
     attacker = enumerate_attacker_strategies(n)  # checks MAX_COMMANDS before any large array
     designer = enumerate_designer_strategies(n, k)
     # Attacker strategy l is command mask l.  Sum each mask's weights once,
@@ -161,14 +170,6 @@ def build_game_from_weights(
         cost=cost,
         big_m=big_m,
     )
-
-
-def build_game(task: Task, k: int, big_m: float = DEFAULT_BIG_M) -> GameInstance:
-    if task.num_commands < 1:
-        raise ValueError(f"task {task.id} issues no commands")
-    if k < task.min_checks:
-        raise ValueError(f"task {task.id}: k={k} below min_checks={task.min_checks}")
-    return build_game_from_weights(task.weights, k, big_m)
 
 
 def best_response_block(game: GameInstance, l: int, cost_t: np.ndarray | None = None) -> np.ndarray:
@@ -316,8 +317,8 @@ def _solve_by_row_generation(
 def solve_game(game: GameInstance, epsilon: float = DEFAULT_EPSILON) -> GameSolution:
     """Solve every attacker strategy's LP by row generation; keep the best.
 
-    The winner is the lowest l whose certified objective is within
-    OBJECTIVE_TIE_TOL of the best one (see the module docstring).
+    The winner is the lowest l whose certified objective is within the
+    tie tolerance of the best one (see the module docstring).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be strictly positive")
@@ -332,7 +333,8 @@ def solve_game(game: GameInstance, epsilon: float = DEFAULT_EPSILON) -> GameSolu
     if not answers:
         raise GameInfeasibleError("no attacker strategy admits a feasible checker LP")
     top = max(sol.objective for sol in answers.values())
-    best_l = min(l for l, sol in answers.items() if sol.objective >= top - OBJECTIVE_TIE_TOL)
+    tie_tol = OBJECTIVE_TIE_TOL * max(1.0, game.big_m / DEFAULT_BIG_M)
+    best_l = min(l for l, sol in answers.items() if sol.objective >= top - tie_tol)
     best = answers[best_l]
     return GameSolution(
         attacker_strategy=best_l,

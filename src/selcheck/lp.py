@@ -42,8 +42,6 @@ FEAS_TOL = 1e-6
 # any feasibility margin we classify on.
 PERTURB_SCALE = 1e-7
 
-RELATIONS = ("<=", ">=", "=")
-
 # Columns appended after the variables: exact rhs, then perturbed rhs.
 _TRUE = -2
 _PERT = -1

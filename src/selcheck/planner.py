@@ -150,7 +150,7 @@ def plan(
         else:
             key = (t.weights, k, big_m, epsilon)
             if key not in games:
-                instance = game_mod.build_game(t, k, big_m)
+                instance = game_mod.build_game_from_weights(t.weights, k, big_m)
                 games[key] = (instance.designer_strategies, game_mod.solve_game(instance, epsilon))
             strategies, solution = games[key]
             entries[t.id] = TaskPlan(

@@ -104,12 +104,6 @@ class ResponseTimeReport:
     entries: tuple[TaskTiming, ...]
     schedulable: bool
 
-    def entry(self, task_id) -> TaskTiming:
-        for e in self.entries:
-            if e.task_id == task_id:
-                return e
-        raise KeyError(task_id)
-
 
 def _core_checks(taskset: Taskset,
                  assignment: CheckAssignment) -> list[tuple[CoreColumns, list[int]]]:

@@ -38,17 +38,16 @@ batch it is drawn in:
   placed task's bound at min_checks and at N checks on its core, so a
   batch carries every slot's verdict at the three uniform check levels.
 `draw_batches` splits a long run of slots into even batches of at most
-MAX_BATCH.  `draw_taskset`, `gen_taskset` and `randfixedsum` are batches
-of one slot (or of one slot per sample); fig 8 counts a batch's verdicts
-directly, and `DrawBatch.taskset` builds the Task and Taskset objects of
-one slot from its rows for `gen`, figs 6 and 7 and library callers.
+MAX_BATCH.  Fig 8 counts a batch's verdicts directly, and
+`DrawBatch.taskset` builds the Task and Taskset objects of one slot from
+its rows for `gen`, figs 6 and 7 and library callers.
 
 A slot's generator comes from its (seed, figure, ...) path: `taskset_rngs`
 gives each path the PCG64 state `SeedSequence(path)` would seed, bit for
 bit, but hashes MAX_BATCH paths at a time as uint32 array operations
 (SeedSequence's hash runs the same constants for every entropy of one
 word count) and hands each state to numpy's own PCG64 seeding through the
-`ISeedSequence` interface.  `taskset_rng` is its one-path call.
+`ISeedSequence` interface.
 """
 
 from __future__ import annotations
@@ -86,14 +85,6 @@ MAX_BATCH = 256
 
 # Periods and wcets are exact integers in a double up to this bound.
 MAX_PERIOD_US = 2**53
-
-
-class GenerationError(RuntimeError):
-    """Retry budget exhausted without producing an acceptable taskset."""
-
-    def __init__(self, spec: WorkloadSpec, retry_budget: int):
-        super().__init__(f"no acceptable taskset in {retry_budget} draws "
-                         f"(bucket {spec.utilization_bucket}, scenario {spec.scenario})")
 
 
 @dataclass(frozen=True)
@@ -269,13 +260,6 @@ def _periods(logs: np.ndarray, lo: int, hi: int, out: np.ndarray | None = None) 
     """Periods from log-uniform draws: exp, rounded half to even, clipped to [lo, hi]."""
     out = np.exp(logs, out=out)
     return np.clip(np.rint(out, out=out), lo, hi, out=out)
-
-
-def gen_periods(n: int, lo: int, hi: int, rng: np.random.Generator) -> list[int]:
-    """n log-uniform periods in [lo, hi], rounded to integer time units."""
-    if not 0 < lo <= hi:
-        raise ValueError("bad period range")
-    return _periods(rng.uniform(math.log(lo), math.log(hi), size=n), lo, hi).astype(int).tolist()
 
 
 # The uniform check levels every drawn slot is judged at: no checks, each
@@ -484,11 +468,6 @@ def draw_batches(specs: Sequence[WorkloadSpec],
         yield draw_batch(specs[lo:hi], itertools.islice(rngs, hi - lo))
 
 
-def draw_taskset(spec: WorkloadSpec, rng: np.random.Generator) -> Taskset | None:
-    """One draw with no retry: None when it fits on no partition."""
-    return draw_batch([spec], [rng]).taskset(0)
-
-
 def gen_tasksets(
     spec: WorkloadSpec,
     rngs: Sequence[np.random.Generator],
@@ -512,20 +491,6 @@ def gen_tasksets(
             out[i] = taskset
         pending = [i for i in pending if out[i] is None]
     return out
-
-
-def gen_taskset(
-    spec: WorkloadSpec,
-    rng: np.random.Generator,
-    retry_budget: int = RETRY_BUDGET,
-) -> Taskset:
-    """One random taskset for the spec's bucket and scenario (`gen_tasksets`
-    for one generator); GenerationError when every draw fails."""
-    spec.check()
-    taskset = gen_tasksets(spec, [rng], retry_budget)[0]
-    if taskset is None:
-        raise GenerationError(spec, retry_budget)
-    return taskset
 
 
 # numpy's SeedSequence hash: a pool of four 32-bit words, the entropy mixed
@@ -626,10 +591,3 @@ def taskset_rngs(paths: Iterable[Iterable[int]]) -> Iterator[np.random.Generator
             state[rows] = _seed_states(entropy)
         for row in state:
             yield np.random.Generator(np.random.PCG64(_SeedState(row)))
-
-
-def taskset_rng(seed: int, *path: int) -> np.random.Generator:
-    """Deterministic generator for one (seed, ...) derivation path: the
-    one-path `taskset_rngs`.  Its array pass costs about as much for one
-    path as for MAX_BATCH, so draw many slots through `taskset_rngs`."""
-    return next(taskset_rngs([(seed, *path)]))

@@ -30,7 +30,7 @@ from selcheck.model import assignment_at
 from selcheck.planner import CheckPlan, Infeasible, TaskPlan, assign_check_budgets, max_feasible_k
 from selcheck.schedulability import TIME_TOL
 from selcheck.simulator import AttackSpec, catch_mass, run_detection_experiment
-from selcheck.workload import WorkloadSpec, gen_taskset, randfixedsum, taskset_rng
+from selcheck.workload import WorkloadSpec, gen_tasksets, randfixedsum, taskset_rngs
 
 SEED = 0
 
@@ -122,9 +122,10 @@ def test_criterion_04_binary_search_equals_linear_scan():
     """max_feasible_k agrees with an exhaustive scan on 100 generated tasksets."""
     started = time.monotonic()
     checked = 0
-    for idx in range(100):
+    for idx, rng in enumerate(taskset_rngs((SEED, 40, idx) for idx in range(100))):
         spec = WorkloadSpec(utilization_bucket=idx % 7, scenario="medium", seed=SEED)
-        ts = gen_taskset(spec, taskset_rng(SEED, 40, idx))
+        ts = gen_tasksets(spec, [rng])[0]
+        assert ts is not None
         budgets = assign_check_budgets(ts)
         if isinstance(budgets, Infeasible):
             continue

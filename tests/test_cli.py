@@ -208,6 +208,15 @@ def test_readme_command_lines_parse():
         build_parser().parse_args(shlex.split(line)[1:])
 
 
+def test_readme_library_example_runs(capsys):
+    """The README's `## Library` block runs as written and prints its two numbers."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    mean_delay, p99 = capsys.readouterr().out.split()
+    assert float(mean_delay) >= 1.0 and int(p99) >= 1
+
+
 def test_plan_rover_shape(tmp_path):
     """5 Hz controller with the heavyweight overhead preset: K is forced to 2 of 4."""
     ts = tmp_path / "rover.json"
@@ -524,6 +533,22 @@ def test_plan_rejects_non_finite_big_m(tmp_path, big_m):
     assert "error: big_m must be finite and positive" in res.stderr
     assert "Traceback" not in res.stderr
     assert not (tmp_path / "p.json").exists()
+
+
+@pytest.mark.parametrize("big_m, code", [("1e150", 0), ("1.0000000000000002e150", 1), ("1e308", 1)])
+def test_plan_takes_big_m_up_to_its_cap(tmp_path, capsys, big_m, code):
+    """1e308 used to overflow the game and exit on numpy's argmin of an empty
+    sequence; the cap is MAX_BIG_M = 1e150, named in the error."""
+    ts = tmp_path / "ts.json"
+    write_taskset(ts)  # K* = 2 of 4, so a game is built
+    out = tmp_path / "p.json"
+    assert main(["plan", "--taskset", str(ts), "--big-m", big_m, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert "error: big_m must be finite and positive, at most MAX_BIG_M = 1e+150;" in err
+        assert not out.exists()
+    else:
+        assert json.loads(out.read_text())["tasks"][0]["k_star"] == 2
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
 import hashlib
+import math
+import re
 import time
 
 import numpy as np
@@ -6,15 +8,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_task
 from oracles import game_lp_vertex_optimum, highs_objective, highs_objectives, reward_cost, reward_cost_by_cases, tie_rule
 
 from selcheck.game import (
+    MAX_BIG_M,
     MAX_COMMANDS,
     OBJECTIVE_TIE_TOL,
     GameInfeasibleError,
     best_response_block,
-    build_game,
     build_game_from_weights,
     certified,
     enumerate_attacker_strategies,
@@ -94,11 +95,6 @@ def test_build_game_rejects_full_and_out_of_range_k():
         build_game_from_weights((1.0,), 1)  # k == N: no game needed
     with pytest.raises(ValueError):
         build_game_from_weights((1.0, 1.0), 0)
-    task = make_task(n=3, n_min=2)
-    with pytest.raises(ValueError):
-        build_game(task, 1)  # below min_checks
-    with pytest.raises(ValueError):
-        build_game(make_task(n=0, n_min=0, weights=()), 1)
 
 
 @pytest.mark.parametrize("big_m", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
@@ -106,6 +102,28 @@ def test_build_game_rejects_non_finite_or_non_positive_big_m(big_m):
     # a NaN or infinite big_m used to send the simplex to its iteration limit
     with pytest.raises(ValueError, match="big_m"):
         build_game_from_weights((1.0, 1.0, 1.0), 2, big_m=big_m)
+
+
+def test_big_m_is_capped_where_no_game_sum_can_overflow():
+    """At MAX_BIG_M a game solves to a finite answer; just above it the
+    check names the cap.  Near 1e308 the game's sums overflowed, and the
+    solve ended on numpy's argmin of an empty sequence."""
+    sol = solve_game(build_game_from_weights((1.0,) * 4, 1, big_m=MAX_BIG_M))
+    assert math.isfinite(sol.objective) and sol.attacker_strategy == 1
+    for big_m in (math.nextafter(MAX_BIG_M, math.inf), 9e307):
+        with pytest.raises(ValueError, match=re.escape(f"at most MAX_BIG_M = {MAX_BIG_M:g}")):
+            build_game_from_weights((1.0,) * 4, 1, big_m=big_m)
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (4, 1), (4, 2), (4, 3), (5, 2), (5, 3), (6, 2), (6, 3)])
+def test_ties_break_toward_the_lowest_index_at_any_big_m(n, k):
+    """With equal weights every attacker strategy of one size ties with the
+    others of its size, so the winner must be the lowest of them: the mask of
+    commands 1..p.  With a tie tolerance that did not grow with big_m,
+    roundoff picked another (N = 3, K = 1 at 1e12 gave l* = 6, not 3)."""
+    for big_m in [10.0**e for e in range(2, 40, 2)]:
+        l = solve_game(build_game_from_weights((1.0,) * n, k, big_m)).attacker_strategy
+        assert l == (1 << bin(l).count("1")) - 1, (big_m, l)
 
 
 def test_lp_for_attacker_strategy_shape():

@@ -20,7 +20,7 @@ from selcheck.model import (
     taskset_to_dict,
     validate,
 )
-from selcheck.workload import NUM_BUCKETS, SCENARIO_COMMANDS, WorkloadSpec, draw_taskset, taskset_rng
+from selcheck.workload import NUM_BUCKETS, SCENARIO_COMMANDS, WorkloadSpec, draw_batch, taskset_rngs
 
 
 def test_valid_taskset_has_no_violations():
@@ -171,7 +171,7 @@ def ranked_drawn_tasksets(draw):
     spec = WorkloadSpec(num_cores=draw(st.sampled_from((1, 4))),
                         utilization_bucket=draw(st.integers(0, NUM_BUCKETS - 1)),
                         scenario=draw(st.sampled_from(sorted(SCENARIO_COMMANDS))), seed=0)
-    ts = draw_taskset(spec, taskset_rng(draw(st.integers(0, 2**32 - 1))))
+    ts = draw_batch([spec], taskset_rngs([(draw(st.integers(0, 2**32 - 1)),)])).taskset(0)
     assume(ts is not None)
     ids = [t.id for t in ts.tasks]
     ranks = draw(st.permutations([ts.platform.priority[i] for i in ids]))

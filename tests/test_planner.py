@@ -21,7 +21,7 @@ from selcheck.planner import (
     TaskPlan,
 )
 from selcheck.schedulability import TIME_TOL, is_schedulable
-from selcheck.workload import NUM_BUCKETS, WorkloadSpec, draw_taskset, gen_taskset, taskset_rng
+from selcheck.workload import NUM_BUCKETS, WorkloadSpec, draw_batch, gen_tasksets, taskset_rngs
 
 
 def test_max_feasible_k_upper_boundary():
@@ -56,9 +56,9 @@ def _linear_scan(task, taskset, fixed):
 
 def test_max_feasible_k_equals_linear_scan_on_generated_tasksets():
     checked = 0
-    for idx in range(20):
+    for idx, rng in enumerate(taskset_rngs((42, 5, idx) for idx in range(20))):
         spec = WorkloadSpec(utilization_bucket=idx % 7, scenario="medium", seed=42)
-        ts = gen_taskset(spec, taskset_rng(42, 5, idx))
+        ts, = gen_tasksets(spec, [rng])
         assignment = assignment_at(ts, "min")
         if isinstance(assign_check_budgets(ts), Infeasible):
             continue
@@ -123,10 +123,11 @@ def test_max_feasible_k_confirm_step_corrects_roundoff(taskset, expected):
 @pytest.mark.parametrize("scenario", ["medium", "high"])
 def test_budgets_infeasible_exactly_when_min_checks_unschedulable(scenario):
     outcomes = set()
+    rngs = taskset_rngs((17, 2, bucket, index) for bucket in range(NUM_BUCKETS) for index in range(6))
     for bucket in range(NUM_BUCKETS):
         spec = WorkloadSpec(num_cores=4, utilization_bucket=bucket, scenario=scenario, seed=17)
         for index in range(6):
-            ts = draw_taskset(spec, taskset_rng(17, 2, bucket, index))
+            ts = draw_batch([spec], [next(rngs)]).taskset(0)
             if ts is None:
                 continue
             at_min = is_schedulable(ts, assignment_at(ts, "min"))
@@ -317,7 +318,7 @@ def test_plan_solves_a_game_shared_by_tasks_once(monkeypatch):
     assert solves == [((1.0,) * 5, 2)]
     assert list(memo) == [((1.0,) * 5, 2, game.DEFAULT_BIG_M, game.DEFAULT_EPSILON)]
     for t in tasks:
-        instance = game.build_game(t, 2)
+        instance = game.build_game_from_weights(t.weights, 2)
         alone = real_solve(instance, game.DEFAULT_EPSILON)
         assert result.tasks[t.id] == TaskPlan(
             task_id=t.id, num_commands=5, k_star=2, strategies=instance.designer_strategies,
@@ -343,7 +344,7 @@ def test_full_plan_on_generated_multicore_taskset(tmp_path):
     from math import comb
 
     spec = WorkloadSpec(utilization_bucket=5, scenario="medium", seed=21)
-    ts = gen_taskset(spec, taskset_rng(21, 0, 5, 0))
+    ts, = gen_tasksets(spec, list(taskset_rngs([(21, 0, 5, 0)])))
     result = plan(ts)
     assert isinstance(result, CheckPlan)
     assert set(result.tasks) == {t.id for t in ts.tasks}

@@ -6,8 +6,13 @@ from selcheck.model import assignment_at
 from selcheck.schedulability import analyze, is_schedulable, report_csv, tee_wcet
 
 
+def entry(report, task_id):
+    """The report's TaskTiming for task_id."""
+    return next(e for e in report.entries if e.task_id == task_id)
+
+
 def checked_bound(ts, task_id, assignment):
-    return analyze(ts, assignment).entry(task_id).response_time_checked
+    return entry(analyze(ts, assignment), task_id).response_time_checked
 
 
 def two_task_core():
@@ -55,9 +60,9 @@ def test_overhead_identity_and_miss_condition():
     ts = two_task_core()
     lo = task_by_id(ts, "lo")
     assignment = {"hi": 1, "lo": 2}
-    o = analyze(ts, assignment).entry("lo").overhead
+    o = entry(analyze(ts, assignment), "lo").overhead
     assert o == pytest.approx(11.0 - 5.5)
-    assert analyze(ts, {"hi": 0, "lo": 0}).entry("lo").overhead == 0.0
+    assert entry(analyze(ts, {"hi": 0, "lo": 0}), "lo").overhead == 0.0
     # deadline missed iff O > D - R
     vanilla = checked_bound(ts, "lo", assignment_at(ts, "zero"))
     assert (o > lo.deadline - vanilla) == (checked_bound(ts, "lo", assignment) > lo.deadline)
@@ -84,10 +89,10 @@ def test_overhead_identity_on_random_inputs(rng):
         assignment = {t.id: int(rng.integers(0, t.num_commands + 1)) for t in tasks}
         report = analyze(ts, assignment)
         for t in tasks:
-            r_tee = report.entry(t.id).response_time_checked
+            r_tee = entry(report, t.id).response_time_checked
             r = checked_bound(ts, t.id, assignment_at(ts, "zero"))
-            assert report.entry(t.id).response_time == r
-            o = report.entry(t.id).overhead
+            assert entry(report, t.id).response_time == r
+            o = entry(report, t.id).overhead
             assert abs(o - (r_tee - r)) < 1e-9
             assert r_tee >= r
 
@@ -137,6 +142,6 @@ def test_report_csv_format():
     assert lines[0] == "task,R,R_TEE,O,deadline,schedulable"
     assert len(lines) == 3
     assert not report.schedulable
-    entry = report.entry("lo")
-    assert entry.response_time_checked == pytest.approx(11.0)
-    assert entry.schedulable is False
+    lo = entry(report, "lo")
+    assert lo.response_time_checked == pytest.approx(11.0)
+    assert lo.schedulable is False

@@ -33,7 +33,6 @@ from selcheck.workload import (
     WorkloadSpec,
     _place,
     draw_batch,
-    taskset_rng,
     taskset_rngs,
 )
 
@@ -537,27 +536,30 @@ def test_drawn_columns_match_the_drawn_taskset_and_its_judge():
 
     seen = set()
     placed = unplaceable = 0
-    for spec_idx, spec in enumerate(SPLIT_SPECS):
-        for index in range(3):
-            batch = draw_batch([spec], [taskset_rng(spec.seed, spec_idx, index)])
-            columns = draw_columns_by_slot(spec, taskset_rng(spec.seed, spec_idx, index))
-            ts = batch.taskset(0)
-            assert core_columns_by_core(ts, spec.num_cores) == columns, (spec, index)
-            if ts is None:
-                unplaceable += 1
-                continue
-            placed += 1
-            _follows_the_spec(ts, spec)
-            part, prio = ts.platform.partition, ts.platform.priority
-            assert _column_rows(columns) == {
-                t.id: (t.wcet, t.period, t.deadline, t.check_overhead, t.num_commands,
-                       t.min_checks, part[t.id], prio[t.id])
-                for t in ts.tasks
-            }
-            verdict = {scheme: bool(batch.fits[level][0])
-                       for scheme, level in SCHEME_LEVELS.items()}
-            assert verdict == _three_tests(ts)
-            seen.add((verdict["unsecured"], verdict["scate"], verdict["fine-grain"]))
+    paths = [(spec.seed, spec_idx, index) for spec_idx, spec in enumerate(SPLIT_SPECS)
+             for index in range(3)]
+    rngs = list(taskset_rngs(paths * 2))  # each path twice: the batch's draw and the reference's
+    specs = [spec for spec in SPLIT_SPECS for _ in range(3)]
+    for (_, _, index), spec, rng, ref in zip(paths, specs, rngs, rngs[len(paths):]):
+        batch = draw_batch([spec], [rng])
+        columns = draw_columns_by_slot(spec, ref)
+        ts = batch.taskset(0)
+        assert core_columns_by_core(ts, spec.num_cores) == columns, (spec, index)
+        if ts is None:
+            unplaceable += 1
+            continue
+        placed += 1
+        _follows_the_spec(ts, spec)
+        part, prio = ts.platform.partition, ts.platform.priority
+        assert _column_rows(columns) == {
+            t.id: (t.wcet, t.period, t.deadline, t.check_overhead, t.num_commands,
+                   t.min_checks, part[t.id], prio[t.id])
+            for t in ts.tasks
+        }
+        verdict = {scheme: bool(batch.fits[level][0])
+                   for scheme, level in SCHEME_LEVELS.items()}
+        assert verdict == _three_tests(ts)
+        seen.add((verdict["unsecured"], verdict["scate"], verdict["fine-grain"]))
     assert placed > len(SPLIT_SPECS) and unplaceable > 0
     assert seen == {(True, True, True), (True, True, False), (True, False, False)}
 

@@ -18,17 +18,12 @@ from selcheck.schedulability import is_schedulable
 from selcheck.workload import (
     MAX_BATCH,
     SCENARIO_COMMANDS,
-    GenerationError,
     WorkloadSpec,
     _place,
     _stafford_rows,
     draw_batch,
-    draw_taskset,
-    gen_periods,
-    gen_taskset,
     gen_tasksets,
     randfixedsum,
-    taskset_rng,
     taskset_rngs,
 )
 
@@ -68,13 +63,19 @@ def test_randfixedsum_coordinates_exchangeable(rng):
     assert stat.pvalue > 0.01
 
 
-def test_gen_periods_degenerate_range(rng):
-    assert gen_periods(5, 10, 10, rng) == [10] * 5
+def test_gen_periods_degenerate_range():
+    spec = WorkloadSpec(num_cores=1, tasks_min=5, tasks_max=5, period_min_us=10,
+                        period_max_us=10, n_fixed=1)
+    batch = draw_batch([spec], taskset_rngs([(1234,)]))
+    assert batch.tasks.period[0].tolist() == [10] * 5
 
 
-def test_gen_periods_bounds_and_median(rng):
-    periods = gen_periods(100_000, 10_000, 1_000_000, rng)
-    assert min(periods) >= 10_000 and max(periods) <= 1_000_000
+def test_gen_periods_bounds_and_median():
+    """Periods are log-uniform over the range: their median is its geometric mean."""
+    spec = WorkloadSpec(num_cores=1, tasks_min=40, tasks_max=40, n_fixed=1)
+    batch = draw_batch([spec] * 2500, taskset_rngs((1234, slot) for slot in range(2500)))
+    periods = batch.tasks.period
+    assert periods.min() >= 10_000 and periods.max() <= 1_000_000
     median = float(np.median(periods))
     assert abs(median - 100_000) / 100_000 < 0.05  # geometric mean of the range
 
@@ -98,7 +99,7 @@ def test_bucket_utilization_range():
 
 def test_gen_taskset_valid_and_in_scenario():
     spec = WorkloadSpec(utilization_bucket=3, scenario="medium", seed=7)
-    ts = gen_taskset(spec, taskset_rng(7, 0, 3, 0))
+    ts, = gen_tasksets(spec, list(taskset_rngs([(7, 0, 3, 0)])))
     assert validate(ts) == []
     lo, hi = SCENARIO_COMMANDS["medium"]
     for t in ts.tasks:
@@ -116,42 +117,41 @@ def test_gen_taskset_valid_and_in_scenario():
 
 
 def test_gen_taskset_vanilla_schedulable_by_construction():
-    for bucket in (0, 2, 4, 6):
+    rngs = list(taskset_rngs((3, 1, bucket, 0) for bucket in (0, 2, 4, 6)))
+    for bucket, rng in zip((0, 2, 4, 6), rngs):
         spec = WorkloadSpec(utilization_bucket=bucket, scenario="high", seed=3)
-        ts = gen_taskset(spec, taskset_rng(3, 1, bucket, 0))
+        ts, = gen_tasksets(spec, [rng])
         assert is_schedulable(ts, assignment_at(ts, "zero"))
 
 
 def test_gen_taskset_reproducible():
     spec = WorkloadSpec(utilization_bucket=4, scenario="medium", seed=11)
-    a = gen_taskset(spec, taskset_rng(11, 0, 4, 0))
-    b = gen_taskset(spec, taskset_rng(11, 0, 4, 0))
-    assert a == b
+    a, b = gen_tasksets(spec, list(taskset_rngs([(11, 0, 4, 0)] * 2)))
+    assert a is not None and a == b
 
 
 def test_gen_taskset_overhead_preset():
     spec = WorkloadSpec(utilization_bucket=0, scenario="medium", seed=5,
                         overhead_preset="freertos")
-    ts = gen_taskset(spec, taskset_rng(5, 0, 0, 0))
+    ts, = gen_tasksets(spec, list(taskset_rngs([(5, 0, 0, 0)])))
     assert all(t.check_overhead == 2_000 for t in ts.tasks)
 
 
 def test_gen_taskset_exhausts_retries_at_saturation():
     spec = WorkloadSpec(utilization_bucket=9, scenario="high", seed=1)
-    with pytest.raises(GenerationError):
-        gen_taskset(spec, taskset_rng(1, 1, 9, 0), retry_budget=5)
+    assert gen_tasksets(spec, list(taskset_rngs([(1, 1, 9, 0)])), retry_budget=5) == [None]
 
 
 def test_draw_taskset_returns_none_when_unplaceable():
     spec = WorkloadSpec(utilization_bucket=9, scenario="high", seed=1)
-    rng = taskset_rng(1, 1, 9, 0)
-    outcomes = {draw_taskset(spec, rng) is None for _ in range(10)}
+    rng, = taskset_rngs([(1, 1, 9, 0)])
+    outcomes = {draw_batch([spec], [rng]).taskset(0) is None for _ in range(10)}
     assert True in outcomes  # bucket 9 draws mostly fit on no partition
 
 
 def test_n_fixed_overrides_scenario():
     spec = WorkloadSpec(utilization_bucket=1, scenario="medium", n_fixed=5, seed=2)
-    ts = gen_taskset(spec, taskset_rng(2, 2, 1, 0))
+    ts, = gen_tasksets(spec, list(taskset_rngs([(2, 2, 1, 0)])))
     assert all(t.num_commands == 5 for t in ts.tasks)
 
 
@@ -382,16 +382,12 @@ def test_every_placed_draw_fits_at_zero_checks():
 
 
 def test_gen_tasksets_redraws_each_slot_from_its_own_generator():
-    """A batch of slots retried in rounds gives each slot what gen_taskset
+    """A batch of slots retried in rounds gives each slot what gen_tasksets
     gives it alone, and None where every draw of the budget failed."""
     spec = WorkloadSpec(num_cores=1, tasks_min=1, tasks_max=4, n_fixed=3, utilization_bucket=9)
-    batch = gen_tasksets(spec, [taskset_rng(4, i) for i in range(8)], retry_budget=6)
-    alone = []
-    for i in range(8):
-        try:
-            alone.append(gen_taskset(spec, taskset_rng(4, i), retry_budget=6))
-        except GenerationError:
-            alone.append(None)
+    rngs = list(taskset_rngs([(4, i) for i in range(8)] * 2))  # each path twice
+    batch = gen_tasksets(spec, rngs[:8], retry_budget=6)
+    alone = [gen_tasksets(spec, [rng], retry_budget=6)[0] for rng in rngs[8:]]
     assert batch == alone
     assert None in alone and any(alone)
 
@@ -430,7 +426,6 @@ def test_taskset_rngs_hash_a_chunk_at_a_time_across_the_chunk_edge():
     assert len(taken) == MAX_BATCH  # the first chunk only
     states = [first.bit_generator.state] + [rng.bit_generator.state for rng in rngs]
     assert states == list(map(_seed_sequence_state, paths))
-    assert taskset_rng(*paths[-1]).bit_generator.state == states[-1]
 
 
 def test_taskset_rngs_of_no_path_is_empty():
@@ -442,4 +437,4 @@ def test_a_negative_seed_path_entry_is_a_value_error(path):
     with pytest.raises(ValueError, match="non-negative"):
         list(taskset_rngs([(1, 2), path]))
     with pytest.raises(ValueError, match="non-negative"):
-        taskset_rng(*path)
+        next(taskset_rngs([path]))

@@ -33,6 +33,9 @@ from .model import CheckAssignment, CoreColumns, Task, Taskset
 # Absolute tolerance for comparing the (non-integral) bound to deadlines.
 TIME_TOL = 1e-9
 
+# Four units in the last place of 1.0: `admits`' rounding margin per term.
+_FOUR_EPS = 4.0 * np.finfo(float).eps
+
 
 def tee_wcet(task: Task, k: int) -> int:
     """Execution time with k checked commands: C + k * C^o."""
@@ -58,8 +61,7 @@ def response_bound(wcet: int, deadline: int, periods: Sequence[int], wcets: Sequ
 
 
 def admits(wcet: np.ndarray, deadline: np.ndarray, held: np.ndarray, load: np.ndarray,
-           members: np.ndarray, exact: Callable[..., float],
-           among: np.ndarray | bool = True) -> np.ndarray:
+           members: np.ndarray, exact: Callable[..., float]) -> np.ndarray:
     """Elementwise `response_bound(...) <= deadline + TIME_TOL`, for tasks
     whose `members` higher-priority tasks' execution times sum to `held` and
     their utilizations C_h / T_h to `load`.
@@ -67,15 +69,18 @@ def admits(wcet: np.ndarray, deadline: np.ndarray, held: np.ndarray, load: np.nd
     The bound is wcet + held + deadline * load.  Either way of summing n
     positive terms is off from the exact value by at most about (n + 3)
     units in the last place, so where the closed form lies within four
-    times that of the limit, `exact(*index)` (the task's `response_bound`)
-    gives the answer.  Entries outside `among` are not confirmed.
+    times that of the limit, `exact(*index)` (the task's `response_bound`,
+    or inf where no answer is needed) gives the answer.
     """
     bound = (wcet + held) + deadline * load
-    margin = (members + 4.0) * (4.0 * np.finfo(float).eps) * bound
-    limit = np.broadcast_to(deadline + TIME_TOL, bound.shape)
+    margin = (members + 4.0) * _FOUR_EPS * bound
+    limit = deadline + TIME_TOL
     ok = bound + margin <= limit
-    for index in zip(*np.nonzero(~ok & (bound - margin <= limit) & among)):
-        ok[index] = exact(*index) <= limit[index]
+    unsure = np.nonzero(ok < (bound - margin <= limit))  # within the margin
+    if unsure[0].size:
+        limit = np.broadcast_to(limit, bound.shape)
+        for index in zip(*unsure):
+            ok[index] = exact(*index) <= limit[index]
     return ok
 
 
@@ -102,7 +107,6 @@ class TaskTiming:
 @dataclass(frozen=True)
 class ResponseTimeReport:
     entries: tuple[TaskTiming, ...]
-    schedulable: bool
 
 
 def _core_checks(taskset: Taskset,
@@ -140,9 +144,7 @@ def analyze(taskset: Taskset, assignment: CheckAssignment) -> ResponseTimeReport
                     schedulable=r_checked <= deadline + TIME_TOL,
                 )
             )
-    return ResponseTimeReport(
-        entries=tuple(entries), schedulable=all(e.schedulable for e in entries)
-    )
+    return ResponseTimeReport(entries=tuple(entries))
 
 
 def is_schedulable(taskset: Taskset, assignment: CheckAssignment) -> bool:

@@ -12,17 +12,22 @@ checking overhead; packing cores to capacity instead would leave the
 loaded cores no headroom for checks at all.
 
 Tasksets are drawn in batches (`draw_batch`), one slot per taskset, each
-slot with its own generator.  A slot's generator makes these draws, in
-this order: the task count m (`integers`), the total utilization
-(`uniform`), for m >= 2 the fixed-sum sample's 3m - 2 uniforms (`random`:
-the walk's transitions, its positions inside the simplex, then the
-permutation keys), the m log-periods (`uniform`) and, unless n_fixed is
-set, the m command counts (`integers`).  The rest runs as numpy
-elementwise operations over (slots x tasks) arrays: Stafford's table and
-walk, the periods, wcets and overheads, the rate-monotonic order and the
-least-loaded placement.  Each element gets the IEEE operations of a
-one-slot draw in the same order, so a slot's bytes do not depend on the
-batch it is drawn in:
+slot with its own generator.  A slot's generator makes three calls, in
+this order: the task count m (`integers`); one `random` call for the
+slot's doubles, which are the total utilization's uniform, for m >= 2
+the fixed-sum sample's 3m - 2 uniforms (the walk's transitions, its
+positions inside the simplex, then the permutation keys) and the m
+log-periods' uniforms, 4m - 1 doubles in all (2 for m = 1); and, unless
+n_fixed is set, the m command counts (`integers`).  The total and the
+log-periods are lo + (hi - lo) * u, which is numpy's `uniform`, bit for
+bit.  Doubles never touch PCG64's buffered 32-bit word, which the
+`integers` draws read, so a slot's values and its generator's end state
+are those of drawing each value with its own call.  The rest runs as
+numpy elementwise operations over (slots x tasks) arrays: Stafford's
+table and walk, the periods, wcets and overheads, the rate-monotonic
+order and the least-loaded placement.  Each element gets the IEEE
+operations of a one-slot draw in the same order, so a slot's bytes do
+not depend on the batch it is drawn in:
 - the table is built for every slot at once, but a slot's walk reads only
   its own columns 0..k+1 (k = floor of its total), which no padding
   column feeds;
@@ -35,8 +40,9 @@ batch it is drawn in:
 - placement decides each admission with `schedulability.admits`, which
   sums the left-to-right `response_bound` wherever the closed form lies
   within its rounding margin of the deadline.  The same walk decides each
-  placed task's bound at min_checks and at N checks on its core, so a
-  batch carries every slot's verdict at the three uniform check levels.
+  placed task's bound at min_checks and at N checks on its chosen core
+  only, so a batch carries every slot's verdict at the three uniform
+  check levels.
 `draw_batches` splits a long run of slots into even batches of at most
 MAX_BATCH.  Fig 8 counts a batch's verdicts directly, and
 `DrawBatch.taskset` builds the Task and Taskset objects of one slot from
@@ -79,9 +85,10 @@ NUM_BUCKETS = 10
 RETRY_BUDGET = 100
 
 # Slots drawn as one batch at most.  A batch's numpy call count is fixed, so
-# bigger batches draw faster, but its arrays grow with it: one `sweep --fig
-# 8` call at 20 tasksets per bucket (400 slots) is two batches of 200.
-MAX_BATCH = 256
+# bigger batches draw faster, but its arrays grow with it: a batch of 4-core
+# slots of up to 40 tasks peaks at about 4.3 KB per slot (tracemalloc, numpy
+# 2.4), so 1024 slots hold about 4.4 MB.
+MAX_BATCH = 1024
 
 # Periods and wcets are exact integers in a double up to this bound.
 MAX_PERIOD_US = 2**53
@@ -177,32 +184,35 @@ def _stafford_rows(n: np.ndarray, s: np.ndarray, draws: np.ndarray) -> np.ndarra
             s2 = (k[:a, None] + i - cols) - s[:a, None]
             w[at[i] : at[i] + a, 1:] = prev[:, 1:] * s1[:a] / i + prev[:, :-1] * s2 / i
 
-        active = active[1:].tolist()  # active[t]: the rows that walk a step t
+        # active[t]: the rows that walk a step t, at level n - 1 - t.
+        active = [*active[1:].tolist(), 0]
         sv, j, sm, pr = s.copy(), k.copy(), np.zeros(order.size), np.ones(order.size)
+        here = np.arange(order.size)
         tiny = np.finfo(float).tiny
         for t in range(width - 1):
             a = active[t]
-            rows, here = order[:a], np.arange(a)
-            i, jj = n[:a] - 1 - t, j[:a]
+            rows, jj = order[:a], j[:a]
+            i = n[:a] - 1 - t
             f = i + 1
             # The transition probability at level i + 1, column j, taken as a
             # move only while j <= i (numpy's table is 0 beyond column i).
-            s1j = s1[here, jj]
+            s1j = s1[here[:a], jj]
             s2 = (k[:a] + f - jj) - s[:a]
-            row = at[i] + here
+            row = at[i] + here[:a]
             tmp1 = w[row, jj + 1] * s1j / f
             tmp2 = w[row, jj] * s2 / f
             tmp3 = (tmp1 + tmp2) + tiny
             move = (jj <= i) & (draws[rows, t] < np.where(s2 > s1j, tmp2 / tmp3,
                                                           1.0 - tmp1 / tmp3))
-            # Level i's root of its position draw; level 2's is a sqrt, as
+            # Level i's root of its position draw, column n - 1 + t.  The rows
+            # at level 2 (n = t + 3) are a run; their root is a sqrt, as
             # `x ** 0.5` on an array is.
-            rs = draws[rows, n[:a] - 1 + t]
-            root = np.power(rs, 1.0 / i.astype(float))
-            two = i == 2
+            rs = draws[rows, i + 2 * t]
+            root = np.power(rs, 1.0 / i)
+            two = slice(active[t + 2], active[t + 1])
             root[two] = np.sqrt(rs[two])
-            sm[:a] = sm[:a] + (1.0 - root) * pr[:a] * sv[:a] / f
-            pr[:a] = root * pr[:a]
+            sm[:a] += (1.0 - root) * pr[:a] * sv[:a] / f
+            pr[:a] *= root
             # sm + pr * e, with e = 1.0 on a move and 0.0 otherwise; both
             # products are exact, so they are left out.
             out[rows, t] = np.where(move, sm[:a] + pr[:a], sm[:a])
@@ -277,51 +287,73 @@ def _place(period: np.ndarray, wcet: np.ndarray, overhead: np.ndarray, commands:
     Each task goes to the least-utilized core whose admission test passes
     with no checks (lowest index on ties).  A newcomer is the lowest
     priority on its core, so only its own bound needs checking: every
-    placement is schedulable with checking disabled, and the same test on
-    the chosen core at min_checks and at N checks decides the slot's other
-    two verdicts.  `admits` decides every test from the core's running sums
-    of C^chk and C^chk / T at each level, so each verdict is the
-    left-to-right bound's, bit for bit.  Returns each task's core (-1 from
-    an unplaceable task on) and, per level, whether each slot fits there;
-    at "zero" that is whether it was placed, and an unplaced slot fits at
-    no level.
+    placement is schedulable with checking disabled, and the same test at
+    min_checks and at N checks, made at the chosen core only, decides the
+    slot's other two verdicts.  `admits` decides every test from the core's
+    running sums of C^chk and C^chk / T at each level, so each verdict is
+    the left-to-right bound's, bit for bit.  Returns each task's core (-1
+    from an unplaceable task on) and, per level, whether each slot fits
+    there; at "zero" that is whether it was placed, and an unplaced slot
+    fits at no level.
     """
     slots, width = period.shape
-    cores = np.arange(min(num_cores, width))  # the least-loaded rule fills cores in index order
-    held, load = np.zeros((2, len(CHECK_LEVELS), slots, cores.size))
-    members = np.zeros((slots, cores.size))
-    core = np.full((slots, width), -1)
-    fits = np.ones((len(CHECK_LEVELS), slots), dtype=bool)
-    here = np.arange(slots)
-    no_checks = np.zeros(slots, dtype=np.int64)
-    for rank in range(width):
-        live = fits[0] & (count > rank)
-        if not live.any():
+    levels = len(CHECK_LEVELS)
+    cores = min(num_cores, width)  # the least-loaded rule fills cores in index order
+    # The walk runs over the slots sorted by task count, longest first, so
+    # the slots that place a task at a rank are a prefix; a slot that fails
+    # to place one stays in it, its sums growing unread.  Arrays are laid
+    # out rank first and slot last, so that a rank's prefix is contiguous.
+    order = np.argsort(-count, kind="stable")
+    active = np.count_nonzero(count[:, None] > np.arange(width), axis=0).tolist()
+    # Each task's C^chk at every level, computed once.  A bound converts
+    # every integer it sums to a double first, so the exact bounds read
+    # these doubles too.
+    c_chk = np.empty((width, levels, slots))
+    for level, checks in enumerate((0, min_checks, commands)):
+        c_chk[:, level] = (wcet + checks * overhead)[order].T
+    deadline = period[order].T.astype(float)
+    # Per level, slot and core: the sums of C^chk and C^chk / T, and the
+    # core's task count; the flat views index them by slot * cores + core.
+    held, load = np.zeros((2, levels, slots, cores))
+    members = np.zeros((slots, cores))
+    flat_held, flat_load = held.reshape(levels, -1), load.reshape(levels, -1)
+    flat_members = members.reshape(-1)
+    first_of = np.arange(slots) * cores
+    core = np.full((slots, width), -1)  # in the callers' slot order
+    fits = np.ones((levels, slots), dtype=bool)
+    live = fits[0]
+
+    def bound(s, q, level):  # the task at this rank of the walk's slot s, on core q
+        above = np.flatnonzero(core[order[s], :rank] == q)
+        return response_bound(c_chk[rank, level, s], deadline[rank, s],
+                              deadline[above, s].tolist(), c_chk[above, level, s].tolist())
+
+    def at_zero(s, q):
+        return bound(s, q, 0) if live[s] else math.inf
+
+    def at_chosen(level, s):
+        level += 1
+        return bound(s, best[s], level) if live[s] and fits[level, s] else math.inf
+
+    for rank, a in enumerate(active):
+        if not live[:a].any():
             break
-        checked = wcet[:, rank] + np.stack(
-            (no_checks, min_checks[:, rank], commands[:, rank])) * overhead[:, rank]
-
-        def exact(level, s, q):
-            above = np.flatnonzero(core[s, :rank] == q)
-            k = (0, min_checks[s, above], commands[s, above])[level]
-            return response_bound(int(checked[level, s]), int(period[s, rank]),
-                                  period[s, above].tolist(),
-                                  (wcet[s, above] + k * overhead[s, above]).tolist())
-
-        c = checked[:, :, None].astype(float)
-        t = period[:, rank, None].astype(float)
-        ok = admits(c, t, held, load, members, exact, live[:, None])
-        best = np.where(ok[0], load[0], np.inf).argmin(axis=1)
-        fits &= ok[:, here, best] | ~live
-        live &= fits[0]
-        core[:, rank] = np.where(live, best, -1)
-        # Adding 0.0 to the other cores' sums leaves them as they are.
-        chosen = (cores == best[:, None]) & live[:, None]
-        held += chosen * c
-        load += chosen * (c / t)
-        members += chosen
+        c, d = c_chk[rank, :, :a], deadline[rank, :a]
+        ok = admits(c[0, :, None], d[:, None], held[0, :a], load[0, :a], members[:a], at_zero)
+        best = np.where(ok, load[0, :a], np.inf).argmin(axis=1)
+        chosen = first_of[:a] + best
+        live[:a] &= ok.take(chosen)  # ok's rows are the first a slots' cores
+        core[order[:a], rank] = np.where(live[:a], best, -1)
+        h, u, n = flat_held[:, chosen], flat_load[:, chosen], flat_members[chosen]
+        fits[1:, :a] &= admits(c[1:], d, h[1:], u[1:], n, at_chosen)
+        # Each sum gets this task's addend at its own core only.
+        flat_held[:, chosen] = h + c
+        flat_load[:, chosen] = u + c / d
+        flat_members[chosen] = n + 1.0
     fits[1:] &= fits[0]
-    return core, dict(zip(CHECK_LEVELS, fits))
+    judged = np.empty_like(fits)
+    judged[:, order] = fits
+    return core, dict(zip(CHECK_LEVELS, judged))
 
 
 @dataclass(frozen=True)
@@ -399,43 +431,50 @@ def draw_batch(specs: Sequence[WorkloadSpec], rngs: Iterable[np.random.Generator
         if spec not in params:
             spec.check()
             n_range = SCENARIO_COMMANDS[spec.scenario] if spec.n_fixed is None else None
-            params[spec] = (*spec.task_count_range(), *spec.utilization_range(), n_range,
-                            spec.n_fixed)
+            u_lo, u_hi = spec.utilization_range()
+            # numpy's uniform(lo, hi) is lo + (hi - lo) * random(), bit for bit.
+            params[spec] = (*spec.task_count_range(), (u_lo, u_hi - u_lo), n_range, spec.n_fixed)
     if len({_shape(spec) for spec in params}) > 1:
         raise ValueError("a batch's specs may differ in bucket, scenario and n_fixed only")
     base = specs[0]
     width = max(p[1] for p in params.values())
     slots = len(specs)
-    count = np.zeros(slots, dtype=np.int64)
-    total = np.zeros(slots)
-    draws = np.zeros((slots, 3 * width - 2))
-    log_lo, log_hi = math.log(base.period_min_us), math.log(base.period_max_us)
-    logs = np.full((slots, width), log_lo)
+    counts, u_ranges = [], []
+    # A slot's row holds its doubles as its one `random` call draws them: the
+    # total's uniform, for m >= 2 the 3m - 2 fixed-sum uniforms, then the m
+    # log-periods' uniforms.
+    doubles = np.zeros((slots, 4 * width - 1))
     commands = np.zeros((slots, width), dtype=np.int64)
-    drawn = 0
     for slot, (spec, rng) in enumerate(zip(specs, rngs)):
-        tasks_min, tasks_max, u_lo, u_hi, n_range, n_fixed = params[spec]
+        tasks_min, tasks_max, u_range, n_range, n_fixed = params[spec]
         m = int(rng.integers(tasks_min, tasks_max + 1))
-        count[slot] = m
-        total[slot] = rng.uniform(u_lo, u_hi)
-        if m > 1:
-            rng.random(out=draws[slot, : 3 * m - 2])
-        logs[slot, :m] = rng.uniform(log_lo, log_hi, size=m)
+        counts.append(m)
+        u_ranges.append(u_range)
+        rng.random(out=doubles[slot, : 4 * m - 1 if m > 1 else 2])
         # One batched draw gives the values and the generator state of m
-        # scalar draws: PCG64 serves both from the same buffered 32-bit stream.
+        # scalar draws: PCG64 serves both from the same buffered 32-bit stream,
+        # which no double touches.
         commands[slot, :m] = n_fixed if n_range is None else rng.integers(
             n_range[0], n_range[1] + 1, size=m)
-        drawn += 1
-    if drawn != slots:
-        raise ValueError(f"{slots} specs but {drawn} generators")
+    if len(counts) != slots:
+        raise ValueError(f"{slots} specs but {len(counts)} generators")
 
+    count = np.array(counts, dtype=np.int64)
+    u_lo, u_span = np.array(u_ranges).T
+    total = u_lo + u_span * doubles[:, 0]
+    real = np.arange(width) < count[:, None]
+    # Slot m's log-periods start at column 3m - 1, or 1 for m = 1; padding reads 0.
+    first = np.where(count > 1, 3 * count - 1, 1)
+    logs = np.take_along_axis(doubles, first[:, None] + np.arange(width), axis=1)
+    logs[~real] = 0.0
+    log_lo, log_hi = math.log(base.period_min_us), math.log(base.period_max_us)
+    logs = np.add(log_lo, np.multiply(log_hi - log_lo, logs, out=logs), out=logs)
     periods = _periods(logs, base.period_min_us, base.period_max_us, out=logs)
     del logs
-    utils = _stafford_rows(count, total, draws)
-    del draws
+    utils = _stafford_rows(count, total, doubles[:, 1 : 3 * width - 1])
+    del doubles
     # Rate-monotonic priorities: shorter period first, ties by draw index
     # (a stable sort); padding sorts last.  Arrays are updated in place.
-    real = np.arange(width) < count[:, None]
     order = np.argsort(np.where(real, periods, np.inf), axis=1, kind="stable")
     period = np.take_along_axis(periods, order, axis=1)
     wcet = np.take_along_axis(utils, order, axis=1)
@@ -468,21 +507,17 @@ def draw_batches(specs: Sequence[WorkloadSpec],
         yield draw_batch(specs[lo:hi], itertools.islice(rngs, hi - lo))
 
 
-def gen_tasksets(
-    spec: WorkloadSpec,
-    rngs: Sequence[np.random.Generator],
-    retry_budget: int = RETRY_BUDGET,
-) -> list[Taskset | None]:
-    """One taskset per generator, None where retry_budget draws all failed.
+def gen_tasksets(spec: WorkloadSpec, rngs: Sequence[np.random.Generator]) -> list[Taskset | None]:
+    """One taskset per generator, None where RETRY_BUDGET draws all failed.
 
     Placement admits tasks by the vanilla response bound, so anything
     returned is schedulable with checking disabled.  The slots whose draw
     fits on no core are redrawn together, each from its own generator, in
-    up to retry_budget rounds.
+    up to RETRY_BUDGET rounds.
     """
     out: list[Taskset | None] = [None] * len(rngs)
     pending = list(range(len(rngs)))
-    for _ in range(retry_budget):
+    for _ in range(RETRY_BUDGET):
         if not pending:
             break
         drawn = (ts for batch in map(DrawBatch.tasksets, draw_batches(

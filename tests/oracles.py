@@ -109,12 +109,27 @@ def game_lp_vertex_optimum(game, l, epsilon):
     )
 
 
+# highs_objective's answers, by game and epsilon, then by attacker strategy.
+_HIGHS_OPTIMA: dict = {}
+
+
 def highs_objective(game, l, epsilon):
     """Optimum of attacker strategy l's full LP by scipy's HiGHS, None where infeasible.
 
     The LP is rebuilt here from the cost and reward matrices, with all
-    2^N - 1 best-response rows: cost[:, l'] - cost[:, l] <= 0.
+    2^N - 1 best-response rows: cost[:, l'] - cost[:, l] <= 0.  Answers are
+    kept by the bytes and shapes of both matrices, so a game with any other
+    score is solved afresh.
     """
+    key = (game.reward.shape, game.reward.tobytes(), game.cost.shape, game.cost.tobytes(),
+           epsilon)
+    optima = _HIGHS_OPTIMA.setdefault(key, {})
+    if l not in optima:
+        optima[l] = _highs_solve(game, l, epsilon)
+    return optima[l]
+
+
+def _highs_solve(game, l, epsilon):
     num_x, num_q = game.cost.shape
     others = np.arange(num_q) != l
     res = linprog(

@@ -13,10 +13,10 @@ from oracles import (PartitionError, balanced_partition_by_response_bound, draw_
                      fits_at_level, stafford_one)
 from oracles import stafford as _stafford
 
+from selcheck import workload
 from selcheck.model import CoreColumns, assignment_at, validate
 from selcheck.schedulability import is_schedulable
 from selcheck.workload import (
-    MAX_BATCH,
     SCENARIO_COMMANDS,
     WorkloadSpec,
     _place,
@@ -137,9 +137,10 @@ def test_gen_taskset_overhead_preset():
     assert all(t.check_overhead == 2_000 for t in ts.tasks)
 
 
-def test_gen_taskset_exhausts_retries_at_saturation():
+def test_gen_taskset_exhausts_retries_at_saturation(monkeypatch):
+    monkeypatch.setattr(workload, "RETRY_BUDGET", 5)
     spec = WorkloadSpec(utilization_bucket=9, scenario="high", seed=1)
-    assert gen_tasksets(spec, list(taskset_rngs([(1, 1, 9, 0)])), retry_budget=5) == [None]
+    assert gen_tasksets(spec, list(taskset_rngs([(1, 1, 9, 0)]))) == [None]
 
 
 def test_draw_taskset_returns_none_when_unplaceable():
@@ -381,15 +382,48 @@ def test_every_placed_draw_fits_at_zero_checks():
     assert placed_count > len(DRAW_SPECS) and unplaced > 0
 
 
-def test_gen_tasksets_redraws_each_slot_from_its_own_generator():
+def test_gen_tasksets_redraws_each_slot_from_its_own_generator(monkeypatch):
     """A batch of slots retried in rounds gives each slot what gen_tasksets
     gives it alone, and None where every draw of the budget failed."""
+    monkeypatch.setattr(workload, "RETRY_BUDGET", 6)
     spec = WorkloadSpec(num_cores=1, tasks_min=1, tasks_max=4, n_fixed=3, utilization_bucket=9)
     rngs = list(taskset_rngs([(4, i) for i in range(8)] * 2))  # each path twice
-    batch = gen_tasksets(spec, rngs[:8], retry_budget=6)
-    alone = [gen_tasksets(spec, [rng], retry_budget=6)[0] for rng in rngs[8:]]
+    batch = gen_tasksets(spec, rngs[:8])
+    alone = [gen_tasksets(spec, [rng])[0] for rng in rngs[8:]]
     assert batch == alone
     assert None in alone and any(alone)
+
+
+def _cli_output_sha256(tmp_path, argv):
+    """sha256 over the (file name, bytes) of every file a CLI call writes."""
+    from selcheck.cli import main
+
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def test_the_batch_cap_changes_no_output_byte(monkeypatch, tmp_path):
+    """Fig 8's CSV and a gen batch whose slots are redrawn in many rounds
+    come out the same at any batch cap: 260 slots per call are 65 batches
+    at a cap of 4, two at 256 and one at the default."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"num_cores": 1, "tasks_min": 1, "tasks_max": 4, "n_fixed": 3,
+                                "buckets": [9]}))
+    calls = {
+        "fig 8": ["sweep", "--fig", "8", "--seed", "4", "--tasksets-per-bucket", "13"],
+        "gen": ["gen", "--spec", str(spec), "--seed", "11", "--tasksets-per-bucket", "260"],
+    }
+    digests = []
+    for cap in (4, 256, workload.MAX_BATCH):
+        monkeypatch.setattr(workload, "MAX_BATCH", cap)
+        digests.append({name: _cli_output_sha256(tmp_path / f"{cap}_{name[0]}", argv)
+                        for name, argv in calls.items()})
+    assert workload.MAX_BATCH > 260
+    assert digests[0] == digests[1] == digests[2]
 
 
 # Path entries at the edges of SeedSequence's 32-bit entropy words: one
@@ -411,9 +445,10 @@ def test_taskset_rngs_start_in_the_seed_sequence_state(paths):
     assert [rng.bit_generator.state for rng in rngs] == list(map(_seed_sequence_state, paths))
 
 
-def test_taskset_rngs_hash_a_chunk_at_a_time_across_the_chunk_edge():
+def test_taskset_rngs_hash_a_chunk_at_a_time_across_the_chunk_edge(monkeypatch):
+    monkeypatch.setattr(workload, "MAX_BATCH", 256)  # two whole chunks and one path
     paths = [(2**64 + 1, 8, 1, bucket, index) for bucket in range(3) for index in range(171)]
-    assert len(paths) > 2 * MAX_BATCH
+    assert len(paths) > 2 * workload.MAX_BATCH
     taken = []
 
     def recorded():
@@ -423,7 +458,7 @@ def test_taskset_rngs_hash_a_chunk_at_a_time_across_the_chunk_edge():
 
     rngs = taskset_rngs(recorded())
     first = next(rngs)
-    assert len(taken) == MAX_BATCH  # the first chunk only
+    assert len(taken) == workload.MAX_BATCH  # the first chunk only
     states = [first.bit_generator.state] + [rng.bit_generator.state for rng in rngs]
     assert states == list(map(_seed_sequence_state, paths))
 

@@ -60,12 +60,6 @@ class SweepResult:
             out.write(f"{r.bin},{r.scenario},{r.metric},{r.value!r},{r.samples},{r.seed}\n")
         return out.getvalue()
 
-    def row(self, bin_: str, scenario: str, metric: str) -> SweepRow:
-        for r in self.rows:
-            if (r.bin, r.scenario, r.metric) == (bin_, scenario, metric):
-                return r
-        raise KeyError((bin_, scenario, metric))
-
 
 def _cell_draws(
     base: WorkloadSpec, fig: int, scenario_idx: int, bucket: int, count: int, scenario: str,

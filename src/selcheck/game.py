@@ -15,17 +15,27 @@ nonzero selection chance (the multiple-LPs method of Conitzer and
 Sandholm, EC 2006).
 
 Each LP has 2^N - 1 best-response rows, but only about 20 bind at its
-optimum, so solve_game adds them lazily (row generation).  A row whose
-largest value over the floored simplex {x >= epsilon, sum x = 1} (a closed
-form, see screened_out) stays below the certificate's bound rules l out
-before any LP.  So does the average of the rows of l's single commands,
-the attacker's mix "attack one command of l, drawn uniformly": an answer
-the certificate accepts meets each of those rows to -FEAS_TOL times its
-max-norm, so it meets their average to -FEAS_TOL times their mean
-max-norm, and an average row that peaks below that bound proves that no
-such answer exists (l is dominated by the mix; Conitzer and Sandholm,
-EC 2005).  With N <= 8 that leaves no LP to find infeasible when K >= 2.
-Otherwise, from the uniform distribution, it takes the
+optimum, so solve_game adds them lazily (row generation).  Before that,
+strategies are ruled out in closed form, in this order:
+
+1. When C(N, K) * epsilon > 1 + FEAS_TOL no distribution meets the floor,
+   and solve_game raises GameInfeasibleError before anything else.
+2. One array pass over every l (mix_screened_out) mixes only the N rows of
+   single commands: weight a on the mean of l's own, 1 - a on the mean of
+   the rest, for a on MIX_GRID.  An answer the certificate accepts meets
+   each row to -FEAS_TOL times its max-norm, so it meets any convex mix of
+   them to the same mix of those norms, and a mix whose largest value over
+   the floored simplex {x >= epsilon, sum x = 1} (a closed form, see
+   _peak) stays below that bound proves that no such answer exists (l is
+   dominated by the mix; Conitzer and Sandholm, EC 2005).  On the oracle
+   weight families with N <= 8 and K >= 2 it leaves no l = 0 and no l of
+   more than min(K - 1, N - K) commands, so their blocks are never built.
+3. Each survivor builds its block and is ruled out when one of its rows
+   peaks below its own bound, or when the average of its single commands'
+   rows (a = 1 above) does (screened_out).  With N <= 8 that leaves no
+   LP to find infeasible when K >= 2.
+
+Row generation then starts from the uniform distribution.  It takes the
 SCREEN_BATCH rows most violated at the current point that it does not
 hold yet, solves the restricted LP with its objective on the rows held so
 far, and checks every row at the answer with one product; it stops when
@@ -76,19 +86,35 @@ OBJECTIVE_TIE_TOL = 10 * FEAS_TOL
 # overflows near 1e308; at 1e150 even a product of two such sums is finite.
 MAX_BIG_M = 1e150
 
-# Games on more commands are refused before anything is allocated.  One
-# equal-weight game took about 2.2 s at N = 10 (K = 5) and 11-15 s at
-# N = 11 on a 2-vCPU VM; each command doubles the LPs and widens each one.
+# Games on more commands are refused before anything is allocated; each
+# command doubles the attacker strategies and widens each LP.  Seconds per
+# game, equal / distinct weights, the slower of two single runs on a
+# 2-vCPU VM:
+#   N    K = 2         K = 3         K = 5
+#   8    0.02 / 0.01   0.03 / 0.05   0.08 / 0.09
+#   9    0.01 / 0.01   0.05 / 0.06   0.35 / 0.37
+#   10   0.03 / 0.04   0.12 / 0.15   1.5 / 1.6
+#   11   0.05 / 0.06   0.35 / 0.37   5.0 / 4.8
 MAX_COMMANDS = 11
 
 # Rows row generation adds per round: the most violated ones not yet held.
 SCREEN_BATCH = 8
 
+# The weights a that the two-set mix screen puts on the mean of l's own
+# single-command rows (1 - a on the mean of the rest); see mix_screened_out.
+MIX_GRID = np.linspace(0.0, 1.0, 21)
+
+# Cells in the largest array the mix screen holds at once: it takes as many
+# attacker strategies per chunk as fit (at least one), MIX_GRID.size
+# mixes of C(N, K) cells each, so about 1 MB per temporary.
+MIX_CHUNK_CELLS = 1 << 17
+
 Strategy = tuple[int, ...]  # 1-based command indices, ascending
 
 
 class GameInfeasibleError(RuntimeError):
-    """Raised when no attacker strategy admits a feasible checker LP."""
+    """Raised when no attacker strategy admits a feasible checker LP, or no
+    distribution meets the epsilon floor at all."""
 
 
 def check_big_m(big_m: float) -> None:
@@ -268,6 +294,40 @@ def screened_out(block: np.ndarray, norms: np.ndarray, epsilon: float, mixed: Se
     return bool(_peak(block[rows].mean(axis=0), epsilon) < -FEAS_TOL * norms[rows].mean())
 
 
+def mix_screened_out(cost_t: np.ndarray, n: int, epsilon: float) -> np.ndarray:
+    """For every attacker strategy l, True when a two-set mix of its single-command rows rules it out.
+
+    Row c of l is cost[:, l] - cost[:, 1 << c], the margin by which l beats
+    attacking command c alone.  The mix puts weight a on the mean of the
+    rows of l's own commands and 1 - a on the mean of the rest, for each a
+    in MIX_GRID (only a = 0 at l = 0, only a = 1 at the full set).  It is a
+    convex combination of rows an answer the certificate accepts meets to
+    -FEAS_TOL times their max-norms, so a mix that peaks (see _peak) below
+    -FEAS_TOL times the same mix of those max-norms proves that no such
+    answer exists.  `cost_t` is game.cost.T, C-contiguous.
+    """
+    num_q, num_x = cost_t.shape
+    singles = cost_t[1 << np.arange(n)]
+    a = MIX_GRID
+    out = np.zeros(num_q, dtype=bool)
+    step = max(1, MIX_CHUNK_CELLS // (max(n, a.size) * num_x))
+    for lo in range(0, num_q, step):
+        hi = min(lo + step, num_q)
+        rows = cost_t[lo:hi, None, :] - singles  # (strategies, n, num_x)
+        norms = np.abs(rows).max(axis=2)
+        own = (np.arange(lo, hi)[:, None] >> np.arange(n) & 1).astype(bool)
+        size = own.sum(axis=1)[:, None]
+        # Means over empty sets are zero; `usable` never lets them count.
+        w_in = own / np.maximum(size, 1)
+        w_out = ~own / np.maximum(n - size, 1)
+        mix = a[:, None] * (rows * w_in[:, :, None]).sum(axis=1)[:, None, :]
+        mix += (1.0 - a[:, None]) * (rows * w_out[:, :, None]).sum(axis=1)[:, None, :]
+        bound = np.outer((w_in * norms).sum(axis=1), a) + np.outer((w_out * norms).sum(axis=1), 1.0 - a)
+        usable = ((size > 0) | (a == 0.0)) & ((size < n) | (a == 1.0))
+        out[lo:hi] = (usable & (_peak(mix, epsilon) < -FEAS_TOL * bound)).any(axis=1)
+    return out
+
+
 def _solve_by_row_generation(
     game: GameInstance, l: int, epsilon: float, cost_t: np.ndarray | None = None, warm: bool = True
 ) -> tuple[str, LpSolution | None]:
@@ -280,8 +340,8 @@ def _solve_by_row_generation(
     """
     block = best_response_block(game, l, cost_t)
     norms = np.abs(block).max(axis=1)
-    # l's single commands, each attacked alone: a uniform mix of them
-    # dominates most infeasible l outright.
+    # l's single commands, each attacked alone, averaged: the mix screen's
+    # a = 1, here from l's block.
     singles = [1 << c for c in range(game.num_commands) if l >> c & 1]
     if screened_out(block, norms, epsilon, mixed=singles):
         return "infeasible", None
@@ -322,10 +382,20 @@ def solve_game(game: GameInstance, epsilon: float = DEFAULT_EPSILON) -> GameSolu
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be strictly positive")
+    num_x = len(game.designer_strategies)
+    if num_x * epsilon > 1.0 + FEAS_TOL:
+        raise GameInfeasibleError(
+            f"epsilon = {epsilon:g} times C({game.num_commands}, {game.budget}) = {num_x} checker "
+            f"strategies is {num_x * epsilon:g} > 1: no distribution gives every strategy its floor"
+        )
     statuses: list[str] = []
     answers: dict[int, LpSolution] = {}
     cost_t = np.ascontiguousarray(game.cost.T)
+    ruled_out = mix_screened_out(cost_t, game.num_commands, epsilon)
     for l in range(len(game.attacker_strategies)):
+        if ruled_out[l]:
+            statuses.append("infeasible")
+            continue
         status, sol = _solve_by_row_generation(game, l, epsilon, cost_t)
         statuses.append(status)
         if sol is not None:

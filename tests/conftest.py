@@ -34,6 +34,14 @@ def task_by_id(taskset, tid):
     return next(t for t in taskset.tasks if t.id == tid)
 
 
+def sweep_row(result, bin_, scenario, metric):
+    """The row of SweepResult `result` for (bin, scenario, metric)."""
+    for r in result.rows:
+        if (r.bin, r.scenario, r.metric) == (bin_, scenario, metric):
+            return r
+    raise KeyError((bin_, scenario, metric))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

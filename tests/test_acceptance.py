@@ -12,6 +12,7 @@ import time
 import numpy as np
 from scipy.stats import chi2
 
+from conftest import sweep_row
 from oracles import (
     game_lp_vertex_optimum,
     response_bounds_by_rank,
@@ -153,8 +154,8 @@ def test_criterion_05_coverage_reproduction():
     started = time.monotonic()
     result = sweep_coverage(WorkloadSpec(seed=SEED), tasksets_per_bucket=50)
 
-    medium = [result.row(str(b), "medium", "coverage_ratio").value for b in range(10)]
-    high = [result.row(str(b), "high", "coverage_ratio").value for b in range(10)]
+    medium = [sweep_row(result, str(b), "medium", "coverage_ratio").value for b in range(10)]
+    high = [sweep_row(result, str(b), "high", "coverage_ratio").value for b in range(10)]
     # claim: full coverage up to U/P = 0.6 (medium); assert through 0.5
     for b in range(5):
         assert medium[b] >= FULL_COVERAGE, (b, medium[b])
@@ -240,9 +241,9 @@ def test_criterion_08_acceptance_ordering():
     strict_gap = False
     for scenario in ("medium", "high"):
         for b in range(10):
-            u = result.row(str(b), scenario, "unsecured").value
-            s = result.row(str(b), scenario, "scate").value
-            f = result.row(str(b), scenario, "fine-grain").value
+            u = sweep_row(result, str(b), scenario, "unsecured").value
+            s = sweep_row(result, str(b), scenario, "scate").value
+            f = sweep_row(result, str(b), scenario, "fine-grain").value
             assert u >= s >= f, (scenario, b, u, s, f)
             if scenario == "high" and f < s:
                 strict_gap = True

@@ -199,6 +199,23 @@ def test_plan_refuses_a_game_above_the_command_cap(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: n={MAX_COMMANDS + 1} exceeds")
 
 
+def test_plan_names_an_epsilon_floor_no_distribution_meets_before_any_lp(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "ts.json"
+    write_taskset(path, n=6, overhead=50_000)  # K* = 3: C(6, 3) = 20 strategies
+
+    def no_lp(lp):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr("selcheck.game.solve_lp", no_lp)
+    out = tmp_path / "plan.json"
+    assert main(["plan", "--taskset", str(path), "--epsilon", "0.3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: epsilon = 0.3 times C(6, 3) = 20 checker strategies is 6 > 1: "
+        "no distribution gives every strategy its floor\n"
+    )
+    assert not out.exists()
+
+
 def test_readme_command_lines_parse():
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```", 2)[1]

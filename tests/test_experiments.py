@@ -2,7 +2,7 @@ import concurrent.futures
 
 import pytest
 
-from conftest import make_task, make_taskset
+from conftest import make_task, make_taskset, sweep_row
 
 from selcheck import experiments
 from selcheck.experiments import (
@@ -51,7 +51,7 @@ def test_coverage_row_grid(coverage):
 
 def test_coverage_decreases_with_utilization(coverage):
     for scenario in ("medium", "high"):
-        values = [coverage.row(str(b), scenario, "coverage_ratio").value for b in range(10)]
+        values = [sweep_row(coverage, str(b), scenario, "coverage_ratio").value for b in range(10)]
         assert values[0] == 1.0
         populated = [v for v in values if v > 0.0]
         assert populated[-1] <= populated[0]
@@ -67,25 +67,25 @@ def test_acceptance_row_grid(acceptance):
 def test_acceptance_scheme_ordering_every_bucket(acceptance):
     for scenario in ("medium", "high"):
         for b in range(10):
-            u = acceptance.row(str(b), scenario, "unsecured").value
-            s = acceptance.row(str(b), scenario, "scate").value
-            f = acceptance.row(str(b), scenario, "fine-grain").value
+            u = sweep_row(acceptance, str(b), scenario, "unsecured").value
+            s = sweep_row(acceptance, str(b), scenario, "scate").value
+            f = sweep_row(acceptance, str(b), scenario, "fine-grain").value
             assert u >= s >= f
 
 
 def test_acceptance_boundary_buckets(acceptance):
     for scenario in ("medium", "high"):
         for metric in ("unsecured", "scate", "fine-grain"):
-            assert acceptance.row("0", scenario, metric).value == 1.0
-        assert acceptance.row("9", scenario, "fine-grain").value == 0.0
+            assert sweep_row(acceptance, "0", scenario, metric).value == 1.0
+        assert sweep_row(acceptance, "9", scenario, "fine-grain").value == 0.0
 
 
 def test_tradeoff_rows_and_gain(tradeoff):
     assert tradeoff.rows
     bins = {r.bin for r in tradeoff.rows}
     for b in bins:
-        gain = tradeoff.row(b, "n5", "sched_gain")
-        delay = tradeoff.row(b, "n5", "mean_delay_jobs")
+        gain = sweep_row(tradeoff, b, "n5", "sched_gain")
+        delay = sweep_row(tradeoff, b, "n5", "mean_delay_jobs")
         assert gain.value >= 0.0
         assert delay.value >= 1.0
         assert gain.samples == delay.samples > 0
@@ -204,7 +204,7 @@ def test_tradeoff_leaves_out_victims_that_check_nothing():
     for r in result.rows:
         if r.metric == "mean_delay_jobs":
             assert r.value >= 1.0
-            assert r.samples <= result.row(r.bin, r.scenario, "sched_gain").samples
+            assert r.samples <= sweep_row(result, r.bin, r.scenario, "sched_gain").samples
 
 
 def test_tradeoff_taskset_without_a_checking_victim_has_no_delay(monkeypatch):

@@ -13,6 +13,7 @@ from oracles import game_lp_vertex_optimum, highs_objective, highs_objectives, r
 from selcheck.game import (
     MAX_BIG_M,
     MAX_COMMANDS,
+    MIX_GRID,
     OBJECTIVE_TIE_TOL,
     GameInfeasibleError,
     best_response_block,
@@ -21,6 +22,7 @@ from selcheck.game import (
     enumerate_attacker_strategies,
     enumerate_designer_strategies,
     lp_for_attacker_strategy,
+    mix_screened_out,
     screened_out,
     solve_game,
     _solve_by_row_generation,
@@ -580,6 +582,80 @@ def test_screens_leave_no_infeasible_lp_above_one_check(monkeypatch, family):
             left[n, k] = statuses.count("infeasible")
     assert all(v == 0 for (n, k), v in left.items() if k >= 2), left
     assert [left[n, 1] for n in range(2, 9)] == [0, 0, 4, 10, 20, 35, 56]
+
+
+# The oracle families and one whose weights span 1e-3 to 1e3, of which
+# each game takes the first N.
+MIX_SCREEN_WEIGHTS = {**ORACLE_GAME_WEIGHTS, "wide": (1e-3, 1e3, 0.1, 10.0, 1.0, 3e-2, 30.0, 0.3)}
+
+
+def _screened_by_each_block(game, eps):
+    """Strategies the per-block screens (one row, or l's singles averaged) rule out."""
+    n = game.num_commands
+    out = set()
+    for l in range(1 << n):
+        block = best_response_block(game, l)
+        if screened_out(block, np.abs(block).max(axis=1), eps, mixed=_singles(l, n)):
+            out.add(l)
+    return out
+
+
+@pytest.mark.parametrize("family", sorted(MIX_SCREEN_WEIGHTS))
+def test_mix_screened_strategies_are_infeasible_by_highs(family):
+    """Every (N, K) with N <= 7: each strategy the two-set mix screen rules
+    out, before any block is built, is infeasible by HiGHS.  On these
+    families the per-block screens rule each of them out too, so the mix
+    screen moves no verdict, only the work of reaching it."""
+    eps = 1e-6
+    weights = MIX_SCREEN_WEIGHTS[family]
+    ruled = 0
+    for n in range(2, 8):
+        for k in range(1, n):
+            game = build_game_from_weights(weights[:n], k)
+            out = np.flatnonzero(mix_screened_out(np.ascontiguousarray(game.cost.T), n, eps)).tolist()
+            assert all(highs_objective(game, l, eps) is None for l in out), (n, k)
+            assert set(out) <= _screened_by_each_block(game, eps), (n, k)
+            ruled += len(out)
+    assert ruled > 0
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_GAME_WEIGHTS))
+def test_no_strategy_above_the_size_bound_builds_a_block(monkeypatch, family):
+    """Every (N, K) with N <= 8 and K >= 2: no l with more than
+    min(K - 1, N - K) commands, and not l = 0, reaches best_response_block."""
+    built = []
+    real = best_response_block
+
+    def counted(game, l, cost_t=None):
+        built.append(l)
+        return real(game, l, cost_t)
+
+    monkeypatch.setattr("selcheck.game.best_response_block", counted)
+    weights = ORACLE_GAME_WEIGHTS[family]
+    for n in range(3, 9):
+        for k in range(2, n):
+            built.clear()
+            solve_game(build_game_from_weights(weights[:n], k), 1e-6)
+            bound = min(k - 1, n - k)
+            assert built and max(bin(l).count("1") for l in built) <= bound and 0 not in built, (n, k)
+
+
+@pytest.mark.parametrize("family", sorted(MIX_SCREEN_WEIGHTS))
+def test_mix_screen_verdicts_do_not_depend_on_the_chunk_size(monkeypatch, family):
+    """One strategy per chunk, seven, and the whole game in one chunk."""
+    eps = 1e-6
+    weights = MIX_SCREEN_WEIGHTS[family]
+    for n in (3, 6, 8):
+        for k in range(1, n):
+            game = build_game_from_weights(weights[:n], k)
+            cost_t = np.ascontiguousarray(game.cost.T)
+            per_strategy = max(n, MIX_GRID.size) * cost_t.shape[1]
+            verdicts = []
+            for strategies in (1, 7, 1 << n):
+                monkeypatch.setattr("selcheck.game.MIX_CHUNK_CELLS", strategies * per_strategy)
+                verdicts.append(mix_screened_out(cost_t, n, eps))
+            assert (verdicts[0] == verdicts[1]).all() and (verdicts[0] == verdicts[2]).all(), (n, k)
+            assert verdicts[0].any(), (n, k)
 
 
 @pytest.mark.parametrize("peak, sum_x, kept", [
